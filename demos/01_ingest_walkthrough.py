@@ -12,7 +12,6 @@ from wikilinks import (
     extract_abstract,
     parse_dump,
     render_abstract,
-    resolve_redirects,
 )
 from wikilinks.dataset import Dataset
 
@@ -70,11 +69,11 @@ def main() -> None:
     print("  (note '[[federal government]]s': the trailing 's' joins the anchor)")
 
     print("\n=== 3. Redirects resolve to canonical titles ===")
-    print("  ", resolve_redirects(pages))
-
-    print("\n=== 4. The whole corpus assembles into articles + links ===")
     counters: Counter = Counter()
     articles, links = build_corpus(pages, counters)
+    print("  ", {alias: a.title for a in articles for alias in sorted(a.aliases)})
+
+    print("\n=== 4. The whole corpus assembles into articles + links ===")
     for article in articles:
         print(f"  id={article.id}  {article.title!r}  aliases={sorted(article.aliases)}")
     print("  links (source -> target via anchor):")

@@ -49,21 +49,16 @@ from .ingest import (
     RawPage,
     build_corpus,
     extract_abstract,
-    extract_wikilinks,
     normalize_title,
     parse_dump,
     render_abstract,
-    resolve_redirects,
 )
 from .lsa import (
     LsaModel,
     Vocabulary,
     build_tfidf,
-    cosine,
     embed_text,
     fit_lsa,
-    load_embeddings,
-    save_embeddings,
     tokenize,
 )
 from .predictors import (
@@ -71,14 +66,8 @@ from .predictors import (
     EvalModelConfig,
     ExternalFileMethod,
     Method,
-    Prediction,
-    compute_atilp_scores,
     fit_atilp,
     make_method,
-    predict_at,
-    score_atilp,
-    score_lsa,
-    score_random,
 )
 
 __version__ = "0.1.0"

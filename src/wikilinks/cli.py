@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dataset import Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
-from .evaluation import run_eval
+from .evaluation import MetricsReport, run_eval
 from .graph import DocumentNetwork, network_stats, personalized_pagerank, topk_subgraph
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
 from .predictors import EvalModelConfig, ExternalFileMethod
@@ -66,6 +66,8 @@ class PipelineConfig:
             raise InputError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InputError(f"config {path} must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -250,39 +252,14 @@ def cmd_report(args) -> int:
     path = Path(args.report)
     if not path.exists():
         raise InputError(f"report not found: {path}")
-    records = json.loads(path.read_text(encoding="utf-8"))
-    results = [r for r in records if "auc_mean" in r]
-    if not results:
-        raise InputError(f"no result records in {path}")
-    dataset = results[0]["dataset"]
-    modes = []
-    for record in results:
-        if record["mode"] not in modes:
-            modes.append(record["mode"])
-    methods = []
-    for record in results:
-        if record["method"] not in methods:
-            methods.append(record["method"])
-    by_key = {(r["method"], r["mode"]): r for r in results}
-    header = [f"**{dataset}**"]
-    for mode in modes:
-        title = mode.capitalize()
-        header += [f"{title} AUC", f"{title} P", f"{title} R"]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for method in methods:
-        row = [method]
-        for mode in modes:
-            record = by_key.get((method, mode))
-            if record is None:
-                row += ["—"] * 3
-            else:
-                row += [
-                    f"{record['auc_mean']:.2f} ( {record['auc_std']:.2f})",
-                    f"{record['p_mean']:.2f} ( {record['p_std']:.2f})",
-                    f"{record['r_mean']:.2f} ( {record['r_std']:.2f})",
-                ]
-        lines.append("| " + " | ".join(row) + " |")
-    print("\n".join(lines))
+    try:
+        report = MetricsReport.from_records(json.loads(path.read_text(encoding="utf-8")))
+        # The only modes, "inductive" and "transductive", sort into table order.
+        modes = sorted({e.mode for e in report.entries} | {f.mode for f in report.failures})
+        table = report.to_markdown(modes)
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed report {path}: {exc}") from exc
+    sys.stdout.write(table)
     return EXIT_OK
 
 

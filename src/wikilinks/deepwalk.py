@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import DocumentNetwork
-from .lsa import cosine
+from .lsa import row_cosines
 
 _LOG_FLOOR = 1e-12
 
@@ -181,16 +181,19 @@ def fit_deepwalk(
     )
 
 
-def score_deepwalk(model: DeepWalkModel, source: int, target: int) -> float:
-    """Link score (1 + cos)/2 between two trained node embeddings.
+def score_deepwalk(model: DeepWalkModel, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Link scores (1 + cos)/2 between the trained node embeddings of
+    each (source, target) pair.
 
     Ids outside the trained node set raise :class:`UnsupportedModeError`:
     DeepWalk has no inductive mode.
     """
-    for node in (source, target):
+    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    for node in np.unique(ids).tolist():
         if node not in model.trained_nodes:
             raise UnsupportedModeError(
                 f"node {node} was not in the training network; "
                 "DeepWalk cannot score unseen documents"
             )
-    return (1.0 + cosine(model.node_vectors[source], model.node_vectors[target])) / 2.0
+    vectors = model.node_vectors
+    return (1.0 + row_cosines(vectors[ids[:, 0]], vectors[ids[:, 1]])) / 2.0

@@ -263,6 +263,51 @@ class MetricsReport:
     split_hashes: dict[str, str]
     failures: list[EvalFailure] = field(default_factory=list)
 
+    @classmethod
+    def from_records(cls, records) -> "MetricsReport":
+        """Rebuild a report from the output of :meth:`to_records`.
+
+        Per-run values and the binary flag are not recorded, so entries
+        come back without them. Malformed records raise ValueError.
+        """
+        if not isinstance(records, list) or not records or not all(
+            isinstance(record, dict) for record in records
+        ):
+            raise ValueError("expected a non-empty list of records")
+        entries: list[MethodMetrics] = []
+        failures: list[EvalFailure] = []
+        split_hashes: dict[str, str] = {}
+        try:
+            for r in records:
+                if "error" in r:
+                    failures.append(EvalFailure(r["method"], r["mode"], r["run"], r["error"]))
+                    continue
+                entries.append(
+                    MethodMetrics(
+                        method=r["method"],
+                        mode=r["mode"],
+                        binary=False,
+                        runs=r["runs"],
+                        auc_mean=r["auc_mean"],
+                        auc_std=r["auc_std"],
+                        precision_mean=r["p_mean"],
+                        precision_std=r["p_std"],
+                        recall_mean=r["r_mean"],
+                        recall_std=r["r_std"],
+                    )
+                )
+                split_hashes[r["mode"]] = r["split_hash"]
+            dataset = records[0]["dataset"]
+        except KeyError as exc:
+            raise ValueError(f"record lacks key {exc}") from None
+        return cls(
+            dataset=dataset,
+            runs=max((item.runs for item in entries), default=0),
+            entries=entries,
+            split_hashes=split_hashes,
+            failures=failures,
+        )
+
     def entry(self, method: str, mode: str) -> MethodMetrics | None:
         for item in self.entries:
             if item.method == method and item.mode == mode:
@@ -419,13 +464,10 @@ def run_eval(
 
             ctx = RunContext(
                 articles=dataset.articles,
-                full_network=dataset.network,
                 train_network=split.train_network,
                 train_nodes=split.train_nodes,
                 mode=mode,
                 seed=seed,
-                anchor_map=dataset.anchor_map(),
-                title_map=dataset.title_map(),
                 candidates=samples,
                 title_candidates=title_candidates,
                 config=config,

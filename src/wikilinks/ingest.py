@@ -349,41 +349,15 @@ def render_abstract(
     return "".join(plain), occurrences
 
 
-def extract_wikilinks(
-    abstract_wikitext: str, source: int, counters: Counter | None = None
-) -> list[AnchorOccurrence]:
-    """Wikilinks of an abstract, with spans into its plain-text rendering."""
-    return render_abstract(abstract_wikitext, source, counters)[1]
-
-
-def resolve_redirects(
-    pages: Iterable[RawPage], counters: Counter | None = None
+def _resolve_chains(
+    redirect_to: dict[str, str], real_titles: set[str], counters: Counter
 ) -> dict[str, str]:
     """Map redirect titles to the canonical titles they resolve to.
 
     Chains are followed to a fixed point up to ``REDIRECT_CHAIN_CAP``
-    hops; cycles and chains ending outside the mainspace page set are
-    dropped (and counted). All titles are normalized.
+    hops; cycles and chains ending outside ``real_titles`` are dropped
+    and counted.
     """
-    counters = counters if counters is not None else Counter()
-    redirect_to: dict[str, str] = {}
-    real_titles: set[str] = set()
-    for page in pages:
-        if page.namespace != MAIN_NAMESPACE:
-            continue
-        title = normalize_title(page.title)
-        if not title:
-            continue
-        if page.is_redirect and page.redirect_target:
-            redirect_to.setdefault(title, normalize_title(page.redirect_target))
-        else:
-            real_titles.add(title)
-    return _resolve_chains(redirect_to, real_titles, counters)
-
-
-def _resolve_chains(
-    redirect_to: dict[str, str], real_titles: set[str], counters: Counter
-) -> dict[str, str]:
     resolved: dict[str, str] = {}
     for alias in redirect_to:
         if alias in real_titles:

@@ -10,12 +10,9 @@ as the stored document embeddings U * sigma.
 
 from __future__ import annotations
 
-import math
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -197,59 +194,13 @@ def embed_text(model: LsaModel, text: str) -> np.ndarray:
     return vector
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs score 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
-
-
-# Binary embedding cache: a fixed header followed by row-major float32
-# little-endian vectors, with document ids in a text sidecar.
-EMBEDDING_MAGIC = b"LSAE"
-EMBEDDING_VERSION = 1
-_HEADER = struct.Struct("<4sIII")
-
-
-def save_embeddings(path, ids: list[int], vectors: np.ndarray) -> None:
-    """Write vectors to ``path`` and their ids to ``<path>.ids``."""
-    vectors = np.ascontiguousarray(vectors, dtype="<f4")
-    if vectors.ndim != 2:
-        raise ValueError("vectors must be a 2-d array")
-    if len(ids) != vectors.shape[0]:
-        raise ValueError("ids and vectors disagree on the row count")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, vectors.shape[1],
-                              vectors.shape[0]))
-        fh.write(vectors.tobytes())
-    with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{i}\n" for i in ids)
-
-
-def load_embeddings(path) -> tuple[list[int], np.ndarray]:
-    """Read an embedding cache written by :func:`save_embeddings`."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("embedding cache truncated")
-        magic, version, d, count = _HEADER.unpack(header)
-        if magic != EMBEDDING_MAGIC:
-            raise ValueError("not an embedding cache (bad magic)")
-        if version != EMBEDDING_VERSION:
-            raise ValueError(f"unsupported embedding cache version {version}")
-        payload = fh.read()
-    expected = count * d * 4
-    if len(payload) != expected:
-        raise ValueError(f"embedding cache payload is {len(payload)} bytes, expected {expected}")
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(count, d)
-    with open(str(path) + ".ids", "r", encoding="utf-8") as fh:
-        ids = [int(line.strip()) for line in fh if line.strip()]
-    if len(ids) != count:
-        raise ValueError("embedding cache sidecar id count mismatch")
-    return ids, vectors.copy()
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of ``a`` with the same row of ``b``,
+    in [-1, 1]; a pair with a zero-norm row scores 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dots = np.einsum("ij,ij->i", a, b)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a)) * np.sqrt(np.einsum("ij,ij->i", b, b))
+    cosines = np.zeros(len(dots))
+    np.divide(dots, norms, out=cosines, where=norms != 0.0)
+    return np.clip(cosines, -1.0, 1.0)

@@ -15,50 +15,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .anchors import AnchorMap, CandidatePair, scan_candidates
+from .anchors import CandidatePair
 from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .ingest import Article
-from .lsa import LsaModel, build_tfidf, cosine, embed_text, fit_lsa, tokenize
+from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
 
 Scorer = Callable[[Sequence[tuple[int, int]]], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One scored pair; ``score`` lies in [0, 1]."""
-
-    source: int
-    target: int
-    score: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-
-
-def predict_at(anchor_map: AnchorMap, source: Article, target: int) -> int:
-    """String-matching prediction: 1 iff the source abstract contains a
-    string mapping to the target. Works with title and anchor maps."""
-    if not 0 <= target < anchor_map.article_count:
-        raise ValueError(f"unknown target article id {target}")
-    return int(any(pair.target == target for pair in scan_candidates(anchor_map, source)))
-
-
-def score_lsa_vectors(u: np.ndarray, v: np.ndarray) -> float:
-    """Map a cosine similarity monotonically onto [0, 1]."""
-    return (1.0 + cosine(u, v)) / 2.0
-
-
-def score_lsa(model: LsaModel, source: int, target: int) -> float:
-    """Similarity score between two training documents of an LSA model
-    whose rows are indexed by document id."""
-    return score_lsa_vectors(model.doc_embeddings[source], model.doc_embeddings[target])
-
-
-def score_random(rng: np.random.Generator) -> float:
-    """Next uniform [0, 1] draw; reproducible given the generator seed."""
-    return float(rng.random())
 
 
 def ols_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
@@ -72,46 +35,62 @@ def ols_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, floa
 
 @dataclass
 class AtilpModel:
-    """Linear model over the (s1, s2, s3) anchor/document cosine scores."""
+    """Linear model over the (s1, s2, s3) anchor/document cosine scores.
+
+    ``anchor_vectors`` caches the LSA embedding of every anchor string
+    seen so far, so each distinct string is folded in once.
+    """
 
     coefficients: np.ndarray
     intercept: float
     lsa: LsaModel
     n_positive: int = 0
     n_negative: int = 0
+    anchor_vectors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def predict(self, doc_matrix: np.ndarray, pairs: Sequence[CandidatePair]) -> np.ndarray:
+        """Linear prediction of each pair, maximized over its matched
+        anchors and clamped to [0, 1]."""
+        if len(pairs) == 0:
+            return np.zeros(0)
+        features, counts = atilp_features(self.lsa, doc_matrix, pairs, self.anchor_vectors)
+        raw = features @ self.coefficients + self.intercept
+        best = np.maximum.reduceat(raw, np.cumsum(counts) - counts)
+        return np.clip(best, 0.0, 1.0)
 
 
-def _anchor_triples(
+def atilp_features(
     lsa: LsaModel,
-    anchor_texts: Sequence[str],
-    source_vec: np.ndarray,
-    target_vec: np.ndarray,
-) -> np.ndarray:
-    s3 = cosine(source_vec, target_vec)
-    rows = []
-    for text in anchor_texts:
-        anchor_vec = embed_text(lsa, text)
-        rows.append((cosine(anchor_vec, source_vec), cosine(anchor_vec, target_vec), s3))
-    return np.array(rows)
-
-
-def compute_atilp_scores(
-    lsa: LsaModel,
-    pair: CandidatePair,
-    source_vec: np.ndarray | None = None,
-    target_vec: np.ndarray | None = None,
-) -> np.ndarray:
-    """(s1, s2, s3) triples, one row per distinct matched anchor string.
+    doc_matrix: np.ndarray,
+    pairs: Sequence[CandidatePair],
+    anchor_vectors: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s1, s2, s3) rows, one per distinct matched anchor string of each
+    pair, and the number of rows of each pair.
 
     s1 = cos(anchor, source), s2 = cos(anchor, target),
-    s3 = cos(source, target). Document vectors default to the model's
-    training embeddings; pass ``source_vec`` for unseen documents.
+    s3 = cos(source, target). Rows follow the pairs in order, and each
+    pair's anchors in :meth:`CandidatePair.anchor_texts` order.
+    ``doc_matrix`` rows are indexed by document id. Anchor strings
+    missing from ``anchor_vectors`` are embedded and added to it.
     """
-    if source_vec is None:
-        source_vec = lsa.doc_embeddings[pair.source]
-    if target_vec is None:
-        target_vec = lsa.doc_embeddings[pair.target]
-    return _anchor_triples(lsa, pair.anchor_texts(), source_vec, target_vec)
+    texts = [pair.anchor_texts() for pair in pairs]
+    for anchors in texts:
+        for text in anchors:
+            if text not in anchor_vectors:
+                anchor_vectors[text] = embed_text(lsa, text)
+    counts = np.array([len(anchors) for anchors in texts], dtype=np.intp)
+    anchor_rows = np.array(
+        [anchor_vectors[text] for anchors in texts for text in anchors]
+    ).reshape(-1, lsa.dimension)
+    sources = doc_matrix[[pair.source for pair in pairs]]
+    targets = doc_matrix[[pair.target for pair in pairs]]
+    s3 = row_cosines(sources, targets)
+    sources, targets, s3 = (np.repeat(x, counts, axis=0) for x in (sources, targets, s3))
+    features = np.column_stack(
+        [row_cosines(anchor_rows, sources), row_cosines(anchor_rows, targets), s3]
+    )
+    return features, counts
 
 
 def fit_atilp(
@@ -123,7 +102,7 @@ def fit_atilp(
     n_negative: int = 1000,
     sources: Iterable[int] | None = None,
     targets: Iterable[int] | None = None,
-    doc_vector: Callable[[int], np.ndarray] | None = None,
+    doc_matrix: np.ndarray | None = None,
 ) -> AtilpModel:
     """Least squares fit of the anchor-informed link model.
 
@@ -134,7 +113,8 @@ def fit_atilp(
     sampled pair contributes one design row per distinct matched anchor
     string. ``sources``/``targets`` restrict the training pairs to the
     given documents (the harness passes the training documents, so
-    hidden documents never reach the fit).
+    hidden documents never reach the fit). ``doc_matrix`` defaults to
+    the model's training embeddings, indexed by document id.
     """
     if sources is None:
         sources = sorted(candidates_by_source)
@@ -165,38 +145,23 @@ def fit_atilp(
     sampled_pos = sample(positives, n_positive)
     sampled_neg = sample(negatives, n_negative)
 
-    if doc_vector is None:
-        doc_vector = lambda doc: lsa.doc_embeddings[doc]  # noqa: E731
-    rows: list[np.ndarray] = []
-    labels: list[float] = []
-    for label, pairs in ((1.0, sampled_pos), (0.0, sampled_neg)):
-        for pair in pairs:
-            triples = _anchor_triples(
-                lsa, pair.anchor_texts(), doc_vector(pair.source), doc_vector(pair.target)
-            )
-            rows.append(triples)
-            labels.extend([label] * len(triples))
-    coefficients, intercept = ols_fit(np.vstack(rows), np.array(labels))
+    anchor_vectors: dict[str, np.ndarray] = {}
+    features, counts = atilp_features(
+        lsa,
+        lsa.doc_embeddings if doc_matrix is None else doc_matrix,
+        sampled_pos + sampled_neg,
+        anchor_vectors,
+    )
+    labels = np.repeat([1.0] * len(sampled_pos) + [0.0] * len(sampled_neg), counts)
+    coefficients, intercept = ols_fit(features, labels)
     return AtilpModel(
         coefficients=coefficients,
         intercept=intercept,
         lsa=lsa,
         n_positive=len(sampled_pos),
         n_negative=len(sampled_neg),
+        anchor_vectors=anchor_vectors,
     )
-
-
-def score_atilp(
-    model: AtilpModel,
-    pair: CandidatePair,
-    source_vec: np.ndarray | None = None,
-    target_vec: np.ndarray | None = None,
-) -> float:
-    """Linear prediction maximized over the pair's matched anchors,
-    clamped to [0, 1]."""
-    triples = compute_atilp_scores(model.lsa, pair, source_vec, target_vec)
-    raw = triples @ model.coefficients + model.intercept
-    return float(np.clip(raw.max(), 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -215,7 +180,7 @@ class RunContext:
 
     Exposes the training network and the set of documents whose text may
     be used for fitting; hidden documents contribute only their text at
-    scoring time, through :meth:`doc_vector`. The LSA model for the run
+    scoring time, through :meth:`doc_matrix`. The LSA model for the run
     is fitted lazily on the training documents and shared between the
     LSA and ATILP methods.
     """
@@ -223,32 +188,25 @@ class RunContext:
     def __init__(
         self,
         articles: Sequence[Article],
-        full_network: DocumentNetwork,
         train_network: DocumentNetwork,
         train_nodes: Sequence[int],
         mode: str,
         seed: int,
-        anchor_map: AnchorMap,
-        title_map: AnchorMap,
         candidates: Mapping[int, Sequence[CandidatePair]],
         title_candidates: Mapping[int, Sequence[CandidatePair]],
         config: EvalModelConfig,
     ) -> None:
         self.articles = articles
-        self.full_network = full_network
         self.train_network = train_network
         self.train_nodes = frozenset(train_nodes)
         self.mode = mode
         self.seed = seed
-        self.anchor_map = anchor_map
-        self.title_map = title_map
         self.candidates = candidates
         self.title_candidates = title_candidates
         self.config = config
         self._lsa: LsaModel | None = None
         self._lsa_rows: dict[int, int] | None = None
-        self._fold_in_cache: dict[int, np.ndarray] = {}
-        self._pair_index: dict[tuple[int, int], CandidatePair] | None = None
+        self._doc_matrix: np.ndarray | None = None
 
     def lsa(self) -> tuple[LsaModel, dict[int, int]]:
         if self._lsa is None:
@@ -265,27 +223,21 @@ class RunContext:
             self._lsa_rows = {doc: row for row, doc in enumerate(docs)}
         return self._lsa, self._lsa_rows
 
-    def doc_vector(self, doc: int) -> np.ndarray:
-        """Training documents use their fitted embedding; hidden documents
-        fold in from their text alone."""
-        model, rows = self.lsa()
-        row = rows.get(doc)
-        if row is not None:
-            return model.doc_embeddings[row]
-        cached = self._fold_in_cache.get(doc)
-        if cached is None:
-            cached = embed_text(model, self.articles[doc].abstract)
-            self._fold_in_cache[doc] = cached
-        return cached
+    def doc_matrix(self) -> np.ndarray:
+        """LSA vectors of all documents, rows indexed by document id.
 
-    def candidate_pair(self, source: int, target: int) -> CandidatePair | None:
-        if self._pair_index is None:
-            self._pair_index = {
-                (pair.source, pair.target): pair
-                for pairs in self.candidates.values()
-                for pair in pairs
-            }
-        return self._pair_index.get((source, target))
+        Training documents keep their fitted embedding; every other
+        document is folded in once from its text alone.
+        """
+        if self._doc_matrix is None:
+            model, rows = self.lsa()
+            matrix = np.empty((len(self.articles), model.dimension))
+            matrix[list(rows)] = model.doc_embeddings[list(rows.values())]
+            for doc, article in enumerate(self.articles):
+                if doc not in rows:
+                    matrix[doc] = embed_text(model, article.abstract)
+            self._doc_matrix = matrix
+        return self._doc_matrix
 
 
 class Method:
@@ -339,10 +291,11 @@ class LsaMethod(Method):
     name = "lsa"
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
+        docs = ctx.doc_matrix()
+
         def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-            return np.array(
-                [score_lsa_vectors(ctx.doc_vector(s), ctx.doc_vector(t)) for s, t in pairs]
-            )
+            ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+            return (1.0 + row_cosines(docs[ids[:, 0]], docs[ids[:, 1]])) / 2.0
 
         return scorer
 
@@ -358,11 +311,7 @@ class DeepWalkMethod(Method):
             seed=ctx.seed,
             nodes=sorted(ctx.train_nodes),
         )
-
-        def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-            return np.array([score_deepwalk(model, s, t) for s, t in pairs])
-
-        return scorer
+        return lambda pairs: score_deepwalk(model, pairs)
 
 
 class AtilpMethod(Method):
@@ -370,6 +319,7 @@ class AtilpMethod(Method):
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
         lsa_model, _ = ctx.lsa()
+        docs = ctx.doc_matrix()
         model = fit_atilp(
             ctx.train_network,
             lsa_model,
@@ -379,20 +329,20 @@ class AtilpMethod(Method):
             n_negative=ctx.config.atilp_negatives,
             sources=sorted(set(ctx.candidates) & ctx.train_nodes),
             targets=ctx.train_nodes,
-            doc_vector=ctx.doc_vector,
+            doc_matrix=docs,
         )
+        by_pair = {
+            (pair.source, pair.target): pair
+            for pairs in ctx.candidates.values()
+            for pair in pairs
+        }
 
         def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-            scores = []
-            for s, t in pairs:
-                pair = ctx.candidate_pair(s, t)
-                if pair is None:
-                    scores.append(0.0)  # non-candidates stay unlinked
-                else:
-                    scores.append(
-                        score_atilp(model, pair, ctx.doc_vector(s), ctx.doc_vector(t))
-                    )
-            return np.array(scores)
+            found = [by_pair.get((s, t)) for s, t in pairs]
+            hits = [i for i, pair in enumerate(found) if pair is not None]
+            scores = np.zeros(len(pairs))  # non-candidates stay unlinked
+            scores[hits] = model.predict(docs, [found[i] for i in hits])
+            return scores
 
         return scorer
 

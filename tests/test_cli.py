@@ -254,6 +254,45 @@ class TestReportCommand:
     def test_missing_report_exits_2(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
+    def test_output_equals_report_md_with_failure_rows(self, tmp_path, planted_data_dir, capsys):
+        from wikilinks.cli import EXIT_PARTIAL
+        from wikilinks.dataset import write_predictions_tsv
+
+        n = Dataset.load(planted_data_dir).network.node_count
+        scores_path = tmp_path / "bad.tsv"
+        write_predictions_tsv(
+            scores_path, ((s, t, 2.0) for s in range(n) for t in range(n) if s != t)
+        )
+        out = tmp_path / "results"
+        config = _eval_config(
+            tmp_path, planted_data_dir, out=str(out),
+            methods=["random", "deepwalk"], external_methods={"bad": str(scores_path)},
+        )
+        assert main(["eval", "--config", config]) == EXIT_PARTIAL
+        capsys.readouterr()
+        assert main(["report", "--report", str(out / "report.json")]) == EXIT_OK
+        table = capsys.readouterr().out
+        assert "| bad | failed | failed | failed | failed | failed | failed |" in table
+        assert table == (out / "report.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("report", "{not json"),
+        ("report", "[1, 2]"),
+        ("eval", '["data", "runs"]'),
+    ],
+    ids=["report-invalid-json", "report-list-of-numbers", "eval-config-list"],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    flag = "--report" if command == "report" else "--config"
+    assert main([command, flag, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestParser:
     def test_help_exits_zero(self, capsys):

@@ -16,7 +16,9 @@ from wikilinks.deepwalk import (
     sgns_loss,
 )
 from wikilinks.graph import DocumentNetwork
-from wikilinks.lsa import cosine
+from wikilinks.lsa import row_cosines
+
+from test_lsa import cosine_oracle
 
 SMALL = DeepWalkParams(
     walks_per_node=20, walk_length=10, window=3, negatives=4, dimension=16
@@ -132,31 +134,36 @@ class TestFitDeepwalk:
     def test_clique_separation(self):
         net = _two_cliques_with_bridge(size=4)
         model = fit_deepwalk(net, SMALL, seed=2)
-        intra, inter = [], []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                value = cosine(model.node_vectors[i], model.node_vectors[j])
-                if (i < 4) == (j < 4):
-                    intra.append(value)
-                else:
-                    inter.append(value)
+        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        values = row_cosines(
+            model.node_vectors[[i for i, _ in pairs]], model.node_vectors[[j for _, j in pairs]]
+        )
+        intra = [v for (i, j), v in zip(pairs, values) if (i < 4) == (j < 4)]
+        inter = [v for (i, j), v in zip(pairs, values) if (i < 4) != (j < 4)]
         assert min(intra) > max(inter)
 
     def test_score_contract(self):
         net = _two_cliques_with_bridge()
         model = fit_deepwalk(net, SMALL, seed=0, nodes=range(8))
-        assert score_deepwalk(model, 3, 3) == pytest.approx(1.0)
-        assert 0.0 <= score_deepwalk(model, 0, 5) <= 1.0
+        same, cross = score_deepwalk(model, [(3, 3), (0, 5)])
+        assert same == pytest.approx(1.0)
+        assert 0.0 <= cross <= 1.0
+        pairs = [(i, j) for i in range(8) for j in range(8)]
+        expected = [
+            (1 + cosine_oracle(model.node_vectors[i], model.node_vectors[j])) / 2
+            for i, j in pairs
+        ]
+        np.testing.assert_allclose(score_deepwalk(model, pairs), expected, rtol=0, atol=1e-12)
+        assert score_deepwalk(model, []).shape == (0,)
 
     def test_untrained_node_raises_unsupported_mode(self):
         net = _two_cliques_with_bridge()
         model = fit_deepwalk(net, SMALL, seed=0, nodes=range(4))
         with pytest.raises(UnsupportedModeError):
-            score_deepwalk(model, 0, 6)
+            score_deepwalk(model, [(0, 1), (0, 6)])
 
     def test_clique_scores_intra_above_inter(self):
         net = _two_cliques_with_bridge(size=4)
         model = fit_deepwalk(net, SMALL, seed=2)
-        intra = score_deepwalk(model, 1, 2)
-        inter = score_deepwalk(model, 1, 6)
+        intra, inter = score_deepwalk(model, [(1, 2), (1, 6)])
         assert intra > inter

@@ -12,11 +12,9 @@ from wikilinks.ingest import (
     RawPage,
     build_corpus,
     extract_abstract,
-    extract_wikilinks,
     normalize_title,
     parse_dump,
     render_abstract,
-    resolve_redirects,
 )
 
 from conftest import tiny_dump_stream
@@ -134,23 +132,23 @@ class TestExtractAbstract:
 
 class TestExtractWikilinks:
     def test_equal_anchor_and_title(self):
-        occs = extract_wikilinks("[[American Civil War|American Civil War]]", 0)
+        _, occs = render_abstract("[[American Civil War|American Civil War]]", 0)
         assert len(occs) == 1
         assert occs[0].target_title == "American Civil War"
         assert occs[0].anchor_text == "American Civil War"
 
     def test_piped_link(self):
-        occs = extract_wikilinks("[[Slavery in the United States|slavery]]", 0)
+        _, occs = render_abstract("[[Slavery in the United States|slavery]]", 0)
         assert occs[0].target_title == "Slavery in the United States"
         assert occs[0].anchor_text == "slavery"
 
     def test_unpiped_link(self):
-        occs = extract_wikilinks("[[Politics]]", 0)
+        _, occs = render_abstract("[[Politics]]", 0)
         assert occs[0].target_title == "Politics"
         assert occs[0].anchor_text == "Politics"
 
     def test_section_suffix_truncated(self):
-        occs = extract_wikilinks("[[Politics#History|politics]]", 0)
+        _, occs = render_abstract("[[Politics#History|politics]]", 0)
         assert occs[0].target_title == "Politics"
 
     def test_namespace_links_dropped(self):
@@ -198,21 +196,27 @@ class TestResolveRedirects:
     def _article(title: str) -> RawPage:
         return RawPage(title, 0, "text")
 
+    @staticmethod
+    def _aliases(pages, counters: Counter | None = None) -> dict[str, str]:
+        """Redirect alias -> canonical title, as attached by build_corpus."""
+        articles, _ = build_corpus(pages, counters)
+        return {alias: a.title for a in articles for alias in a.aliases}
+
     def test_basic_alias(self):
-        mapping = resolve_redirects(
+        mapping = self._aliases(
             [self._article("United Kingdom"), self._redirect("UK", "United Kingdom")]
         )
         assert mapping == {"UK": "United Kingdom"}
 
     def test_transitive_chain(self):
-        mapping = resolve_redirects(
+        mapping = self._aliases(
             [self._article("C"), self._redirect("A", "B"), self._redirect("B", "C")]
         )
         assert mapping == {"A": "C", "B": "C"}
 
     def test_cycle_dropped_entirely(self):
         counters: Counter = Counter()
-        mapping = resolve_redirects(
+        mapping = self._aliases(
             [self._article("X"), self._redirect("A", "B"), self._redirect("B", "A")],
             counters,
         )
@@ -223,13 +227,15 @@ class TestResolveRedirects:
         pages = [self._article("End")]
         for i in range(12):
             pages.append(self._redirect(f"R{i}", f"R{i + 1}" if i < 11 else "End"))
-        mapping = resolve_redirects(pages)
+        counters: Counter = Counter()
+        mapping = self._aliases(pages, counters)
         assert "R11" in mapping  # one hop
         assert "R0" not in mapping  # twelve hops
+        assert counters["redirects_dropped_cycle_or_long"] > 0
 
     def test_dead_target_dropped(self):
         counters: Counter = Counter()
-        mapping = resolve_redirects([self._redirect("A", "Ghost")], counters)
+        mapping = self._aliases([self._redirect("A", "Ghost")], counters)
         assert mapping == {}
         assert counters["redirects_dropped_dead_target"] == 1
 

@@ -9,15 +9,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from wikilinks.lsa import (
-    build_tfidf,
-    cosine,
-    embed_text,
-    fit_lsa,
-    load_embeddings,
-    save_embeddings,
-    tokenize,
-)
+from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """One pair through the row-wise helper."""
+    return float(row_cosines(u[None, :], v[None, :])[0])
+
+
+def cosine_oracle(u: np.ndarray, v: np.ndarray) -> float:
+    """Textbook cosine of two nonzero vectors."""
+    return float(u @ v) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
 
 
 def dense_svd_oracle(matrix: np.ndarray):
@@ -184,41 +186,22 @@ class TestCosine:
 
     def test_zero_norm_convention(self):
         assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+        rows = row_cosines(np.zeros((2, 3)), np.ones((2, 3)))
+        assert rows.tolist() == [0.0, 0.0]
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            u = rng.standard_normal(6)
-            v = rng.standard_normal(6)
-            a, b = rng.uniform(0.1, 10, size=2)
-            assert cosine(u, v) == pytest.approx(cosine(v, u))
-            assert cosine(a * u, b * v) == pytest.approx(cosine(u, v), abs=1e-12)
+        u = rng.standard_normal((50, 6))
+        v = rng.standard_normal((50, 6))
+        a = rng.uniform(0.1, 10, size=(50, 1))
+        b = rng.uniform(0.1, 10, size=(50, 1))
+        np.testing.assert_array_equal(row_cosines(u, v), row_cosines(v, u))
+        np.testing.assert_allclose(row_cosines(a * u, b * v), row_cosines(u, v), atol=1e-12)
 
-
-class TestEmbeddingCache:
-    def test_round_trip(self, tmp_path):
+    def test_rows_match_pairwise_oracle(self):
         rng = np.random.default_rng(5)
-        vectors = rng.standard_normal((7, 3)).astype(np.float32)
-        ids = [3, 1, 4, 1, 5, 9, 2]
-        path = tmp_path / "vectors.bin"
-        save_embeddings(path, ids, vectors)
-        got_ids, got = load_embeddings(path)
-        assert got_ids == ids
-        assert np.array_equal(got, vectors)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "vectors.bin"
-        save_embeddings(path, [0], np.zeros((1, 2), dtype=np.float32))
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="magic"):
-            load_embeddings(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "vectors.bin"
-        save_embeddings(path, [0, 1], np.zeros((2, 4), dtype=np.float32))
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])
-        with pytest.raises(ValueError, match="payload"):
-            load_embeddings(path)
+        u = rng.standard_normal((40, 9))
+        v = rng.standard_normal((40, 9))
+        expected = [cosine_oracle(x, y) for x, y in zip(u, v)]
+        np.testing.assert_allclose(row_cosines(u, v), expected, rtol=0, atol=1e-12)
+        assert row_cosines(np.zeros((0, 9)), np.zeros((0, 9))).shape == (0,)

@@ -2,28 +2,30 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from wikilinks.anchors import AnchorMap, CandidatePair, build_anchor_map
+import wikilinks.predictors as predictors
+from wikilinks.anchors import AnchorMap, CandidatePair, build_anchor_map, scan_candidates
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
-from wikilinks.lsa import build_tfidf, cosine, embed_text, fit_lsa, tokenize
+from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
 from wikilinks.predictors import (
+    AtilpModel,
+    EvalModelConfig,
     ExternalFileMethod,
     Method,
-    Prediction,
-    compute_atilp_scores,
+    RunContext,
+    atilp_features,
     fit_atilp,
     make_method,
     ols_fit,
-    predict_at,
-    score_atilp,
-    score_lsa,
-    score_random,
 )
 
-from test_lsa import dense_svd_oracle
+from conftest import BENCH_CONFIG
+from test_lsa import cosine_oracle, dense_svd_oracle
 
 
 def _map(patterns: dict[str, set[int]], count: int, mode: str = "anchor") -> AnchorMap:
@@ -44,29 +46,70 @@ def _lsa_over(texts: list[str], d: int = 3):
     return fit_lsa(matrix, d=d, vocabulary=vocab), matrix
 
 
+def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
+    """A run over ``texts`` whose training documents are ``train`` (all by
+    default); the LSA space matches ``_lsa_over`` on those documents."""
+    return RunContext(
+        articles=[_article(i, t) for i, t in enumerate(texts)],
+        train_network=DocumentNetwork.from_links(len(texts), []),
+        train_nodes=range(len(texts)) if train is None else train,
+        mode="transductive",
+        seed=0,
+        candidates={},
+        title_candidates={},
+        config=EvalModelConfig(lsa_dimension=d),
+    )
+
+
+def _triples_per_pair(lsa, doc_matrix, pair: CandidatePair) -> np.ndarray:
+    """Loop reference for the batch features: one pair, one anchor at a time."""
+    source, target = doc_matrix[pair.source], doc_matrix[pair.target]
+    s3 = cosine_oracle(source, target)
+    rows = []
+    for text in pair.anchor_texts():
+        anchor = embed_text(lsa, text)
+        rows.append((cosine_oracle(anchor, source), cosine_oracle(anchor, target), s3))
+    return np.array(rows)
+
+
 class TestPrediction:
-    def test_rejects_out_of_range_scores(self):
-        with pytest.raises(ValueError):
-            Prediction(0, 1, 1.5)
-        with pytest.raises(ValueError):
-            Prediction(0, 1, float("nan"))
-        assert Prediction(0, 1, 1.0).score == 1.0
+    """A prediction is a score in [0, 1]; the harness rejects any other."""
+
+    def test_rejects_out_of_range_scores(self, fixture_dataset):
+        from wikilinks.evaluation import run_eval
+
+        class Constant(Method):
+            def __init__(self, name: str, value: float) -> None:
+                self.name, self.value = name, value
+
+            def make_scorer(self, ctx):
+                return lambda pairs: np.full(len(pairs), self.value)
+
+        methods = [Constant("high", 1.5), Constant("nan", float("nan")), Constant("one", 1.0)]
+        report = run_eval(
+            fixture_dataset, methods, runs=1, modes=("transductive",), config=BENCH_CONFIG
+        )
+        assert sorted(f.method for f in report.failures) == ["high", "nan"]
+        assert all("within [0, 1]" in f.error for f in report.failures)
+        assert report.entry("one", "transductive") is not None
+
+
+def _at_scores(method: str, ctx, pairs) -> list[float]:
+    return make_method(method).make_scorer(ctx)(pairs).tolist()
 
 
 class TestPredictAt:
     def test_true_edge_is_predicted_with_anchor_map(self, fixture_dataset):
-        anchor_map = fixture_dataset.anchor_map()
-        for source, target in list(fixture_dataset.network.edges())[:20]:
-            assert predict_at(anchor_map, fixture_dataset.articles[source], target) == 1
+        ctx = SimpleNamespace(candidates=fixture_dataset.eval_samples())
+        edges = list(fixture_dataset.network.edges())[:20]
+        assert _at_scores("at_anchor", ctx, edges) == [1.0] * len(edges)
 
     def test_absent_patterns_predict_zero(self):
         anchor_map = _map({"missing phrase": {1}}, 2)
-        assert predict_at(anchor_map, _article(0, "unrelated text"), 1) == 0
-
-    def test_unknown_target_errors(self):
-        anchor_map = _map({"x": {0}}, 1)
-        with pytest.raises(ValueError):
-            predict_at(anchor_map, _article(0, "x"), 7)
+        ctx = SimpleNamespace(
+            candidates={0: scan_candidates(anchor_map, _article(0, "unrelated text"))}
+        )
+        assert _at_scores("at_anchor", ctx, [(0, 1)]) == [0.0]
 
     def test_title_vs_anchor_mode_on_derived_forms(self):
         # "political" is not the title "Politics": the title map misses it,
@@ -75,21 +118,25 @@ class TestPredictAt:
         article = _article(0, abstract)
         title_map = _map({"politics": {1}}, 2, mode="title")
         anchor_map = _map({"political": {1}}, 2, mode="anchor")
-        assert predict_at(title_map, article, 1) == 0
-        assert predict_at(anchor_map, article, 1) == 1
+        ctx = SimpleNamespace(
+            candidates={0: scan_candidates(anchor_map, article)},
+            title_candidates={0: scan_candidates(title_map, article)},
+        )
+        assert _at_scores("at_title", ctx, [(0, 1)]) == [0.0]
+        assert _at_scores("at_anchor", ctx, [(0, 1)]) == [1.0]
 
 
 class TestScoreLsa:
     def test_identical_abstracts_score_one(self):
-        model, _ = _lsa_over(["alpha beta gamma", "alpha beta gamma", "other words here"])
-        assert score_lsa(model, 0, 1) == pytest.approx(1.0, abs=1e-9)
+        ctx = _context(["alpha beta gamma", "alpha beta gamma", "other words here"])
+        (score,) = make_method("lsa").make_scorer(ctx)([(0, 1)])
+        assert score == pytest.approx(1.0, abs=1e-9)
 
     def test_all_oov_document_scores_half(self):
-        model, _ = _lsa_over(["shared shared alpha", "shared beta", "completely different"])
-        hidden = embed_text(model, "nothing known")
-        from wikilinks.predictors import score_lsa_vectors
-
-        assert score_lsa_vectors(hidden, model.doc_embeddings[0]) == 0.5
+        # Document 3 is hidden; its text has no known token and folds in to 0.
+        texts = ["shared shared alpha", "shared beta", "completely different", "nothing known"]
+        ctx = _context(texts, train=[0, 1, 2])
+        assert make_method("lsa").make_scorer(ctx)([(3, 0)]).tolist() == [0.5]
 
     def test_four_doc_fixture_matches_dense_oracle(self):
         texts = [
@@ -98,13 +145,35 @@ class TestScoreLsa:
             "market economy trade",
             "trade economy war",
         ]
-        model, matrix = _lsa_over(texts, d=3)
+        _, matrix = _lsa_over(texts, d=3)
         u, s, _ = dense_svd_oracle(matrix.toarray())
         oracle_embeddings = u[:, :3] * s[:3]
-        for i in range(4):
-            for j in range(4):
-                expected = (1 + cosine(oracle_embeddings[i], oracle_embeddings[j])) / 2
-                assert score_lsa(model, i, j) == pytest.approx(expected, abs=1e-9)
+        pairs = [(i, j) for i in range(4) for j in range(4)]
+        expected = [
+            (1 + cosine_oracle(oracle_embeddings[i], oracle_embeddings[j])) / 2 for i, j in pairs
+        ]
+        scores = make_method("lsa").make_scorer(_context(texts, d=3))(pairs)
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+
+class TestDocMatrix:
+    def test_training_rows_and_hidden_fold_in(self, monkeypatch):
+        texts = ["war army battle", "army victory", "economy trade market", "trade war army"]
+        ctx = _context(texts, train=[0, 1, 2])
+        folded = []
+
+        def counting_embed(model, text):
+            folded.append(text)
+            return embed_text(model, text)
+
+        monkeypatch.setattr(predictors, "embed_text", counting_embed)
+        docs = ctx.doc_matrix()
+        assert ctx.doc_matrix() is docs
+        model, rows = ctx.lsa()
+        for doc, row in rows.items():
+            np.testing.assert_array_equal(docs[doc], model.doc_embeddings[row])
+        np.testing.assert_array_equal(docs[3], embed_text(model, texts[3]))
+        assert folded == [texts[3]]  # each hidden document folds in once
 
 
 class TestComputeAtilpScores:
@@ -112,13 +181,13 @@ class TestComputeAtilpScores:
         texts = ["lincoln led the union", "economy of trade", "battles of the war"]
         model, _ = _lsa_over(texts)
         pair = CandidatePair(source=0, target=1, matched=((texts[0], (0, len(texts[0]))),))
-        (triple,) = compute_atilp_scores(model, pair)
+        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
         assert triple[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_all_oov_anchor(self):
         model, _ = _lsa_over(["alpha beta", "beta gamma", "gamma delta"])
         pair = CandidatePair(source=0, target=1, matched=(("zzz qqq", (0, 7)),))
-        (triple,) = compute_atilp_scores(model, pair)
+        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
         assert triple[0] == 0.0
         assert triple[1] == 0.0
 
@@ -129,7 +198,7 @@ class TestComputeAtilpScores:
         doc_vecs = u[:, :2] * s[:2]
         anchor = "army battle"
         pair = CandidatePair(source=0, target=2, matched=((anchor, (0, 11)),))
-        (triple,) = compute_atilp_scores(model, pair)
+        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
 
         counts = {t: anchor.split().count(t) for t in set(anchor.split())}
         q = np.zeros(matrix.shape[1])
@@ -138,9 +207,22 @@ class TestComputeAtilpScores:
         for token, count in counts.items():
             q[vocab.index[token]] = count * idf[vocab.index[token]]
         anchor_vec = q @ vt[:2].T
-        assert triple[0] == pytest.approx(cosine(anchor_vec, doc_vecs[0]), abs=1e-8)
-        assert triple[1] == pytest.approx(cosine(anchor_vec, doc_vecs[2]), abs=1e-8)
-        assert triple[2] == pytest.approx(cosine(doc_vecs[0], doc_vecs[2]), abs=1e-8)
+        assert triple[0] == pytest.approx(cosine_oracle(anchor_vec, doc_vecs[0]), abs=1e-12)
+        assert triple[1] == pytest.approx(cosine_oracle(anchor_vec, doc_vecs[2]), abs=1e-12)
+        assert triple[2] == pytest.approx(cosine_oracle(doc_vecs[0], doc_vecs[2]), abs=1e-12)
+
+    def test_rows_follow_pairs_and_anchor_order(self):
+        _, _, _, samples, model = _candidate_fixture()
+        two_anchors = CandidatePair(
+            source=4, target=1, matched=(("red apples", (0, 10)), ("apples", (4, 10)))
+        )
+        pairs = [p for ps in samples.values() for p in ps] + [two_anchors]
+        cache: dict = {}
+        features, counts = atilp_features(model, model.doc_embeddings, pairs, cache)
+        expected = [_triples_per_pair(model, model.doc_embeddings, p) for p in pairs]
+        assert counts.tolist() == [len(rows) for rows in expected]
+        np.testing.assert_allclose(features, np.vstack(expected), rtol=0, atol=1e-12)
+        assert set(cache) == {t for p in pairs for t in p.anchor_texts()}
 
 
 class TestOlsFit:
@@ -208,9 +290,22 @@ class TestFitScoreAtilp:
     def test_fit_and_score_in_unit_interval(self):
         _, net, _, samples, model = _candidate_fixture()
         atilp = fit_atilp(net, model, samples, seed=0)
-        for pairs in samples.values():
-            for pair in pairs:
-                assert 0.0 <= score_atilp(atilp, pair) <= 1.0
+        pairs = [p for ps in samples.values() for p in ps]
+        scores = atilp.predict(model.doc_embeddings, pairs)
+        assert len(scores) == len(pairs)
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
+
+    def test_fit_matches_per_pair_design(self):
+        _, net, _, samples, model = _candidate_fixture()
+        atilp = fit_atilp(net, model, samples, seed=0)
+        # Every candidate is sampled: positives first, then negatives.
+        pairs = [p for s in sorted(samples) for p in samples[s]]
+        ordered = [p for p in pairs if p.label] + [p for p in pairs if not p.label]
+        rows = [_triples_per_pair(model, model.doc_embeddings, p) for p in ordered]
+        labels = [float(p.label) for p, r in zip(ordered, rows) for _ in r]
+        coefficients, intercept = ols_fit(np.vstack(rows), np.array(labels))
+        np.testing.assert_allclose(atilp.coefficients, coefficients, rtol=0, atol=1e-9)
+        assert atilp.intercept == pytest.approx(intercept, abs=1e-9)
 
     def test_shortfall_recorded(self):
         _, net, _, samples, model = _candidate_fixture()
@@ -239,19 +334,15 @@ class TestFitScoreAtilp:
 
     def test_pure_s3_model_orders_like_lsa(self):
         _, net, _, samples, model = _candidate_fixture()
-        from wikilinks.predictors import AtilpModel, score_lsa_vectors
-
         pure_s3 = AtilpModel(
             coefficients=np.array([0.0, 0.0, 1.0]), intercept=0.0, lsa=model
         )
         pairs = [p for ps in samples.values() for p in ps]
-        atilp_scores = [score_atilp(pure_s3, p) for p in pairs]
-        lsa_scores = [
-            score_lsa_vectors(
-                model.doc_embeddings[p.source], model.doc_embeddings[p.target]
-            )
-            for p in pairs
-        ]
+        docs = model.doc_embeddings
+        atilp_scores = pure_s3.predict(docs, pairs)
+        lsa_scores = (
+            1 + row_cosines(docs[[p.source for p in pairs]], docs[[p.target for p in pairs]])
+        ) / 2
         # All fixture cosines are non-negative, so clamping keeps order.
         assert min(s for s in atilp_scores) >= 0.0
         order_a = sorted(range(len(pairs)), key=lambda i: (atilp_scores[i], i))
@@ -261,47 +352,95 @@ class TestFitScoreAtilp:
     def test_max_over_anchors_and_clamp(self):
         texts = ["alpha beta gamma", "gamma delta", "epsilon zeta"]
         model, _ = _lsa_over(texts)
-        from wikilinks.predictors import AtilpModel
-
+        docs = model.doc_embeddings
         pair = CandidatePair(
             source=0, target=1, matched=(("alpha", (0, 5)), ("gamma", (11, 16)))
         )
         atilp = AtilpModel(
             coefficients=np.array([2.0, 2.0, 2.0]), intercept=0.5, lsa=model
         )
-        triples = compute_atilp_scores(model, pair)
+        triples, _ = atilp_features(model, docs, [pair], {})
         raw = triples @ atilp.coefficients + atilp.intercept
-        assert score_atilp(atilp, pair) == pytest.approx(min(1.0, max(0.0, raw.max())))
-        assert score_atilp(atilp, pair) == 1.0  # clamped
+        (score,) = atilp.predict(docs, [pair])
+        assert score == pytest.approx(min(1.0, max(0.0, raw.max())))
+        assert score == 1.0  # clamped
+
+        # Unclamped, a batch of pairs: each score is its own anchors' maximum.
+        _, _, _, samples, model = _candidate_fixture()
+        docs = model.doc_embeddings
+        # One pair per anchor order, so the maximum sits first in one of them.
+        matched = (("blue rivers", (16, 27)), ("rivers", (21, 27)))
+        two_anchors = [
+            CandidatePair(source=4, target=3, matched=matched),
+            CandidatePair(source=4, target=3, matched=matched[::-1]),
+        ]
+        pairs = [p for ps in samples.values() for p in ps] + two_anchors
+        atilp = AtilpModel(coefficients=np.array([0.3, -0.2, 0.1]), intercept=0.2, lsa=model)
+        raw = _triples_per_pair(model, docs, two_anchors[0]) @ atilp.coefficients
+        assert 0.0 < raw.min() + atilp.intercept < raw.max() + atilp.intercept < 1.0
+        expected = [
+            min(1.0, max(0.0, float(
+                (_triples_per_pair(model, docs, p) @ atilp.coefficients + atilp.intercept).max()
+            )))
+            for p in pairs
+        ]
+        np.testing.assert_allclose(atilp.predict(docs, pairs), expected, rtol=0, atol=1e-12)
+        assert atilp.predict(docs, []).shape == (0,)
+
+    def test_atilp_method_embeds_each_anchor_once(self, monkeypatch, fixture_dataset):
+        from wikilinks.evaluation import split_inductive
+
+        samples = fixture_dataset.eval_samples()
+        split = split_inductive(fixture_dataset.network, samples, 0.2, run_seed=0)
+        ctx = RunContext(
+            articles=fixture_dataset.articles,
+            train_network=split.train_network,
+            train_nodes=split.train_nodes,
+            mode="inductive",
+            seed=0,
+            candidates=samples,
+            title_candidates={},
+            config=BENCH_CONFIG,
+        )
+        embedded = []
+
+        def counting_embed(model, text):
+            embedded.append(text)
+            return embed_text(model, text)
+
+        monkeypatch.setattr(predictors, "embed_text", counting_embed)
+        scorer = make_method("atilp").make_scorer(ctx)
+        scores = scorer([(s, t) for s, t, _ in split.test_pairs])
+        assert len(scores) == len(split.test_pairs)
+        assert len(embedded) == len(set(embedded))
 
 
 class TestScoreRandom:
+    @staticmethod
+    def _scorer(seed: int):
+        return make_method("random").make_scorer(SimpleNamespace(seed=seed))
+
     def test_reproducible_sequence(self):
-        a = [score_random(np.random.default_rng(123)) for _ in range(1)]
-        b = [score_random(np.random.default_rng(123)) for _ in range(1)]
-        assert a == b
-        rng = np.random.default_rng(5)
-        seq1 = [score_random(rng) for _ in range(10)]
-        rng = np.random.default_rng(5)
-        seq2 = [score_random(rng) for _ in range(10)]
-        assert seq1 == seq2
+        pairs = [(0, 1)] * 10
+        assert self._scorer(123)(pairs[:1]).tolist() == self._scorer(123)(pairs[:1]).tolist()
+        scorer = self._scorer(5)
+        seq1 = np.concatenate([scorer(pairs[:4]), scorer(pairs[4:])])
+        seq2 = self._scorer(5)(pairs)
+        np.testing.assert_array_equal(seq1, seq2)
 
     def test_mean_near_half(self):
-        rng = np.random.default_rng(6)
-        draws = rng.random(100_000)
+        draws = self._scorer(6)([(0, 1)] * 100_000)
         assert 0.495 <= draws.mean() <= 0.505
 
     def test_range(self):
-        rng = np.random.default_rng(7)
-        draws = [score_random(rng) for _ in range(1000)]
-        assert all(0.0 <= d <= 1.0 for d in draws)
+        draws = self._scorer(7)([(0, 1)] * 1000)
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
 
 
 class TestExternalFileMethod:
     def test_matches_internal_method_emitting_same_scores(self, tmp_path, fixture_dataset):
         from wikilinks.dataset import write_predictions_tsv
         from wikilinks.evaluation import run_eval
-        from conftest import BENCH_CONFIG
 
         def formula(s: int, t: int) -> float:
             return ((s * 31 + t * 17) % 97) / 96.0
