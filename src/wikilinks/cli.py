@@ -13,6 +13,7 @@ import bz2
 import difflib
 import gzip
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -23,7 +24,7 @@ from .deepwalk import DeepWalkParams
 from .evaluation import MetricsReport, run_eval
 from .graph import DocumentNetwork, network_stats, personalized_pagerank, topk_subgraph
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
-from .predictors import EvalModelConfig, ExternalFileMethod
+from .predictors import EvalModelConfig, ExternalFileMethod, make_method
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -75,18 +76,36 @@ class PipelineConfig:
         return cls(**raw)
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        for name, ratio in (
-            ("transductive_ratio", self.transductive_ratio),
-            ("inductive_ratio", self.inductive_ratio),
+        """Check every field's type and range; raise :class:`InputError`
+        naming the first bad field."""
+        for name in ("data", "dump", "out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise InputError(f"{name} must be a string path")
+        for name in ("seed_articles", "methods"):
+            values = getattr(self, name)
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise InputError(f"{name} must be a list of strings")
+        for name, minimum in (
+            ("k", 1), ("dimension", 1), ("atilp_positives", 1), ("atilp_negatives", 1),
+            ("runs", 1), ("base_seed", 0),
         ):
-            if not 0.0 < ratio < 1.0:
+            _require_int(name, getattr(self, name), minimum)
+        for name in ("damping", "transductive_ratio", "inductive_ratio"):
+            value = getattr(self, name)
+            if not _is_finite_number(value) or not 0.0 < value < 1.0:
                 raise InputError(f"{name} must lie strictly between 0 and 1")
-        if self.runs < 1:
-            raise InputError("runs must be at least 1")
         if self.mode not in ("transductive", "inductive", "both"):
             raise InputError("mode must be transductive, inductive or both")
+        for method in self.methods:
+            try:
+                make_method(method)
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
+        _validate_deepwalk(self.deepwalk)
+        if not isinstance(self.external_methods, dict) or not all(
+            isinstance(path, str) for path in self.external_methods.values()
+        ):
+            raise InputError("external_methods must map method names to file paths")
         for path in filter(None, (self.dump, self.data)):
             if not Path(path).exists():
                 raise InputError(f"referenced path does not exist: {path}")
@@ -97,10 +116,41 @@ class PipelineConfig:
     def model_config(self) -> EvalModelConfig:
         return EvalModelConfig(
             lsa_dimension=self.dimension,
-            deepwalk=DeepWalkParams(**self.deepwalk) if self.deepwalk else DeepWalkParams(),
+            deepwalk=DeepWalkParams(**self.deepwalk),
             atilp_positives=self.atilp_positives,
             atilp_negatives=self.atilp_negatives,
         )
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be at least {minimum}")
+
+
+def _validate_deepwalk(raw) -> None:
+    """The ``deepwalk`` config object: known :class:`DeepWalkParams` keys
+    only; integer fields at least 1, a finite positive learning rate and
+    a boolean ``undirected``."""
+    if not isinstance(raw, dict):
+        raise InputError("deepwalk must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(DeepWalkParams)}
+    if unknown:
+        raise InputError(f"unknown deepwalk keys: {', '.join(sorted(unknown))}")
+    for name, value in raw.items():
+        if name == "learning_rate":
+            if not _is_finite_number(value) or value <= 0:
+                raise InputError("deepwalk.learning_rate must be a finite number above 0")
+        elif name == "undirected":
+            if not isinstance(value, bool):
+                raise InputError("deepwalk.undirected must be true or false")
+        else:
+            _require_int(f"deepwalk.{name}", value, 1)
 
 
 def _open_dump(path: Path):

@@ -10,6 +10,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,10 @@ from .graph import DocumentNetwork
 from .lsa import row_cosines
 
 _LOG_FLOOR = 1e-12
+# Walks whose windows and negatives are precomputed together. The index
+# arrays of a whole epoch cost too much memory; one walk at a time costs
+# too many small numpy calls.
+_BLOCK_WALKS = 64
 
 
 class UnsupportedModeError(RuntimeError):
@@ -69,20 +74,23 @@ def sgns_gradients(
 
 
 def _center_gradients(
-    center: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Summed SGNS gradients for one center against C contexts, each with
-    its own row of negatives (shape (C, k)).
+    center: np.ndarray, rows: np.ndarray, n_contexts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summed SGNS gradients for one center against its gathered rows:
+    ``n_contexts`` context rows, then the negatives of each context in
+    turn (k rows per context).
 
-    Equals the sum of :func:`sgns_gradients` over the C triples evaluated
-    at the same parameters.
+    Returns the gradient w.r.t. ``center`` and one gradient row per row
+    of ``rows``. Equals the sum of :func:`sgns_gradients` over the
+    (context, negatives) triples evaluated at the same parameters. The
+    context and negative dot products stay separate: one fused product
+    rounds differently.
     """
-    g_pos = expit(contexts @ center) - 1.0  # (C,)
-    g_neg = expit(negatives.reshape(-1, negatives.shape[-1]) @ center)  # (C*k,)
-    grad_center = g_pos @ contexts + g_neg @ negatives.reshape(-1, negatives.shape[-1])
-    grad_contexts = np.outer(g_pos, center)
-    grad_negatives = np.outer(g_neg, center)
-    return grad_center, grad_contexts, grad_negatives
+    contexts, negatives = rows[:n_contexts], rows[n_contexts:]
+    g = expit(np.concatenate((contexts @ center, negatives @ center)))
+    g[:n_contexts] -= 1.0
+    grad_center = g[:n_contexts] @ contexts + g[n_contexts:] @ negatives
+    return grad_center, g[:, None] * center
 
 
 def generate_walks(
@@ -114,6 +122,44 @@ def generate_walks(
     return walks
 
 
+def _block_windows(
+    centers: np.ndarray,
+    lengths: np.ndarray,
+    window: int,
+    negatives: int,
+    cumulative: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Context windows and negatives of every position in a block of
+    walks, given as the concatenated ``centers`` and the walk ``lengths``.
+
+    Returns the context count C of each position and one id array that
+    holds, position after position, the C contexts (left window, then
+    right window) followed by k negatives per context. Negatives come
+    from one ``rng.random`` call in position order, which draws the same
+    stream as one ``rng.random((C, k))`` call per position.
+    """
+    ends = np.cumsum(lengths)
+    walk_start = np.repeat(ends - lengths, lengths)
+    walk_end = np.repeat(ends, lengths)
+    position = np.arange(centers.size)
+    reach = min(window, int(lengths.max()) - 1)
+    offsets = np.concatenate((np.arange(-reach, 0), np.arange(1, reach + 1)))
+    neighbor = position[:, None] + offsets
+    inside = (neighbor >= walk_start[:, None]) & (neighbor < walk_end[:, None])
+    contexts = centers[neighbor[inside]]
+    n_contexts = inside.sum(axis=1)
+    drawn = np.searchsorted(cumulative, rng.random((contexts.size, negatives)))
+
+    owner_first = np.repeat(np.cumsum(n_contexts) - n_contexts, n_contexts)
+    owner_count = np.repeat(n_contexts, n_contexts)
+    context = np.arange(contexts.size)
+    ids = np.empty(contexts.size * (1 + negatives), dtype=np.intp)
+    ids[context + negatives * owner_first] = contexts
+    ids[(owner_first + owner_count + negatives * context)[:, None] + np.arange(negatives)] = drawn
+    return n_contexts, ids
+
+
 def fit_deepwalk(
     network: DocumentNetwork,
     params: DeepWalkParams | None = None,
@@ -124,7 +170,9 @@ def fit_deepwalk(
 
     One SGD epoch over the generated walks, processing each center
     position as one batched update. The learning rate decays linearly
-    over the epoch with the usual 1e-4 relative floor.
+    over the epoch with the usual 1e-4 relative floor. Windows and
+    negatives are precomputed one block of walks at a time; the result
+    is bit-identical to updating position by position.
     """
     params = params or DeepWalkParams()
     if network.node_count == 0:
@@ -141,38 +189,43 @@ def fit_deepwalk(
     context_vectors = np.zeros((network.node_count, d))
 
     walks = generate_walks(network, nodes, params, rng)
+    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
+    centers = np.fromiter(chain.from_iterable(walks), dtype=np.intp, count=int(lengths.sum()))
+    del walks
 
     # Negative-sampling table over node frequencies in the walks.
-    counts = np.zeros(network.node_count)
-    total_centers = 0
-    for walk in walks:
-        total_centers += len(walk)
-        for node in walk:
-            counts[node] += 1.0
-    weights = counts**0.75
+    weights = np.bincount(centers, minlength=network.node_count).astype(float) ** 0.75
     cumulative = np.cumsum(weights / weights.sum())
 
-    lr0 = params.learning_rate
-    window = params.window
     k = params.negatives
-    step = 0
-    for walk in walks:
-        length = len(walk)
-        for i, center in enumerate(walk):
-            lr = lr0 * max(1e-4, 1.0 - step / total_centers)
-            step += 1
-            contexts = walk[max(0, i - window) : i] + walk[i + 1 : i + 1 + window]
-            if not contexts:
+    flat_context = context_vectors.reshape(-1)
+    # Flat index of every context_vectors entry, gathered by row ids.
+    flat_index = np.arange(context_vectors.size).reshape(context_vectors.shape)
+    walk_bounds = np.concatenate(([0], np.cumsum(lengths)))
+    for first in range(0, len(lengths), _BLOCK_WALKS):
+        last = min(first + _BLOCK_WALKS, len(lengths))
+        start, stop = walk_bounds[first], walk_bounds[last]
+        block = centers[start:stop]
+        n_contexts, ids = _block_windows(
+            block, lengths[first:last], params.window, k, cumulative, rng
+        )
+        rates = params.learning_rate * np.maximum(
+            1e-4, 1.0 - np.arange(start, stop) / centers.size
+        )
+        segment_ends = np.cumsum(n_contexts) * (1 + k)
+        for center, n, end, lr in zip(
+            block.tolist(), n_contexts.tolist(), segment_ends.tolist(), rates.tolist()
+        ):
+            if not n:
                 continue
-            ctx_ids = np.asarray(contexts)
-            neg_ids = np.searchsorted(cumulative, rng.random((len(contexts), k)))
+            row_ids = ids[end - n * (1 + k) : end]
             v = node_vectors[center]
-            grad_center, grad_contexts, grad_negatives = _center_gradients(
-                v, context_vectors[ctx_ids], context_vectors[neg_ids]
-            )
+            # grad_rows is built from v before v's row is overwritten.
+            grad_center, grad_rows = _center_gradients(v, context_vectors[row_ids], n)
             node_vectors[center] = v - lr * grad_center
-            np.subtract.at(context_vectors, ctx_ids, lr * grad_contexts)
-            np.subtract.at(context_vectors, neg_ids.ravel(), lr * grad_negatives)
+            # A 1-D ufunc.at over flat indices applies the row updates in
+            # the same order as a 2-D one, at a fraction of its cost.
+            np.subtract.at(flat_context, flat_index[row_ids].ravel(), (lr * grad_rows).ravel())
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,

@@ -277,21 +277,38 @@ class TestReportCommand:
 
 
 @pytest.mark.parametrize(
-    "command, content",
+    "command, content, needle",
     [
-        ("report", "{not json"),
-        ("report", "[1, 2]"),
-        ("eval", '["data", "runs"]'),
+        ("report", "{not json", "malformed report"),
+        ("report", "[1, 2]", "malformed report"),
+        ("eval", '["data", "runs"]', "must be a JSON object"),
+        ("eval", '{"runs": "2"}', "runs"),
+        ("eval", '{"transductive_ratio": "0.1"}', "transductive_ratio"),
+        ("eval", '{"base_seed": -1}', "base_seed"),
+        ("eval", '{"methods": ["nosuch"]}', "unknown method 'nosuch'"),
+        ("eval", '{"deepwalk": {"walkz": 1}}', "walkz"),
+        ("eval", '{"deepwalk": {"negatives": -1}}', "deepwalk.negatives"),
+        ("eval", '{"deepwalk": {"walk_length": "20"}}', "deepwalk.walk_length"),
+        ("eval", '{"deepwalk": {"window": 0}}', "deepwalk.window"),
+        ("eval", '{"deepwalk": {"learning_rate": 0}}', "deepwalk.learning_rate"),
+        ("eval", '{"deepwalk": {"undirected": 1}}', "deepwalk.undirected"),
     ],
-    ids=["report-invalid-json", "report-list-of-numbers", "eval-config-list"],
+    ids=[
+        "report-invalid-json", "report-list-of-numbers", "eval-config-list",
+        "eval-runs-string", "eval-ratio-string", "eval-negative-seed", "eval-unknown-method",
+        "eval-deepwalk-unknown-key", "eval-deepwalk-negatives-negative",
+        "eval-deepwalk-walk-length-string", "eval-deepwalk-window-zero",
+        "eval-deepwalk-learning-rate-zero", "eval-deepwalk-undirected-int",
+    ],
 )
-def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content):
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content, encoding="utf-8")
     flag = "--report" if command == "report" else "--config"
     assert main([command, flag, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
 
 
 class TestParser:

@@ -1,4 +1,5 @@
-"""SGNS gradients vs finite differences, walks, clique separation."""
+"""SGNS gradients vs finite differences, walks, clique separation, and
+the blocked SGD epoch against the per-position reference loop."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from wikilinks.deepwalk import (
+    _BLOCK_WALKS,
     DeepWalkParams,
     UnsupportedModeError,
     _center_gradients,
@@ -80,15 +82,118 @@ class TestSgnsGradients:
         center = rng.standard_normal(d)
         contexts = rng.standard_normal((contexts_n, d))
         negatives = rng.standard_normal((contexts_n, k, d))
+        rows = np.concatenate((contexts, negatives.reshape(-1, d)))
 
-        g_center, g_contexts, g_negatives = _center_gradients(center, contexts, negatives)
+        g_center, g_rows = _center_gradients(center, rows, contexts_n)
         expected_center = np.zeros(d)
         for c in range(contexts_n):
             gc, gx, gn = sgns_gradients(center, contexts[c], negatives[c])
             expected_center += gc
-            assert np.allclose(g_contexts[c], gx)
-            assert np.allclose(g_negatives[c * k : (c + 1) * k], gn)
+            assert np.allclose(g_rows[c], gx)
+            first = contexts_n + c * k
+            assert np.allclose(g_rows[first : first + k], gn)
         assert np.allclose(g_center, expected_center)
+
+
+def reference_fit(network, params, seed, nodes=None):
+    """The per-position SGD loop that ``fit_deepwalk`` replaced: Python
+    windows, one ``rng.random`` call and one 2-D ``np.subtract.at`` per
+    position. Returns (node_vectors, context_vectors)."""
+    if nodes is None:
+        nodes = range(network.node_count)
+    nodes = sorted(nodes)
+    rng = np.random.default_rng(seed)
+    d = params.dimension
+    node_vectors = (rng.random((network.node_count, d)) - 0.5) / d
+    context_vectors = np.zeros((network.node_count, d))
+
+    walks = generate_walks(network, nodes, params, rng)
+
+    counts = np.zeros(network.node_count)
+    total_centers = 0
+    for walk in walks:
+        total_centers += len(walk)
+        for node in walk:
+            counts[node] += 1.0
+    weights = counts**0.75
+    cumulative = np.cumsum(weights / weights.sum())
+
+    lr0 = params.learning_rate
+    window = params.window
+    k = params.negatives
+    step = 0
+    for walk in walks:
+        for i, center in enumerate(walk):
+            lr = lr0 * max(1e-4, 1.0 - step / total_centers)
+            step += 1
+            contexts = walk[max(0, i - window) : i] + walk[i + 1 : i + 1 + window]
+            if not contexts:
+                continue
+            ctx_ids = np.asarray(contexts)
+            neg_ids = np.searchsorted(cumulative, rng.random((len(contexts), k)))
+            ids = np.concatenate((ctx_ids, neg_ids.ravel()))
+            v = node_vectors[center]
+            grad_center, grad_rows = _center_gradients(v, context_vectors[ids], len(contexts))
+            node_vectors[center] = v - lr * grad_center
+            np.subtract.at(context_vectors, ids, lr * grad_rows)
+    return node_vectors, context_vectors
+
+
+def _directed_with_sinks() -> DocumentNetwork:
+    # 0 -> 1 -> 2 -> 3 (sink); 4 -> 3; 5 is isolated: walks from 3 and 5
+    # have length 1 and no contexts.
+    links = [(0, 1, "a"), (1, 2, "a"), (2, 3, "a"), (4, 3, "a"), (1, 0, "a")]
+    return DocumentNetwork.from_links(6, links)
+
+
+def _random_network(n: int, m: int, seed: int) -> DocumentNetwork:
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, (m, 2))
+    return DocumentNetwork.from_links(n, [(int(a), int(b), "a") for a, b in pairs if a != b])
+
+
+# (network, params, nodes) cases for the blocked epoch against the reference.
+ORACLE_CASES = {
+    "two-cliques": (_two_cliques_with_bridge(), SMALL, None),
+    "directed-sinks": (
+        _directed_with_sinks(),
+        DeepWalkParams(
+            walks_per_node=5, walk_length=6, window=2, negatives=3, dimension=8, undirected=False
+        ),
+        None,
+    ),
+    "window-past-walk": (
+        _two_cliques_with_bridge(),
+        DeepWalkParams(walks_per_node=4, walk_length=5, window=9, negatives=2, dimension=7),
+        None,
+    ),
+    "one-negative": (
+        _two_cliques_with_bridge(),
+        DeepWalkParams(walks_per_node=6, walk_length=8, window=3, negatives=1, dimension=5),
+        None,
+    ),
+    "node-subset": (_random_network(40, 120, 1), SMALL, range(0, 40, 3)),
+    "many-blocks": (
+        _random_network(60, 200, 2),
+        DeepWalkParams(walks_per_node=3, walk_length=12, window=4, negatives=5, dimension=64),
+        None,
+    ),
+}
+
+
+class TestBlockedEpochMatchesReference:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_per_position_loop(self, case, seed):
+        network, params, nodes = ORACLE_CASES[case]
+        model = fit_deepwalk(network, params, seed=seed, nodes=nodes)
+        node_vectors, context_vectors = reference_fit(network, params, seed, nodes)
+        assert np.array_equal(model.node_vectors, node_vectors)
+        assert np.array_equal(model.context_vectors, context_vectors)
+
+    def test_many_blocks_case_crosses_block_boundaries(self):
+        network, params, _ = ORACLE_CASES["many-blocks"]
+        assert network.node_count * params.walks_per_node > 2 * _BLOCK_WALKS
 
 
 class TestWalks:
