@@ -12,6 +12,7 @@ links, the rest are string-matched hard negatives.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
@@ -20,15 +21,52 @@ from .graph import DocumentNetwork
 from .ingest import Article
 
 
-def normalize_text_with_map(text: str) -> tuple[str, list[int], list[int]]:
+# Whitespace runs that normalize to something other than themselves: a
+# run of two or more, whitespace other than " ", and leading whitespace.
+_COLLAPSE_RE = re.compile(r"\s{2,}|[^\S ]|^\s")
+
+
+def normalize_text_with_map(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
     """Lowercase and collapse whitespace, keeping a map back to the original.
 
     Returns the normalized string plus, per normalized character, the
     start and end offsets of the original character that produced it
     (multi-character lowercase expansions share their source offsets).
     A normalized slice [a, b) therefore covers the original slice
-    [starts[a], ends[b-1]).
+    [starts[a], ends[b-1]). The maps are ranges when the text maps onto
+    itself, lists otherwise.
+
+    Whole-string ``lower()`` equals the per-character lowercase when it
+    keeps the length and the text holds no capital sigma, whose
+    lowercase alone depends on context. Such text that is already
+    collapsed and stripped maps onto itself; other such text is copied
+    in slices between the runs that collapse. Any other text takes the
+    per-character loop.
     """
+    lowered = text.lower()
+    if len(lowered) != len(text) or "\u03a3" in text:
+        return _normalize_chars(text)
+    if " ".join(text.split()) == text:
+        return lowered, range(len(text)), range(1, len(text) + 1)
+    pieces: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    kept_from = 0
+    for run in _COLLAPSE_RE.finditer(text):
+        if run.start():
+            # The text before the run, then the run's first character as " ".
+            pieces += (lowered[kept_from : run.start()], " ")
+            starts.extend(range(kept_from, run.start() + 1))
+            ends.extend(range(kept_from + 1, run.start() + 2))
+        kept_from = run.end()
+    pieces.append(lowered[kept_from:])
+    starts.extend(range(kept_from, len(text)))
+    ends.extend(range(kept_from + 1, len(text) + 1))
+    return "".join(pieces), starts, ends
+
+
+def _normalize_chars(text: str) -> tuple[str, list[int], list[int]]:
+    """:func:`normalize_text_with_map` one character at a time."""
     norm: list[str] = []
     starts: list[int] = []
     ends: list[int] = []

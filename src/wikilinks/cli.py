@@ -40,11 +40,7 @@ class PipelineConfig:
     """Declarative experiment configuration (JSON file)."""
 
     data: str | None = None
-    dump: str | None = None
     out: str | None = None
-    seed_articles: list[str] = field(default_factory=list)
-    k: int = 1000
-    damping: float = 0.85
     dimension: int = 512
     deepwalk: dict = field(default_factory=dict)
     atilp_positives: int = 1000
@@ -78,19 +74,17 @@ class PipelineConfig:
     def validate(self) -> None:
         """Check every field's type and range; raise :class:`InputError`
         naming the first bad field."""
-        for name in ("data", "dump", "out"):
+        for name in ("data", "out"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise InputError(f"{name} must be a string path")
-        for name in ("seed_articles", "methods"):
-            values = getattr(self, name)
-            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                raise InputError(f"{name} must be a list of strings")
+        if not isinstance(self.methods, list) or not all(isinstance(v, str) for v in self.methods):
+            raise InputError("methods must be a list of strings")
         for name, minimum in (
-            ("k", 1), ("dimension", 1), ("atilp_positives", 1), ("atilp_negatives", 1),
+            ("dimension", 1), ("atilp_positives", 1), ("atilp_negatives", 1),
             ("runs", 1), ("base_seed", 0),
         ):
             _require_int(name, getattr(self, name), minimum)
-        for name in ("damping", "transductive_ratio", "inductive_ratio"):
+        for name in ("transductive_ratio", "inductive_ratio"):
             value = getattr(self, name)
             if not _is_finite_number(value) or not 0.0 < value < 1.0:
                 raise InputError(f"{name} must lie strictly between 0 and 1")
@@ -106,9 +100,8 @@ class PipelineConfig:
             isinstance(path, str) for path in self.external_methods.values()
         ):
             raise InputError("external_methods must map method names to file paths")
-        for path in filter(None, (self.dump, self.data)):
-            if not Path(path).exists():
-                raise InputError(f"referenced path does not exist: {path}")
+        if self.data and not Path(self.data).exists():
+            raise InputError(f"referenced path does not exist: {self.data}")
         for name, path in self.external_methods.items():
             if not Path(path).exists():
                 raise InputError(f"external predictions for {name!r} missing: {path}")
@@ -287,7 +280,7 @@ def cmd_eval(args) -> int:
         config=config.model_config(),
         out_dir=config.out,
     )
-    print(report.to_markdown(modes))
+    print(report.to_markdown(report.modes()))
     if report.failures:
         for failure in report.failures:
             print(
@@ -304,9 +297,7 @@ def cmd_report(args) -> int:
         raise InputError(f"report not found: {path}")
     try:
         report = MetricsReport.from_records(json.loads(path.read_text(encoding="utf-8")))
-        # The only modes, "inductive" and "transductive", sort into table order.
-        modes = sorted({e.mode for e in report.entries} | {f.mode for f in report.failures})
-        table = report.to_markdown(modes)
+        table = report.to_markdown(report.modes())
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"malformed report {path}: {exc}") from exc
     sys.stdout.write(table)

@@ -347,6 +347,11 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
+    def modes(self) -> list[str]:
+        """The modes that have at least one record, in table order."""
+        # The only modes, "inductive" and "transductive", sort into table order.
+        return sorted({e.mode for e in self.entries} | {f.mode for f in self.failures})
+
     def to_markdown(self, modes: Sequence[str] = ("inductive", "transductive")) -> str:
         """Results table: one row per method, AUC/P/R blocks per mode.
 
@@ -541,5 +546,5 @@ def run_eval(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out / "report.md").write_text(report.to_markdown(modes), encoding="utf-8")
+        (out / "report.md").write_text(report.to_markdown(report.modes()), encoding="utf-8")
     return report

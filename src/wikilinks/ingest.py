@@ -201,60 +201,57 @@ _REF_RE = re.compile(
 _EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:\s+([^\]]*))?\]", re.IGNORECASE)
 _BOLD_ITALIC_RE = re.compile(r"'{2,}")
 _FILE_LINK_RE = re.compile(r"\[\[\s*(?:file|image)\s*:", re.IGNORECASE)
+_TEMPLATE_TOKEN_RE = re.compile(r"\{\{|\}\}")
+_LINK_TOKEN_RE = re.compile(r"\[\[|\]\]")
 
 
 def _strip_templates(text: str, counters: Counter) -> str:
     """Remove {{...}} blocks, tracking nesting.
 
-    An unmatched open drops everything to the end of the input; the
+    Walks the ``{{``/``}}`` tokens and copies the text between top-level
+    blocks in slices; a ``}}`` outside any block is plain text. An
+    unmatched open drops everything to the end of the input; the
     recovery is flagged under ``unbalanced_template``.
     """
     out: list[str] = []
     depth = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text.startswith("{{", i):
+    kept_from = 0
+    for token in _TEMPLATE_TOKEN_RE.finditer(text):
+        if token.group() == "{{":
+            if depth == 0:
+                out.append(text[kept_from : token.start()])
             depth += 1
-            i += 2
-        elif text.startswith("}}", i) and depth > 0:
+        elif depth > 0:
             depth -= 1
-            i += 2
-        elif depth == 0:
-            out.append(text[i])
-            i += 1
-        else:
-            i += 1
+            if depth == 0:
+                kept_from = token.end()
     if depth > 0:
         counters["unbalanced_template"] += 1
+    else:
+        out.append(text[kept_from:])
     return "".join(out)
 
 
 def _strip_file_links(text: str, counters: Counter) -> str:
-    """Remove [[File:...]] / [[Image:...]] including nested [[...]] captions."""
+    """Remove [[File:...]] / [[Image:...]] including nested [[...]] captions.
+
+    An unclosed file link drops everything to the end of the input and
+    is counted under ``unclosed_file_link``.
+    """
     out: list[str] = []
     i = 0
-    n = len(text)
-    while i < n:
-        match = _FILE_LINK_RE.match(text, i)
-        if not match:
-            out.append(text[i])
-            i += 1
-            continue
+    while (match := _FILE_LINK_RE.search(text, i)) is not None:
+        out.append(text[i : match.start()])
         depth = 1
-        j = match.end()
-        while j < n and depth > 0:
-            if text.startswith("[[", j):
-                depth += 1
-                j += 2
-            elif text.startswith("]]", j):
-                depth -= 1
-                j += 2
-            else:
-                j += 1
-        if depth > 0:
+        for token in _LINK_TOKEN_RE.finditer(text, match.end()):
+            depth += 1 if token.group() == "[[" else -1
+            if depth == 0:
+                i = token.end()
+                break
+        else:
             counters["unclosed_file_link"] += 1
-        i = j
+            return "".join(out)
+    out.append(text[i:])
     return "".join(out)
 
 

@@ -1,4 +1,5 @@
-"""Multi-pattern scanning vs a naive oracle, anchor maps, eval samples."""
+"""Normalization against its per-character reference, multi-pattern
+scanning vs a naive oracle, anchor maps, eval samples."""
 
 from __future__ import annotations
 
@@ -20,6 +21,33 @@ from wikilinks.anchors import (
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
+
+from test_ingest import markup_text
+
+
+def reference_normalize_text_with_map(text: str) -> tuple[str, list[int], list[int]]:
+    """The per-character loop that ``normalize_text_with_map`` keeps only
+    as its fallback."""
+    norm: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            if norm and norm[-1] != " ":
+                norm.append(" ")
+                starts.append(i)
+                ends.append(i + 1)
+            continue
+        for low in ch.lower():
+            norm.append(low)
+            starts.append(i)
+            ends.append(i + 1)
+    return "".join(norm), starts, ends
+
+
+def assert_normalizes_like_reference(text: str) -> None:
+    norm, starts, ends = normalize_text_with_map(text)
+    assert (norm, list(starts), list(ends)) == reference_normalize_text_with_map(text)
 
 
 def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]]]:
@@ -71,6 +99,47 @@ class TestNormalization:
             piece = norm[0:3]
             original = text[starts[0] : ends[2]]
             assert normalize_pattern(original) == piece.strip()
+
+
+class TestNormalizationMatchesReference:
+    @given(markup_text)
+    @settings(max_examples=500, deadline=None)
+    def test_fuzzed_markup(self, text):
+        assert_normalizes_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text", ["", " ", "a", "Ab Cd", " lead", "trail ", "a  b", "a\tb", "\xa0a\u3000\u3000b ",
+                 "İstanbul", "Straße", "a\x1cb\x85", " \t ", "\x1f"],
+    )
+    def test_named_cases(self, text):
+        assert_normalizes_like_reference(text)
+
+    def test_word_final_capital_sigma_lowers_per_character(self):
+        # Whole-string lower() gives the final form "ς"; the reference
+        # lowers each character on its own and gives "σ".
+        text = "ΟΔΟΣ ΟΔΟΣ"
+        assert text.lower() == "οδος οδος"
+        assert_normalizes_like_reference(text)
+        assert normalize_text_with_map(text)[0] == "οδοσ οδοσ"
+
+    def test_every_code_point(self):
+        # Code points whose lowercase keeps the length share long texts,
+        # which take the whole-string lowercase; every other code point
+        # (expansions, capital sigma) is checked in a text of its own.
+        alone = []
+        batch = []
+        for code_point in range(0x110000):
+            ch = chr(code_point)
+            if len(ch.lower()) != 1 or ch == "\u03a3":
+                alone.append(ch)
+            else:
+                batch.append(ch)
+        for ch in alone:
+            text = f"{ch}a{ch} {ch}"
+            assert_normalizes_like_reference(text)
+        for begin in range(0, len(batch), 512):
+            text = " ".join(ch * 2 for ch in batch[begin : begin + 512])
+            assert_normalizes_like_reference(text)
 
 
 class TestAhoCorasick:

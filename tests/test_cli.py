@@ -251,6 +251,18 @@ class TestReportCommand:
         assert "random" in table and "deepwalk" in table
         assert "—" in table  # DW inductive dash
 
+    def test_output_equals_report_md_when_a_mode_has_no_record(
+        self, tmp_path, planted_data_dir, capsys
+    ):
+        out = tmp_path / "results"
+        config = _eval_config(tmp_path, planted_data_dir, out=str(out), methods=["deepwalk"])
+        assert main(["eval", "--config", config, "--mode", "both"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--report", str(out / "report.json")]) == EXIT_OK
+        table = capsys.readouterr().out
+        assert "Transductive AUC" in table and "Inductive" not in table
+        assert table == (out / "report.md").read_text(encoding="utf-8")
+
     def test_missing_report_exits_2(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
@@ -309,6 +321,18 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, conten
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dump", '"pages.xml"'), ("seed_articles", '["X"]'), ("k", "1000"),
+                   ("damping", "0.85")],
+)
+def test_removed_config_fields_are_unknown_keys(tmp_path, capsys, key, value):
+    # Only eval reads the config; ingest and subgraph take these values as flags.
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
+    assert main(["eval", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
 
 
 class TestParser:

@@ -1,4 +1,5 @@
-"""Dump parsing, abstract extraction, wikilink extraction, redirects."""
+"""Dump parsing, abstract extraction, wikilink extraction, redirects, and
+the markup strippers against their per-character reference loops."""
 
 from __future__ import annotations
 
@@ -6,10 +7,15 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wikilinks.ingest import (
+    _FILE_LINK_RE,
     DumpParseError,
     RawPage,
+    _strip_file_links,
+    _strip_templates,
     build_corpus,
     extract_abstract,
     normalize_title,
@@ -97,6 +103,98 @@ class TestParseDump:
         page = next(parse_dump(CountingStream()))
         assert page.title == "P0"
         assert sum(consumed) < total / 10
+
+
+def reference_strip_templates(text: str, counters: Counter) -> str:
+    """The per-character loop that ``_strip_templates`` replaced."""
+    out: list[str] = []
+    depth = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("{{", i):
+            depth += 1
+            i += 2
+        elif text.startswith("}}", i) and depth > 0:
+            depth -= 1
+            i += 2
+        elif depth == 0:
+            out.append(text[i])
+            i += 1
+        else:
+            i += 1
+    if depth > 0:
+        counters["unbalanced_template"] += 1
+    return "".join(out)
+
+
+def reference_strip_file_links(text: str, counters: Counter) -> str:
+    """The per-character loop that ``_strip_file_links`` replaced: one
+    ``_FILE_LINK_RE.match`` per index."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        match = _FILE_LINK_RE.match(text, i)
+        if not match:
+            out.append(text[i])
+            i += 1
+            continue
+        depth = 1
+        j = match.end()
+        while j < n and depth > 0:
+            if text.startswith("[[", j):
+                depth += 1
+                j += 2
+            elif text.startswith("]]", j):
+                depth -= 1
+                j += 2
+            else:
+                j += 1
+        if depth > 0:
+            counters["unclosed_file_link"] += 1
+        i = j
+    return "".join(out)
+
+
+# Markup tokens, case and whitespace variants the strippers and the
+# normalization must treat exactly like their references.
+MARKUP_TOKENS = [
+    "{", "}", "{{", "}}", "[", "]", "[[", "]]", "File:", "image :", "FILE :", "|",
+    "a", "B", "x y", "İ", "ß", "Σ", "σ",
+    " ", "\t", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+]
+markup_text = st.lists(st.sampled_from(MARKUP_TOKENS), max_size=40).map("".join)
+
+
+class TestStrippersMatchReference:
+    @given(markup_text)
+    @settings(max_examples=500, deadline=None)
+    def test_strip_templates(self, text):
+        got, expected = Counter(), Counter()
+        assert _strip_templates(text, got) == reference_strip_templates(text, expected)
+        assert got == expected
+
+    @given(markup_text)
+    @settings(max_examples=500, deadline=None)
+    def test_strip_file_links(self, text):
+        got, expected = Counter(), Counter()
+        assert _strip_file_links(text, got) == reference_strip_file_links(text, expected)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["}}{{a}}}b", "{{{x}}}y}}", "{{a{{b}}c", "[[File:a|[[b]] c]]]]d", "[[image :x[[y]] z",
+         "p[[ file:q]]r[[File:s]]", "[[File:a]][[Image:b|[[c]]]]"],
+    )
+    def test_named_cases(self, text):
+        for strip, reference in (
+            (_strip_templates, reference_strip_templates),
+            (_strip_file_links, reference_strip_file_links),
+        ):
+            got, expected = Counter(), Counter()
+            assert strip(text, got) == reference(text, expected)
+            assert got == expected
 
 
 class TestExtractAbstract:
