@@ -12,18 +12,12 @@ links, the rest are string-matched hard negatives.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from .graph import DocumentNetwork
 from .ingest import Article
-
-
-# Whitespace runs that normalize to something other than themselves: a
-# run of two or more, whitespace other than " ", and leading whitespace.
-_COLLAPSE_RE = re.compile(r"\s{2,}|[^\S ]|^\s")
 
 
 def normalize_text_with_map(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
@@ -39,30 +33,17 @@ def normalize_text_with_map(text: str) -> tuple[str, Sequence[int], Sequence[int
     Whole-string ``lower()`` equals the per-character lowercase when it
     keeps the length and the text holds no capital sigma, whose
     lowercase alone depends on context. Such text that is already
-    collapsed and stripped maps onto itself; other such text is copied
-    in slices between the runs that collapse. Any other text takes the
+    collapsed and stripped maps onto itself; any other text takes the
     per-character loop.
     """
     lowered = text.lower()
-    if len(lowered) != len(text) or "\u03a3" in text:
+    if (
+        len(lowered) != len(text)
+        or "\u03a3" in text
+        or " ".join(text.split()) != text
+    ):
         return _normalize_chars(text)
-    if " ".join(text.split()) == text:
-        return lowered, range(len(text)), range(1, len(text) + 1)
-    pieces: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    kept_from = 0
-    for run in _COLLAPSE_RE.finditer(text):
-        if run.start():
-            # The text before the run, then the run's first character as " ".
-            pieces += (lowered[kept_from : run.start()], " ")
-            starts.extend(range(kept_from, run.start() + 1))
-            ends.extend(range(kept_from + 1, run.start() + 2))
-        kept_from = run.end()
-    pieces.append(lowered[kept_from:])
-    starts.extend(range(kept_from, len(text)))
-    ends.extend(range(kept_from + 1, len(text) + 1))
-    return "".join(pieces), starts, ends
+    return lowered, range(len(text)), range(1, len(text) + 1)
 
 
 def _normalize_chars(text: str) -> tuple[str, list[int], list[int]]:
