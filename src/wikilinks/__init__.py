@@ -7,7 +7,6 @@ link predictors against string-matched hard negatives.
 """
 
 from .anchors import (
-    AhoCorasick,
     AnchorMap,
     CandidatePair,
     build_anchor_map,

@@ -2,18 +2,19 @@
 
 Two map flavors mirror the two string-matching predictors: a title map
 (canonical titles plus redirect aliases) and an anchor map (every anchor
-text observed on an edge). Documents are scanned against a map with an
-Aho-Corasick automaton over a normalized view of the abstract; matches
-must align on token boundaries so that "art" never fires inside
-"party". Scanning a corpus against the anchor map and labeling the hits
-against the network yields the evaluation samples: positives are real
-links, the rest are string-matched hard negatives.
+text observed on an edge). Documents are scanned against a map over a
+normalized view of the abstract, with one compiled regex shaped like the
+map's pattern trie; matches must align on token boundaries so that
+"art" never fires inside "party". Scanning a corpus against the anchor
+map and labeling the hits against the network yields the evaluation
+samples: positives are real links, the rest are string-matched hard
+negatives.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .graph import DocumentNetwork
@@ -70,81 +71,88 @@ def normalize_pattern(text: str) -> str:
     return normalize_text_with_map(text)[0].strip()
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
+# Deepest group nesting the matcher regex gets: ``re`` parses and compiles
+# nested groups recursively and fails a few hundred levels down.
+_MAX_NESTING = 100
 
 
-class AhoCorasick:
-    """Multi-pattern string matcher (Aho-Corasick automaton).
+class _Matcher:
+    r"""Token-aligned occurrences of many patterns, found by one regex.
 
-    Three build phases: insert every pattern into a goto trie, compute
-    failure links breadth-first (each node's failure link points to the
-    longest proper suffix of its path that is also a trie path), and
-    propagate output sets down the failure chains so a match of a long
-    pattern also reports every shorter pattern ending at the same
-    position. A scan then walks the text once, following failure links
-    on mismatch, and reports all matches of all patterns.
+    The regex is the pattern trie written out: runs of single-child
+    nodes become one literal, a node that ends a pattern makes the rest
+    of its subtree a greedy optional group, and ``(?![^\W_])`` (no
+    alphanumeric next; ``[^\W_]`` matches exactly what ``str.isalnum``
+    accepts) closes it. ``search`` therefore finds, in C, the leftmost
+    start at which some pattern ends on a token boundary, and matches
+    the longest such pattern there. Every shorter pattern at the same
+    start is a prefix of that one, so the prefix lists hold the rest.
+    A subtree deeper than ``_MAX_NESTING`` groups is written as a flat
+    alternation of its suffixes, longest first.
     """
 
     def __init__(self, patterns: Iterable[str]) -> None:
-        self._patterns = sorted(set(patterns))
-        if any(not p for p in self._patterns):
-            raise ValueError("patterns must be non-empty")
-        self._goto: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._output: list[list[int]] = [[]]
-        for idx, pattern in enumerate(self._patterns):
-            self._insert(pattern, idx)
-        self._build_links()
-
-    @property
-    def patterns(self) -> list[str]:
-        return list(self._patterns)
-
-    def _insert(self, pattern: str, pattern_index: int) -> None:
-        state = 0
-        for ch in pattern:
-            nxt = self._goto[state].get(ch)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto.append({})
-                self._fail.append(0)
-                self._output.append([])
-                self._goto[state][ch] = nxt
-            state = nxt
-        self._output[state].append(pattern_index)
-
-    def _build_links(self) -> None:
-        queue: deque[int] = deque()
-        for child in self._goto[0].values():
-            self._fail[child] = 0
-            queue.append(child)
-        while queue:
-            state = queue.popleft()
-            for ch, child in self._goto[state].items():
-                fallback = self._fail[state]
-                while fallback and ch not in self._goto[fallback]:
-                    fallback = self._fail[fallback]
-                self._fail[child] = self._goto[fallback].get(ch, 0)
-                if self._fail[child] == child:
-                    self._fail[child] = 0
-                self._output[child] = self._output[child] + self._output[self._fail[child]]
-                queue.append(child)
+        trie: dict = {}  # the key "" marks the end of a pattern
+        # In sorted order a pattern's prefixes come before it, and every
+        # pattern sorted between a prefix and the pattern starts with that
+        # prefix, so ``chain`` (the previous pattern and its prefixes)
+        # holds them all.
+        self._prefixes: dict[str, list[str]] = {}
+        chain: list[str] = []
+        for pattern in sorted(patterns):
+            node = trie
+            for ch in pattern:
+                node = node.setdefault(ch, {})
+            node[""] = None
+            while chain and not pattern.startswith(chain[-1]):
+                chain.pop()
+            self._prefixes[pattern] = chain[::-1]
+            chain.append(pattern)
+        self._regex = re.compile(_trie_regex(trie, 0) + r"(?![^\W_])")
 
     def find_all(self, text: str) -> Iterator[tuple[int, int, str]]:
-        """Yield (start, end, pattern) for every pattern occurrence."""
-        state = 0
-        goto = self._goto
-        fail = self._fail
-        output = self._output
-        patterns = self._patterns
-        for pos, ch in enumerate(text):
-            while state and ch not in goto[state]:
-                state = fail[state]
-            state = goto[state].get(ch, 0)
-            for pattern_index in output[state]:
-                pattern = patterns[pattern_index]
-                yield pos + 1 - len(pattern), pos + 1, pattern
+        """Yield (start, end, pattern) for every occurrence in ``text``
+        with no alphanumeric character on either side."""
+        search = self._regex.search
+        match = search(text)
+        while match is not None:
+            start, end = match.span()
+            if start == 0 or not text[start - 1].isalnum():
+                longest = match.group()
+                yield start, end, longest
+                for prefix in self._prefixes[longest]:
+                    stop = start + len(prefix)
+                    if not text[stop].isalnum():
+                        yield start, stop, prefix
+            match = search(text, start + 1)
+
+
+def _trie_regex(node: dict, nesting: int) -> str:
+    """Regex matching the suffixes below a trie node, longer ones first."""
+    if nesting == _MAX_NESTING:
+        suffixes = []
+        stack = [(node, "")]
+        while stack:
+            below, above = stack.pop()
+            stack.extend((child, above + ch) for ch, child in below.items() if ch)
+            if "" in below:
+                suffixes.append(above)
+        suffixes.sort(key=len, reverse=True)
+        return "(?:" + "|".join(map(re.escape, suffixes)) + ")"
+    branches = []
+    for ch, child in node.items():
+        if not ch:
+            continue
+        literal = [ch]
+        while len(child) == 1 and "" not in child:
+            ((ch, child),) = child.items()
+            literal.append(ch)
+        branch = re.escape("".join(literal))
+        if len(child) > 1:
+            branch += _trie_regex(child, nesting + 1)
+        branches.append(branch)
+    optional = "?" if "" in node else ""
+    return "(?:" + "|".join(branches) + ")" + optional
 
 
 @dataclass
@@ -154,7 +162,7 @@ class AnchorMap:
     mode: str  # "title" | "anchor"
     patterns: dict[str, frozenset[int]]
     article_count: int
-    _automaton: AhoCorasick | None = field(default=None, repr=False, compare=False)
+    _automaton: _Matcher | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("title", "anchor"):
@@ -166,9 +174,10 @@ class AnchorMap:
                 if not 0 <= target < self.article_count:
                     raise ValueError(f"pattern {pattern!r} targets unknown article {target}")
 
-    def automaton(self) -> AhoCorasick:
+    def automaton(self) -> _Matcher:
+        """The matcher over this map's patterns, built on first use."""
         if self._automaton is None:
-            self._automaton = AhoCorasick(self.patterns)
+            self._automaton = _Matcher(self.patterns)
         return self._automaton
 
 
@@ -233,13 +242,10 @@ def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, in
     Spans index the original text; overlapping matches are all reported.
     """
     norm, starts, ends = normalize_text_with_map(text)
-    matches: list[tuple[str, tuple[int, int]]] = []
-    for a, b, pattern in anchor_map.automaton().find_all(norm):
-        if a > 0 and _is_word_char(norm[a - 1]):
-            continue
-        if b < len(norm) and _is_word_char(norm[b]):
-            continue
-        matches.append((pattern, (starts[a], ends[b - 1])))
+    matches = [
+        (pattern, (starts[a], ends[b - 1]))
+        for a, b, pattern in anchor_map.automaton().find_all(norm)
+    ]
     matches.sort(key=lambda m: (m[1], m[0]))
     return matches
 
@@ -251,6 +257,13 @@ def scan_candidates(anchor_map: AnchorMap, article: Article) -> list[CandidatePa
     patterns and spans; self-pairs are removed. The result is sorted by
     target id.
     """
+    return _candidate_pairs(anchor_map, article, None)
+
+
+def _candidate_pairs(
+    anchor_map: AnchorMap, article: Article, network: DocumentNetwork | None
+) -> list[CandidatePair]:
+    """:func:`scan_candidates`, labeled against ``network`` when given."""
     by_target: dict[int, list[tuple[str, tuple[int, int]]]] = {}
     for pattern, span in scan_text(anchor_map, article.abstract):
         for target in anchor_map.patterns[pattern]:
@@ -258,7 +271,12 @@ def scan_candidates(anchor_map: AnchorMap, article: Article) -> list[CandidatePa
                 continue
             by_target.setdefault(target, []).append((pattern, span))
     return [
-        CandidatePair(source=article.id, target=target, matched=tuple(matched))
+        CandidatePair(
+            source=article.id,
+            target=target,
+            matched=tuple(matched),
+            label=None if network is None else network.has_edge(article.id, target),
+        )
         for target, matched in sorted(by_target.items())
     ]
 
@@ -276,10 +294,4 @@ def build_eval_samples(
     """
     if anchor_map.mode != "anchor":
         raise ValueError("evaluation samples require an anchor-mode map")
-    samples: dict[int, list[CandidatePair]] = {}
-    for article in articles:
-        pairs = scan_candidates(anchor_map, article)
-        samples[article.id] = [
-            replace(pair, label=network.has_edge(pair.source, pair.target)) for pair in pairs
-        ]
-    return samples
+    return {article.id: _candidate_pairs(anchor_map, article, network) for article in articles}

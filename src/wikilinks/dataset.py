@@ -11,6 +11,7 @@ escaping conventions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,34 +32,21 @@ LINKS_FILE = "links.tsv"
 REMAP_FILE = "remap.tsv"
 
 
+_ESCAPE_RE = re.compile(r"\\[tn\\]")
+_UNESCAPES = {"\\t": "\t", "\\n": "\n", "\\\\": "\\"}
+
+
 def escape_field(text: str) -> str:
     """Escape backslash, tab and newline for TSV fields."""
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
 def unescape_field(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Undo :func:`escape_field`; a backslash before any other character
+    stays as it is."""
+    if "\\" not in text:
+        return text
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m.group()], text)
 
 
 def write_articles_jsonl(path, articles: Sequence[Article]) -> None:

@@ -246,10 +246,13 @@ def network_stats(network: DocumentNetwork, articles, samples=None) -> NetworkSt
     density = 0.0
     if n > 1:
         density = 100.0 * network.edge_count / (n * (n - 1))
-    lengths = np.array([len(tokenize(a.abstract)) for a in articles], dtype=float)
+    token_counts: list[int] = []
     vocab: set[str] = set()
     for article in articles:
-        vocab.update(tokenize(article.abstract))
+        tokens = tokenize(article.abstract)
+        token_counts.append(len(tokens))
+        vocab.update(tokens)
+    lengths = np.array(token_counts, dtype=float)
     pos_mean = pos_std = neg_mean = neg_std = None
     if samples is not None:
         pos = np.array(

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikilinks.anchors import (
-    AhoCorasick,
     AnchorMap,
     build_anchor_map,
     build_eval_samples,
@@ -52,7 +51,7 @@ def assert_normalizes_like_reference(text: str) -> None:
 
 def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]]]:
     """Per-pattern substring scan with the same normalization and
-    token-boundary rule; the independent reference for the automaton."""
+    token-boundary rule; the independent reference for the matcher."""
     norm, starts, ends = normalize_text_with_map(text)
     found: set[tuple[str, tuple[int, int]]] = set()
     for pattern in patterns:
@@ -142,23 +141,49 @@ class TestNormalizationMatchesReference:
             assert_normalizes_like_reference(text)
 
 
-class TestAhoCorasick:
+# Regex metacharacters, the underscore that ``\w`` would count as a word
+# character, an Arabic-Indic digit (alphanumeric, not ASCII), an accented
+# letter and the capital sigma, whose whole-string lowercase depends on
+# context.
+ORACLE_ALPHABET = "ab_ .*()[]\\?|+'\u0663\u00e9\u03a3"
+
+
+def assert_scan_matches_oracle(patterns: set[str], text: str) -> None:
+    anchor_map = _map({p: {0} for p in patterns}, article_count=1)
+    expected = sorted(naive_scan(sorted(patterns), text), key=lambda m: (m[1], m[0]))
+    assert scan_text(anchor_map, text) == expected
+
+
+class TestMatcher:
     def test_overlapping_patterns_all_reported(self):
-        ac = AhoCorasick(["american", "american civil war", "civil"])
-        text = "american civil war"
-        hits = {(a, b, p) for a, b, p in ac.find_all(text)}
-        assert (0, 8, "american") in hits
-        assert (0, 18, "american civil war") in hits
-        assert (9, 14, "civil") in hits
+        anchor_map = _map({p: {0} for p in ["american", "american civil war", "civil"]}, 1)
+        assert set(scan_text(anchor_map, "american civil war")) == {
+            ("american", (0, 8)),
+            ("american civil war", (0, 18)),
+            ("civil", (9, 14)),
+        }
 
     def test_suffix_pattern_found_inside_longer_match(self):
-        ac = AhoCorasick(["she", "he", "hers"])
-        hits = {(a, b, p) for a, b, p in ac.find_all("ushers")}
-        assert hits == {(1, 4, "she"), (2, 4, "he"), (2, 6, "hers")}
+        anchor_map = _map({p: {0} for p in ["new york city", "york city", "city"]}, 1)
+        assert scan_text(anchor_map, "new york city") == [
+            ("new york city", (0, 13)),
+            ("york city", (4, 13)),
+            ("city", (9, 13)),
+        ]
+        # Inside a word a suffix pattern is no token: "he" neither in "she"
+        # nor in "hers".
+        anchor_map = _map({p: {0} for p in ["she", "he", "hers"]}, 1)
+        assert scan_text(anchor_map, "she-he hers") == [
+            ("she", (0, 3)),
+            ("he", (4, 6)),
+            ("hers", (7, 11)),
+        ]
 
     def test_rejects_empty_pattern(self):
+        # The matcher is only reachable through a map, which refuses an
+        # empty pattern.
         with pytest.raises(ValueError):
-            AhoCorasick(["ok", ""])
+            _map({"ok": {0}, "": {0}}, 1)
 
     def test_agrees_with_naive_oracle_on_random_inputs(self):
         rng = np.random.default_rng(8)
@@ -177,6 +202,39 @@ class TestAhoCorasick:
             anchor_map = _map({p: {0} for p in patterns}, article_count=1)
             got = set(scan_text(anchor_map, text))
             assert got == naive_scan(sorted(patterns), text)
+
+    @given(
+        text=st.text(alphabet=ORACLE_ALPHABET + "AB\u00c9\t", max_size=60),
+        drawn=st.lists(st.text(alphabet=ORACLE_ALPHABET, min_size=1, max_size=6), max_size=8),
+        cuts=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 8)), max_size=6),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_naive_oracle_on_fuzzed_inputs(self, text, drawn, cuts):
+        # Slices of the normalized text make hits common; the fixed
+        # patterns start with punctuation.
+        norm = normalize_text_with_map(text)[0]
+        raw = [*drawn, "(a", "'b", ".", "_a"] + [norm[i : i + n] for i, n in cuts]
+        patterns = {normalize_pattern(p) for p in raw} - {""}
+        assert_scan_matches_oracle(patterns, text)
+
+    def test_thousand_nested_prefix_patterns(self):
+        # Every pattern is a prefix of the next, ten times deeper than the
+        # regex may nest groups.
+        patterns = {"a" * n for n in range(1, 1001)}
+        text = f"{'a' * 1000} {'a' * 1001} {'A' * 150}-{'a' * 99}_a a"
+        assert_scan_matches_oracle(patterns, text)
+        # Token prefixes: every run of words at every start is a match.
+        patterns = {" ".join(["w"] * n) for n in range(1, 151)}
+        text = " ".join(["W"] * 160) + ". w_w w"
+        assert_scan_matches_oracle(patterns, text)
+
+    def test_ten_thousand_character_pattern(self):
+        words = [f"w{i % 97}" for i in range(3000)]
+        long_pattern = " ".join(words)
+        assert len(long_pattern) >= 10_000
+        patterns = {long_pattern, words[0], " ".join(words[:3]), long_pattern[:-1]}
+        text = f"{long_pattern}. {long_pattern[:-1]}x ({long_pattern.upper()})"
+        assert_scan_matches_oracle(patterns, text)
 
 
 class TestScanText:

@@ -26,6 +26,32 @@ from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
 
 
+def reference_unescape_field(text: str) -> str:
+    """The per-character loop that ``unescape_field`` replaced."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            nxt = text[i + 1]
+            if nxt == "t":
+                out.append("\t")
+                i += 2
+                continue
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 class TestEscaping:
     def test_specials(self):
         assert escape_field("a\tb\nc\\d") == "a\\tb\\nc\\\\d"
@@ -34,6 +60,14 @@ class TestEscaping:
     @given(st.text(max_size=200))
     def test_round_trip(self, text):
         assert unescape_field(escape_field(text)) == text
+
+    @given(st.text(alphabet="\\tnx\t\n", max_size=40) | st.text(max_size=80))
+    def test_unescape_matches_reference(self, text):
+        assert unescape_field(text) == reference_unescape_field(text)
+
+    @pytest.mark.parametrize("text", ["", "\\", "a\\", "\\\\\\", "\\x\\t", "\\\\t", "\\\\\\n"])
+    def test_unescape_named_cases(self, text):
+        assert unescape_field(text) == reference_unescape_field(text)
 
     def test_escaped_field_has_no_raw_separators(self):
         escaped = escape_field("x\ty\nz")
