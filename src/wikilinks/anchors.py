@@ -108,7 +108,10 @@ class _Matcher:
                 chain.pop()
             self._prefixes[pattern] = chain[::-1]
             chain.append(pattern)
-        self._regex = re.compile(_trie_regex(trie, 0) + r"(?![^\W_])")
+        # With no pattern the trie regex would match the empty string;
+        # ``(?!)`` matches nothing.
+        source = _trie_regex(trie, 0) + r"(?![^\W_])" if trie else "(?!)"
+        self._regex = re.compile(source)
 
     def find_all(self, text: str) -> Iterator[tuple[int, int, str]]:
         """Yield (start, end, pattern) for every occurrence in ``text``

@@ -185,6 +185,11 @@ class TestMatcher:
         with pytest.raises(ValueError):
             _map({"ok": {0}, "": {0}}, 1)
 
+    def test_empty_map_matches_nothing(self):
+        anchor_map = _map({}, 1)
+        for text in ["", "a.", "a", " ", "."]:
+            assert scan_text(anchor_map, text) == []
+
     def test_agrees_with_naive_oracle_on_random_inputs(self):
         rng = np.random.default_rng(8)
         alphabet = "ab "
@@ -349,6 +354,12 @@ class TestBuildEvalSamples:
         samples = build_eval_samples(net, build_anchor_map(net), articles)
         assert [p.label for p in samples[0]] == [True]
         assert samples[1] == []
+
+    def test_network_without_links_gives_no_candidates(self):
+        net = DocumentNetwork.from_links(2, [])
+        articles = [_article(0, "ends with a stop."), _article(1, "")]
+        samples = build_eval_samples(net, build_anchor_map(net), articles)
+        assert samples == {0: [], 1: []}
 
     def test_requires_anchor_mode(self):
         articles = [_article(0, "a"), _article(1, "b")]
