@@ -192,13 +192,17 @@ def _resolve_seed_article(dataset: Dataset, title: str) -> int:
 def cmd_subgraph(args) -> int:
     dataset = _load_dataset(args.data)
     seed = _resolve_seed_article(dataset, args.seed_article)
-    scores = personalized_pagerank(dataset.network, seed, damping=args.damping)
-    if not scores.converged:
-        print("warning: PageRank did not converge", file=sys.stderr)
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     if args.k > dataset.network.node_count:
         raise InputError(
             f"k={args.k} exceeds the {dataset.network.node_count} articles in the dataset"
         )
+    if not 0.0 < args.damping < 1.0:
+        raise InputError(f"--damping must lie strictly between 0 and 1, got {args.damping}")
+    scores = personalized_pagerank(dataset.network, seed, damping=args.damping)
+    if not scores.converged:
+        print("warning: PageRank did not converge", file=sys.stderr)
     titles = [a.title for a in dataset.articles]
     subgraph, old_to_new = topk_subgraph(dataset.network, scores, args.k, titles)
     new_articles = []
@@ -266,9 +270,11 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(config.data)
     modes = ("inductive", "transductive") if config.mode == "both" else (config.mode,)
     methods: list = list(config.methods)
-    methods += [
-        ExternalFileMethod(name, path) for name, path in sorted(config.external_methods.items())
-    ]
+    for name, path in sorted(config.external_methods.items()):
+        try:
+            methods.append(ExternalFileMethod(name, path))
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read predictions for {name!r} from {path}: {exc}") from exc
     report = run_eval(
         dataset,
         methods,

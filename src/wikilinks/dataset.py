@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .anchors import (
-    AnchorMap,
     CandidatePair,
     build_anchor_map,
     build_eval_samples,
@@ -29,7 +28,6 @@ from .ingest import Article
 
 ARTICLES_FILE = "articles.jsonl"
 LINKS_FILE = "links.tsv"
-REMAP_FILE = "remap.tsv"
 
 
 _ESCAPE_RE = re.compile(r"\\[tn\\]")
@@ -109,18 +107,6 @@ def write_remap_tsv(path, old_to_new: Mapping[int, int]) -> None:
             fh.write(f"{old}\t{new}\n")
 
 
-def read_remap_tsv(path) -> dict[int, int]:
-    mapping: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            old, new = line.split("\t")
-            mapping[int(old)] = int(new)
-    return mapping
-
-
 def write_samples_tsv(path, samples: Mapping[int, Sequence[CandidatePair]]) -> None:
     """source, target, label(0|1) and the matched strings joined by '|'."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -129,23 +115,6 @@ def write_samples_tsv(path, samples: Mapping[int, Sequence[CandidatePair]]) -> N
                 matched = "|".join(escape_field(text) for text in pair.anchor_texts())
                 label = 1 if pair.label else 0
                 fh.write(f"{pair.source}\t{pair.target}\t{label}\t{matched}\n")
-
-
-def read_samples_tsv(path) -> Iterator[tuple[int, int, int, tuple[str, ...]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            source, target, label, matched = line.split("\t", 3)
-            strings = tuple(unescape_field(part) for part in matched.split("|")) if matched else ()
-            yield int(source), int(target), int(label), strings
-
-
-def write_predictions_tsv(path, predictions: Iterable[tuple[int, int, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for source, target, score in predictions:
-            fh.write(f"{source}\t{target}\t{score!r}\n")
 
 
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
@@ -160,13 +129,11 @@ def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
 
 @dataclass
 class Dataset:
-    """Articles plus their hyperlink network, with cached derived maps."""
+    """Articles plus their hyperlink network, with cached candidate scans."""
 
     name: str
     articles: list[Article]
     network: DocumentNetwork
-    _title_map: AnchorMap | None = field(default=None, repr=False)
-    _anchor_map: AnchorMap | None = field(default=None, repr=False)
     _samples: dict[int, list[CandidatePair]] | None = field(default=None, repr=False)
     _title_candidates: dict[int, list[CandidatePair]] | None = field(default=None, repr=False)
 
@@ -174,26 +141,17 @@ class Dataset:
         if self.network.node_count != len(self.articles):
             raise ValueError("network node count does not match the article table")
 
-    def title_map(self) -> AnchorMap:
-        if self._title_map is None:
-            self._title_map = build_title_map(self.articles)
-        return self._title_map
-
-    def anchor_map(self) -> AnchorMap:
-        if self._anchor_map is None:
-            self._anchor_map = build_anchor_map(self.network)
-        return self._anchor_map
-
     def eval_samples(self) -> dict[int, list[CandidatePair]]:
         """Anchor-map candidates per document, labeled against the network."""
         if self._samples is None:
-            self._samples = build_eval_samples(self.network, self.anchor_map(), self.articles)
+            anchor_map = build_anchor_map(self.network)
+            self._samples = build_eval_samples(self.network, anchor_map, self.articles)
         return self._samples
 
     def title_candidates(self) -> dict[int, list[CandidatePair]]:
         """Title-map candidates per document (unlabeled)."""
         if self._title_candidates is None:
-            title_map = self.title_map()
+            title_map = build_title_map(self.articles)
             self._title_candidates = {
                 article.id: scan_candidates(title_map, article) for article in self.articles
             }

@@ -43,11 +43,10 @@ class DeepWalkParams:
 
 @dataclass
 class DeepWalkModel:
-    """Trained node and context embeddings plus the run configuration."""
+    """Trained node and context embeddings."""
 
     node_vectors: np.ndarray
     context_vectors: np.ndarray
-    params: DeepWalkParams
     trained_nodes: frozenset[int] = field(default_factory=frozenset)
 
 
@@ -229,7 +228,6 @@ def fit_deepwalk(
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,
-        params=params,
         trained_nodes=frozenset(nodes),
     )
 

@@ -50,7 +50,6 @@ class EvalSplit:
     train_nodes: tuple[int, ...]
     test_pairs: list[TestPair]
     hidden: tuple
-    run_seed: int
 
     def __post_init__(self) -> None:
         if self.mode not in ("transductive", "inductive"):
@@ -100,13 +99,8 @@ def split_transductive(
     order = rng.permutation(len(edges))
     hidden = sorted(edges[i] for i in order[:n_hidden])
 
-    pairs: set[TestPair] = set()
-    sources = {source for source, _ in hidden}
-    hidden_set = set(hidden)
-    for source in sources:
-        for s, t in hidden_set:
-            if s == source:
-                pairs.add((s, t, 1))
+    pairs: set[TestPair] = {(s, t, 1) for s, t in hidden}
+    for source in {source for source, _ in hidden}:
         for pair in samples.get(source, ()):
             if not network.has_edge(pair.source, pair.target):
                 pairs.add((pair.source, pair.target, 0))
@@ -116,7 +110,6 @@ def split_transductive(
         train_nodes=tuple(range(network.node_count)),
         test_pairs=sorted(pairs),
         hidden=tuple(hidden),
-        run_seed=run_seed,
     )
 
 
@@ -159,7 +152,6 @@ def split_inductive(
         train_nodes=tuple(retained),
         test_pairs=sorted(pairs),
         hidden=tuple(hidden_nodes),
-        run_seed=run_seed,
     )
 
 
@@ -471,7 +463,6 @@ def run_eval(
                 articles=dataset.articles,
                 train_network=split.train_network,
                 train_nodes=split.train_nodes,
-                mode=mode,
                 seed=seed,
                 candidates=samples,
                 title_candidates=title_candidates,

@@ -68,9 +68,6 @@ class DocumentNetwork:
     def has_edge(self, source: int, target: int) -> bool:
         return (source, target) in self._edges
 
-    def anchors(self, source: int, target: int) -> tuple[str, ...]:
-        return self._edges[(source, target)]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         return iter(self._edges)
 
@@ -79,9 +76,6 @@ class DocumentNetwork:
 
     def out_neighbors(self, node: int) -> tuple[int, ...]:
         return self._out.get(node, ())
-
-    def in_neighbors(self, node: int) -> tuple[int, ...]:
-        return self._in.get(node, ())
 
     def undirected_neighbors(self, node: int) -> tuple[int, ...]:
         return tuple(sorted(set(self._out.get(node, ())) | set(self._in.get(node, ()))))
@@ -125,8 +119,6 @@ class DocumentNetwork:
 class PprScores:
     """Personalized PageRank vector for one seed node."""
 
-    seed: int
-    damping: float
     scores: np.ndarray
     converged: bool
     iterations: int
@@ -186,9 +178,7 @@ def personalized_pagerank(
         if delta < tolerance:
             converged = True
             break
-    return PprScores(
-        seed=seed, damping=damping, scores=x, converged=converged, iterations=iterations
-    )
+    return PprScores(scores=x, converged=converged, iterations=iterations)
 
 
 def topk_subgraph(

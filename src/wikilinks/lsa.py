@@ -41,7 +41,6 @@ class Vocabulary:
     index: dict[str, int]
     document_frequency: np.ndarray
     corpus_size: int
-    tokens: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -71,7 +70,6 @@ def build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocabulary]:
         index=index,
         document_frequency=df_arr,
         corpus_size=len(corpus),
-        tokens=token_list,
     )
     idf = vocabulary.idf()
 

@@ -169,7 +169,6 @@ class EvalModelConfig:
     """Model hyperparameters used by the evaluation harness."""
 
     lsa_dimension: int = 512
-    svd_method: str = "auto"
     deepwalk: DeepWalkParams = field(default_factory=DeepWalkParams)
     atilp_positives: int = 1000
     atilp_negatives: int = 1000
@@ -190,7 +189,6 @@ class RunContext:
         articles: Sequence[Article],
         train_network: DocumentNetwork,
         train_nodes: Sequence[int],
-        mode: str,
         seed: int,
         candidates: Mapping[int, Sequence[CandidatePair]],
         title_candidates: Mapping[int, Sequence[CandidatePair]],
@@ -199,7 +197,6 @@ class RunContext:
         self.articles = articles
         self.train_network = train_network
         self.train_nodes = frozenset(train_nodes)
-        self.mode = mode
         self.seed = seed
         self.candidates = candidates
         self.title_candidates = title_candidates
@@ -214,11 +211,7 @@ class RunContext:
             corpus = [tokenize(self.articles[doc].abstract) for doc in docs]
             matrix, vocabulary = build_tfidf(corpus)
             self._lsa = fit_lsa(
-                matrix,
-                self.config.lsa_dimension,
-                seed=self.seed,
-                vocabulary=vocabulary,
-                method=self.config.svd_method,
+                matrix, self.config.lsa_dimension, seed=self.seed, vocabulary=vocabulary
             )
             self._lsa_rows = {doc: row for row, doc in enumerate(docs)}
         return self._lsa, self._lsa_rows

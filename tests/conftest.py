@@ -94,6 +94,13 @@ def tiny_dump_stream() -> io.BytesIO:
     return io.BytesIO(TINY_DUMP.encode("utf-8"))
 
 
+def write_predictions(path, rows) -> None:
+    """Write (source, target, score) rows in the predictions.tsv format
+    that ``ExternalFileMethod`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{s}\t{t}\t{score!r}\n" for s, t, score in rows)
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset() -> Dataset:
     """The hand-written dump, ingested."""

@@ -8,11 +8,11 @@ import json
 import pytest
 
 from wikilinks.cli import EXIT_OK, EXIT_USAGE, main
-from wikilinks.dataset import Dataset, read_remap_tsv
+from wikilinks.dataset import Dataset
 from wikilinks.graph import personalized_pagerank, topk_subgraph
 from wikilinks.synthetic import PlantedCorpusParams, planted_dump_xml
 
-from conftest import TINY_DUMP
+from conftest import TINY_DUMP, write_predictions
 
 
 @pytest.fixture()
@@ -90,8 +90,8 @@ class TestSubgraphCommand:
         sub = Dataset.load(out)
         assert sub.network.node_count == original.network.node_count
         assert sub.network.edge_count == original.network.edge_count
-        remap = read_remap_tsv(out / "remap.tsv")
-        assert sorted(remap) == list(range(6))
+        remap_lines = (out / "remap.tsv").read_text(encoding="utf-8").splitlines()
+        assert [int(line.split("\t")[0]) for line in remap_lines] == list(range(6))
 
     def test_seed_via_redirect_alias(self, tmp_path, tiny_data_dir):
         out = tmp_path / "sub"
@@ -125,8 +125,39 @@ class TestSubgraphCommand:
         titles = [a.title for a in dataset.articles]
         expected, old_to_new = topk_subgraph(dataset.network, scores, 3, titles)
         sub = Dataset.load(out)
-        assert read_remap_tsv(out / "remap.tsv") == old_to_new
+        assert (out / "remap.tsv").read_text(encoding="utf-8") == "".join(
+            f"{old}\t{new}\n" for old, new in sorted(old_to_new.items())
+        )
         assert set(sub.network.edges()) == set(expected.edges())
+
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--k", "0", "--k must be at least 1"),
+            ("--k", "-3", "--k must be at least 1"),
+            ("--k", "7", "k=7 exceeds the 6 articles"),
+            ("--damping", "1.5", "--damping must lie strictly between 0 and 1"),
+            ("--damping", "0", "--damping must lie strictly between 0 and 1"),
+            ("--damping", "1", "--damping must lie strictly between 0 and 1"),
+            ("--damping", "nan", "--damping must lie strictly between 0 and 1"),
+        ],
+        ids=["k-zero", "k-negative", "k-above-n", "damping-above-1", "damping-zero",
+             "damping-one", "damping-nan"],
+    )
+    def test_bad_flag_exits_2_with_one_line(
+        self, tmp_path, tiny_data_dir, capsys, flag, value, needle
+    ):
+        out = tmp_path / "sub"
+        flags = {"--k": "3", "--damping": "0.85", flag: value}
+        argv = ["subgraph", "--data", str(tiny_data_dir), "--seed-article", "Abraham Lincoln",
+                "--out", str(out)]
+        for name, given in flags.items():
+            argv += [name, given]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
 
 
 class TestDatasetStatsCommand:
@@ -193,7 +224,16 @@ class TestEvalCommand:
         assert main(["eval", "--config", config_a]) == EXIT_OK
         config_b = _eval_config(tmp_path, planted_data_dir, out=str(out_b))
         assert main(["eval", "--config", config_b]) == EXIT_OK
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+        def written(out):
+            return {path.relative_to(out): path.read_bytes()
+                    for path in out.rglob("*") if path.is_file()}
+
+        files = written(out_a)
+        # report.json, report.md, and a test_pairs.tsv and a train_links.tsv
+        # under splits/ for each of two runs and two modes.
+        assert len(files) == 2 + 2 * 2 * 2
+        assert written(out_b) == files
 
     def test_full_method_set_and_modes(self, tmp_path, planted_data_dir):
         out = tmp_path / "full"
@@ -207,12 +247,10 @@ class TestEvalCommand:
         assert dw_modes == {"transductive"}
 
     def test_external_predictions_evaluated(self, tmp_path, planted_data_dir):
-        from wikilinks.dataset import write_predictions_tsv
-
         dataset = Dataset.load(planted_data_dir)
         n = dataset.network.node_count
         scores_path = tmp_path / "external.tsv"
-        write_predictions_tsv(
+        write_predictions(
             scores_path,
             ((s, t, ((s + t) % 10) / 10) for s in range(n) for t in range(n) if s != t),
         )
@@ -224,6 +262,22 @@ class TestEvalCommand:
         assert main(["eval", "--config", config]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert {r["method"] for r in report} == {"random", "offline"}
+
+    @pytest.mark.parametrize(
+        "content", ["a\tb\tc\n", "0\t1\n"], ids=["non-numeric-fields", "two-columns"]
+    )
+    def test_malformed_predictions_exit_2_with_one_line(
+        self, tmp_path, planted_data_dir, capsys, content
+    ):
+        scores_path = tmp_path / "bad.tsv"
+        scores_path.write_text(content, encoding="utf-8")
+        config = _eval_config(
+            tmp_path, planted_data_dir, external_methods={"offline": str(scores_path)}
+        )
+        assert main(["eval", "--config", config]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot read predictions for 'offline' from {scores_path}" in err
 
     def test_invalid_config_rejected(self, tmp_path, planted_data_dir, capsys):
         config = _eval_config(tmp_path, planted_data_dir, runs=0)
@@ -268,11 +322,10 @@ class TestReportCommand:
 
     def test_output_equals_report_md_with_failure_rows(self, tmp_path, planted_data_dir, capsys):
         from wikilinks.cli import EXIT_PARTIAL
-        from wikilinks.dataset import write_predictions_tsv
 
         n = Dataset.load(planted_data_dir).network.node_count
         scores_path = tmp_path / "bad.tsv"
-        write_predictions_tsv(
+        write_predictions(
             scores_path, ((s, t, 2.0) for s in range(n) for t in range(n) if s != t)
         )
         out = tmp_path / "results"
@@ -356,19 +409,18 @@ class TestParser:
 
 class TestSamplesExport:
     def test_dataset_stats_writes_samples_tsv(self, tmp_path, tiny_data_dir):
-        from wikilinks.dataset import read_samples_tsv
-
         samples_path = tmp_path / "samples.tsv"
         code = main([
             "dataset-stats", "--data", str(tiny_data_dir),
             "--samples-out", str(samples_path),
         ])
         assert code == EXIT_OK
-        rows = list(read_samples_tsv(samples_path))
+        rows = samples_path.read_text(encoding="utf-8").splitlines()
         assert rows, "expected at least one labeled candidate"
         dataset = Dataset.load(tiny_data_dir)
-        for source, target, label, matched in rows:
-            assert label == int(dataset.network.has_edge(source, target))
+        for row in rows:
+            source, target, label, matched = row.split("\t")
+            assert label == str(int(dataset.network.has_edge(int(source), int(target))))
             assert matched
 
 

@@ -13,17 +13,16 @@ from wikilinks.dataset import (
     read_articles_jsonl,
     read_links_tsv,
     read_predictions_tsv,
-    read_remap_tsv,
-    read_samples_tsv,
     unescape_field,
     write_articles_jsonl,
     write_links_tsv,
-    write_predictions_tsv,
     write_remap_tsv,
     write_samples_tsv,
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
+
+from conftest import write_predictions
 
 
 def reference_unescape_field(text: str) -> str:
@@ -102,14 +101,14 @@ class TestLinksTsv:
         got = list(read_links_tsv(path))
         assert sorted(got) == sorted(links)
         net = DocumentNetwork.from_links(3, got)
-        assert net.anchors(0, 1) == ("one", "one", "two\twith tab")
+        assert dict(net.edge_items())[(0, 1)] == ("one", "one", "two\twith tab")
 
 
 class TestRemapTsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "remap.tsv"
         write_remap_tsv(path, {10: 0, 3: 1, 7: 2})
-        assert read_remap_tsv(path) == {10: 0, 3: 1, 7: 2}
+        assert path.read_text(encoding="utf-8") == "3\t1\n7\t2\n10\t0\n"
 
 
 class TestSamplesTsv:
@@ -123,18 +122,14 @@ class TestSamplesTsv:
         }
         path = tmp_path / "samples.tsv"
         write_samples_tsv(path, samples)
-        rows = list(read_samples_tsv(path))
-        assert rows == [
-            (0, 1, 1, ("alpha beta",)),
-            (0, 2, 0, ("x", "y\tz")),
-        ]
+        assert path.read_text(encoding="utf-8") == "0\t1\t1\talpha beta\n0\t2\t0\tx|y\\tz\n"
 
 
 class TestPredictionsTsv:
     def test_round_trip_exact_floats(self, tmp_path):
         predictions = [(0, 1, 0.1234567890123456), (2, 3, 1.0), (4, 5, 0.0)]
         path = tmp_path / "predictions.tsv"
-        write_predictions_tsv(path, predictions)
+        write_predictions(path, predictions)
         assert list(read_predictions_tsv(path)) == predictions
 
 
@@ -144,8 +139,7 @@ class TestDataset:
         loaded = Dataset.load(tmp_path / "ds")
         assert loaded.articles == tiny_dataset.articles
         assert set(loaded.network.edges()) == set(tiny_dataset.network.edges())
-        for edge in tiny_dataset.network.edges():
-            assert loaded.network.anchors(*edge) == tiny_dataset.network.anchors(*edge)
+        assert dict(loaded.network.edge_items()) == dict(tiny_dataset.network.edge_items())
 
     def test_idempotent_save(self, tmp_path, tiny_dataset):
         tiny_dataset.save(tmp_path / "a")

@@ -62,7 +62,7 @@ class TestDocumentNetwork:
             3, [(0, 1, "one"), (0, 1, "uno"), (0, 1, "one"), (1, 2, "x")]
         )
         assert net.edge_count == 2
-        assert net.anchors(0, 1) == ("one", "one", "uno")
+        assert dict(net.edge_items())[(0, 1)] == ("one", "one", "uno")
 
     def test_self_links_silently_dropped(self):
         net = DocumentNetwork.from_links(2, [(0, 0, "loop"), (0, 1, "ok")])
@@ -79,8 +79,8 @@ class TestDocumentNetwork:
     def test_neighbors(self):
         net = _net(4, [(0, 1), (0, 2), (3, 0)])
         assert net.out_neighbors(0) == (1, 2)
-        assert net.in_neighbors(0) == (3,)
-        assert net.undirected_neighbors(0) == (1, 2, 3)
+        assert net.undirected_neighbors(0) == (1, 2, 3)  # 3 links only into 0
+        assert net.undirected_neighbors(3) == (0,)
 
     def test_remove_edges_rejects_absent(self):
         net = _net(3, [(0, 1)])

@@ -361,7 +361,7 @@ class TestBuildCorpus:
         uk = by_title["United Kingdom"].id
         # "[[United Kingdom|UK]]" resolves via the alias page to the article.
         assert tiny_dataset.network.has_edge(acw, uk)
-        assert "UK" in tiny_dataset.network.anchors(acw, uk)
+        assert "UK" in dict(tiny_dataset.network.edge_items())[(acw, uk)]
 
     def test_unknown_targets_dropped_and_counted(self):
         counters: Counter = Counter()

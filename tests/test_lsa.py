@@ -61,8 +61,7 @@ class TestBuildTfidf:
 
     def test_vocabulary_invariants(self):
         _, vocab = build_tfidf([["b", "a"], ["a", "c"]])
-        assert vocab.tokens == ("a", "b", "c")
-        assert sorted(vocab.index.values()) == [0, 1, 2]
+        assert vocab.index == {"a": 0, "b": 1, "c": 2}
         assert vocab.document_frequency.min() >= 1
         assert vocab.corpus_size == 2
 

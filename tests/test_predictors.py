@@ -24,7 +24,7 @@ from wikilinks.predictors import (
     ols_fit,
 )
 
-from conftest import BENCH_CONFIG
+from conftest import BENCH_CONFIG, write_predictions
 from test_lsa import cosine_oracle, dense_svd_oracle
 
 
@@ -53,7 +53,6 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
         articles=[_article(i, t) for i, t in enumerate(texts)],
         train_network=DocumentNetwork.from_links(len(texts), []),
         train_nodes=range(len(texts)) if train is None else train,
-        mode="transductive",
         seed=0,
         candidates={},
         title_candidates={},
@@ -396,7 +395,6 @@ class TestFitScoreAtilp:
             articles=fixture_dataset.articles,
             train_network=split.train_network,
             train_nodes=split.train_nodes,
-            mode="inductive",
             seed=0,
             candidates=samples,
             title_candidates={},
@@ -439,14 +437,13 @@ class TestScoreRandom:
 
 class TestExternalFileMethod:
     def test_matches_internal_method_emitting_same_scores(self, tmp_path, fixture_dataset):
-        from wikilinks.dataset import write_predictions_tsv
         from wikilinks.evaluation import run_eval
 
         def formula(s: int, t: int) -> float:
             return ((s * 31 + t * 17) % 97) / 96.0
 
         n = fixture_dataset.network.node_count
-        write_predictions_tsv(
+        write_predictions(
             tmp_path / "external.tsv",
             ((s, t, formula(s, t)) for s in range(n) for t in range(n) if s != t),
         )
@@ -471,9 +468,7 @@ class TestExternalFileMethod:
             assert internal.per_run == from_file.per_run
 
     def test_missing_pairs_score_zero(self, tmp_path):
-        from wikilinks.dataset import write_predictions_tsv
-
-        write_predictions_tsv(tmp_path / "p.tsv", [(0, 1, 0.25)])
+        write_predictions(tmp_path / "p.tsv", [(0, 1, 0.25)])
         method = ExternalFileMethod("x", tmp_path / "p.tsv")
         scorer = method.make_scorer(None)
         assert scorer([(0, 1), (5, 6)]).tolist() == [0.25, 0.0]
