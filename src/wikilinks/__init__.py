@@ -13,7 +13,7 @@ from .anchors import (
     build_eval_samples,
     build_title_map,
     normalize_pattern,
-    scan_candidates,
+    scan_corpus,
 )
 from .dataset import Dataset
 from .deepwalk import (

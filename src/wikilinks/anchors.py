@@ -244,31 +244,46 @@ def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, in
 
     Spans index the original text; overlapping matches are all reported.
     """
+    return _scan(anchor_map.automaton(), text)
+
+
+def _scan(matcher: _Matcher, text: str) -> list[tuple[str, tuple[int, int]]]:
+    """:func:`scan_text` with the map's matcher already fetched."""
     norm, starts, ends = normalize_text_with_map(text)
-    matches = [
-        (pattern, (starts[a], ends[b - 1]))
-        for a, b, pattern in anchor_map.automaton().find_all(norm)
-    ]
+    matches = [(pattern, (starts[a], ends[b - 1])) for a, b, pattern in matcher.find_all(norm)]
     matches.sort(key=lambda m: (m[1], m[0]))
     return matches
 
 
-def scan_candidates(anchor_map: AnchorMap, article: Article) -> list[CandidatePair]:
-    """Candidate links found by scanning one document against a map.
+def scan_corpus(
+    anchor_map: AnchorMap,
+    articles: Sequence[Article],
+    network: DocumentNetwork | None = None,
+) -> dict[int, list[CandidatePair]]:
+    """Candidate links of every document, keyed by document id, found by
+    scanning each abstract against a map and labeled against
+    ``network`` when given.
 
     Candidates aggregate per distinct target, keeping all matched
-    patterns and spans; self-pairs are removed. The result is sorted by
-    target id.
+    patterns and spans; self-pairs are removed. Each document's list is
+    sorted by target id. The matcher is fetched once for the corpus.
     """
-    return _candidate_pairs(anchor_map, article, None)
+    matcher = anchor_map.automaton()
+    return {
+        article.id: _candidate_pairs(anchor_map, matcher, article, network)
+        for article in articles
+    }
 
 
 def _candidate_pairs(
-    anchor_map: AnchorMap, article: Article, network: DocumentNetwork | None
+    anchor_map: AnchorMap,
+    matcher: _Matcher,
+    article: Article,
+    network: DocumentNetwork | None,
 ) -> list[CandidatePair]:
-    """:func:`scan_candidates`, labeled against ``network`` when given."""
+    """One document's candidates for :func:`scan_corpus`."""
     by_target: dict[int, list[tuple[str, tuple[int, int]]]] = {}
-    for pattern, span in scan_text(anchor_map, article.abstract):
+    for pattern, span in _scan(matcher, article.abstract):
         for target in anchor_map.patterns[pattern]:
             if target == article.id:
                 continue
@@ -297,4 +312,4 @@ def build_eval_samples(
     """
     if anchor_map.mode != "anchor":
         raise ValueError("evaluation samples require an anchor-mode map")
-    return {article.id: _candidate_pairs(anchor_map, article, network) for article in articles}
+    return scan_corpus(anchor_map, articles, network)

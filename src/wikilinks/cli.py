@@ -102,6 +102,8 @@ class PipelineConfig:
             raise InputError("external_methods must map method names to file paths")
         if self.data and not Path(self.data).exists():
             raise InputError(f"referenced path does not exist: {self.data}")
+        if self.out:
+            _output_directory(self.out)
         for name, path in self.external_methods.items():
             if not Path(path).exists():
                 raise InputError(f"external predictions for {name!r} missing: {path}")
@@ -146,6 +148,26 @@ def _validate_deepwalk(raw) -> None:
             _require_int(f"deepwalk.{name}", value, 1)
 
 
+def _output_directory(path) -> Path:
+    """An output directory that exists or can be made: the nearest part
+    of ``path`` that exists must be a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"output path is not a directory: {existing}")
+    return path
+
+
+def _output_file(path) -> Path:
+    """An output file in a directory that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise InputError(f"output file is a directory: {path}")
+    if not path.parent.is_dir():
+        raise InputError(f"output directory not found: {path.parent}")
+    return path
+
+
 def _open_dump(path: Path):
     if not path.exists():
         raise InputError(f"dump not found: {path}")
@@ -158,7 +180,7 @@ def _open_dump(path: Path):
 
 def cmd_ingest(args) -> int:
     counters: Counter = Counter()
-    out = Path(args.out)
+    out = _output_directory(args.out)
     with _open_dump(Path(args.dump)) as stream:
         try:
             articles, links = build_corpus(parse_dump(stream, counters), counters)
@@ -190,6 +212,7 @@ def _resolve_seed_article(dataset: Dataset, title: str) -> int:
 
 
 def cmd_subgraph(args) -> int:
+    out = _output_directory(args.out)
     dataset = _load_dataset(args.data)
     seed = _resolve_seed_article(dataset, args.seed_article)
     if args.k < 1:
@@ -212,7 +235,6 @@ def cmd_subgraph(args) -> int:
             Article(id=new, title=source.title, abstract=source.abstract,
                     aliases=set(source.aliases))
         )
-    out = Path(args.out)
     Dataset(name=out.name, articles=new_articles, network=subgraph).save(out)
     write_remap_tsv(out / "remap.tsv", old_to_new)
     print(f"articles: {subgraph.node_count}")
@@ -231,6 +253,8 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def cmd_dataset_stats(args) -> int:
+    if args.samples_out:
+        _output_file(args.samples_out)
     dataset = _load_dataset(args.data)
     samples = dataset.eval_samples()
     if args.samples_out:

@@ -21,7 +21,7 @@ from .anchors import (
     build_anchor_map,
     build_eval_samples,
     build_title_map,
-    scan_candidates,
+    scan_corpus,
 )
 from .graph import DocumentNetwork
 from .ingest import Article
@@ -152,9 +152,7 @@ class Dataset:
         """Title-map candidates per document (unlabeled)."""
         if self._title_candidates is None:
             title_map = build_title_map(self.articles)
-            self._title_candidates = {
-                article.id: scan_candidates(title_map, article) for article in self.articles
-            }
+            self._title_candidates = scan_corpus(title_map, self.articles)
         return self._title_candidates
 
     def resolve_title(self, title: str) -> int | None:

@@ -24,6 +24,9 @@ _LOG_FLOOR = 1e-12
 # arrays of a whole epoch cost too much memory; one walk at a time costs
 # too many small numpy calls.
 _BLOCK_WALKS = 64
+# Negative-sampling grid buckets per table entry, before rounding up to a
+# power of two: few draws land in a bucket that needs a binary search.
+_BUCKETS_PER_ENTRY = 16
 
 
 class UnsupportedModeError(RuntimeError):
@@ -89,7 +92,9 @@ def _center_gradients(
     g = expit(np.concatenate((contexts @ center, negatives @ center)))
     g[:n_contexts] -= 1.0
     grad_center = g[:n_contexts] @ contexts + g[n_contexts:] @ negatives
-    return grad_center, g[:, None] * center
+    # A k = 1 matrix product: the same single rounded product per cell as
+    # ``g[:, None] * center``, through BLAS.
+    return grad_center, np.dot(g[:, None], center[None, :])
 
 
 def generate_walks(
@@ -121,12 +126,38 @@ def generate_walks(
     return walks
 
 
+class _NegativeTable:
+    """``np.searchsorted(cumulative, draws)`` for draws in [0, 1), read
+    from a grid of equal buckets.
+
+    The grid has a power-of-two number of buckets, so a draw's bucket
+    ``floor(draw * buckets)`` and the bucket edges are exact. A bucket
+    that holds no table entry maps every draw in it to the same id, the
+    one searchsorted gives at its lower edge; draws in the few buckets
+    that hold an entry take searchsorted itself.
+    """
+
+    def __init__(self, cumulative: np.ndarray) -> None:
+        self._cumulative = cumulative
+        self._buckets = 1 << (_BUCKETS_PER_ENTRY * cumulative.size).bit_length()
+        edges = np.searchsorted(cumulative, np.arange(self._buckets + 1) / self._buckets)
+        self._first = edges[:-1]
+        self._holds_entry = edges[1:] != edges[:-1]
+
+    def lookup(self, draws: np.ndarray) -> np.ndarray:
+        bucket = (draws * self._buckets).astype(np.intp)
+        ids = self._first[bucket]
+        mixed = self._holds_entry[bucket]
+        ids[mixed] = np.searchsorted(self._cumulative, draws[mixed])
+        return ids
+
+
 def _block_windows(
     centers: np.ndarray,
     lengths: np.ndarray,
     window: int,
     negatives: int,
-    cumulative: np.ndarray,
+    table: _NegativeTable,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Context windows and negatives of every position in a block of
@@ -148,7 +179,7 @@ def _block_windows(
     inside = (neighbor >= walk_start[:, None]) & (neighbor < walk_end[:, None])
     contexts = centers[neighbor[inside]]
     n_contexts = inside.sum(axis=1)
-    drawn = np.searchsorted(cumulative, rng.random((contexts.size, negatives)))
+    drawn = table.lookup(rng.random((contexts.size, negatives)))
 
     owner_first = np.repeat(np.cumsum(n_contexts) - n_contexts, n_contexts)
     owner_count = np.repeat(n_contexts, n_contexts)
@@ -194,7 +225,7 @@ def fit_deepwalk(
 
     # Negative-sampling table over node frequencies in the walks.
     weights = np.bincount(centers, minlength=network.node_count).astype(float) ** 0.75
-    cumulative = np.cumsum(weights / weights.sum())
+    table = _NegativeTable(np.cumsum(weights / weights.sum()))
 
     k = params.negatives
     flat_context = context_vectors.reshape(-1)
@@ -206,7 +237,7 @@ def fit_deepwalk(
         start, stop = walk_bounds[first], walk_bounds[last]
         block = centers[start:stop]
         n_contexts, ids = _block_windows(
-            block, lengths[first:last], params.window, k, cumulative, rng
+            block, lengths[first:last], params.window, k, table, rng
         )
         rates = params.learning_rate * np.maximum(
             1e-4, 1.0 - np.arange(start, stop) / centers.size

@@ -1,9 +1,10 @@
 """Text embeddings by latent semantic analysis.
 
 TF-IDF document vectors factored with a truncated SVD: small matrices
-take an exact dense decomposition, large ones a seeded randomized
-subspace iteration. New text folds into the fitted space by projecting
-its TF-IDF vector through the right singular vectors (q @ V, without
+take an exact decomposition, the top eigenpairs of the Gram matrix of
+their smaller side, and large ones a seeded randomized subspace
+iteration. New text folds into the fitted space by projecting its
+TF-IDF vector through the right singular vectors (q @ V, without
 inverse-sigma scaling), which keeps fold-in vectors on the same scale
 as the stored document embeddings U * sigma.
 """
@@ -13,11 +14,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-# Above this many cells the exact dense SVD gives way to the randomized path.
+# Above this many cells the exact Gram decomposition gives way to the randomized path.
 _DENSE_CELL_LIMIT = 2_000_000
 
 _RANDOMIZED_OVERSAMPLES = 10
@@ -58,31 +60,25 @@ def build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocabulary]:
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    df: Counter[str] = Counter()
-    for tokens in corpus:
-        df.update(set(tokens))
-    if not df:
+    token_list = sorted(set(chain.from_iterable(corpus)))
+    if not token_list:
         raise ValueError("corpus contains no tokens")
-    token_list = tuple(sorted(df))
     index = {token: i for i, token in enumerate(token_list)}
-    df_arr = np.array([df[token] for token in token_list], dtype=float)
+    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=len(corpus))
+    cols = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(corpus)), dtype=np.intp, count=int(lengths.sum())
+    )
+    rows = np.repeat(np.arange(len(corpus)), lengths)
+    # The COO-to-CSR conversion sums duplicate cells into raw counts.
+    matrix = sp.csr_matrix(
+        (np.ones(cols.size), (rows, cols)), shape=(len(corpus), len(token_list))
+    )
     vocabulary = Vocabulary(
         index=index,
-        document_frequency=df_arr,
+        document_frequency=np.bincount(matrix.indices, minlength=len(token_list)).astype(float),
         corpus_size=len(corpus),
     )
-    idf = vocabulary.idf()
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for row, tokens in enumerate(corpus):
-        for token, count in Counter(tokens).items():
-            col = index[token]
-            rows.append(row)
-            cols.append(col)
-            vals.append(count * idf[col])
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(corpus), len(token_list)))
+    matrix.data *= vocabulary.idf()[matrix.indices]
     matrix.eliminate_zeros()
     return matrix, vocabulary
 
@@ -127,6 +123,33 @@ def _randomized_svd(
     return (q @ ub)[:, :d], s[:d], vt[:d]
 
 
+def _gram_svd(matrix, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-d singular triplets from the eigendecomposition of the
+    Gram matrix of the smaller side: A Aᵀ for wide matrices, AᵀA for
+    tall ones.
+
+    The eigenvalues are the squared singular values and the eigenvectors
+    one side's singular vectors; the other side is Aᵀu/σ (or Av/σ).
+    Eigenvalues at or below max(shape) * eps * λ_max are below what the
+    Gram matrix resolves and count as zero, so fewer than d triplets
+    come back when the matrix has lower numerical rank. Largest first.
+    """
+    n_rows, n_cols = matrix.shape
+    short = matrix if n_rows <= n_cols else matrix.T
+    # Sparse times dense adds the same products in the same order as the
+    # sparse product A Aᵀ, so the cells are equal, at half its cost.
+    gram = short @ (short.T.toarray() if sp.issparse(short) else short.T)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
+    cutoff = max(n_rows, n_cols) * np.finfo(float).eps * max(eigenvalues[-1], 0.0)
+    rank = min(d, int(np.count_nonzero(eigenvalues > cutoff)))
+    s = np.sqrt(eigenvalues[::-1][:rank])
+    vectors = eigenvectors[:, ::-1][:, :rank]
+    recovered = (short.T @ vectors) / s
+    if short is matrix:
+        return vectors, s, recovered.T
+    return recovered, s, vectors.T
+
+
 def fit_lsa(
     matrix,
     d: int = 512,
@@ -136,10 +159,11 @@ def fit_lsa(
 ) -> LsaModel:
     """Rank-d truncated SVD of a (sparse) document-term matrix.
 
-    ``method`` picks the decomposition: "dense" (exact), "randomized",
-    or "auto" (dense below a size cutoff). When d exceeds the number of
-    available singular values, the extra dimensions are zero-padded so
-    embeddings keep a fixed width.
+    ``method`` picks the decomposition: "dense" (exact, through the Gram
+    matrix of the smaller side), "randomized", or "auto" (dense below a
+    size cutoff). When d exceeds the number of available singular
+    values, the extra dimensions are zero-padded so embeddings keep a
+    fixed width; singular values too small to resolve are zero as well.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
@@ -150,9 +174,9 @@ def fit_lsa(
         method = "dense" if n_rows * n_cols <= _DENSE_CELL_LIMIT else "randomized"
 
     if method == "dense":
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        u, s, vt = u[:, :d], s[:d], vt[:d]
+        if not sp.issparse(matrix):
+            matrix = np.asarray(matrix, dtype=float)
+        u, s, vt = _gram_svd(matrix, d)
     else:
         u, s, vt = _randomized_svd(matrix, d, seed)
 

@@ -15,7 +15,7 @@ from wikilinks.anchors import (
     build_title_map,
     normalize_pattern,
     normalize_text_with_map,
-    scan_candidates,
+    scan_corpus,
     scan_text,
 )
 from wikilinks.graph import DocumentNetwork
@@ -313,24 +313,24 @@ class TestScanCandidates:
     def test_figure_style_candidate(self):
         anchor_map = _map({"political": {3}}, 4)
         article = _article(0, "A political crisis unfolded.")
-        pairs = scan_candidates(anchor_map, article)
+        pairs = scan_corpus(anchor_map, [article])[0]
         assert len(pairs) == 1
         assert pairs[0].target == 3
         assert pairs[0].matched[0][0] == "political"
 
     def test_empty_abstract(self):
         anchor_map = _map({"x": {1}}, 2)
-        assert scan_candidates(anchor_map, _article(0, "")) == []
+        assert scan_corpus(anchor_map, [_article(0, "")]) == {0: []}
 
     def test_self_pairs_removed(self):
         anchor_map = _map({"myself": {0, 1}}, 2)
-        pairs = scan_candidates(anchor_map, _article(0, "all about myself"))
+        pairs = scan_corpus(anchor_map, [_article(0, "all about myself")])[0]
         assert [p.target for p in pairs] == [1]
 
     def test_aggregates_per_target_with_all_matches(self):
         anchor_map = _map({"american": {1}, "american civil war": {1, 2}}, 3)
         article = _article(0, "the american civil war began")
-        pairs = scan_candidates(anchor_map, article)
+        pairs = scan_corpus(anchor_map, [article])[0]
         assert [p.target for p in pairs] == [1, 2]
         by_target = {p.target: p for p in pairs}
         assert by_target[1].anchor_texts() == ("american", "american civil war")
@@ -339,7 +339,7 @@ class TestScanCandidates:
     def test_span_substring_normalizes_to_pattern(self):
         anchor_map = _map({"federal government": {1}}, 2)
         article = _article(0, "The Federal  Government acted swiftly.")
-        (pair,) = scan_candidates(anchor_map, article)
+        (pair,) = scan_corpus(anchor_map, [article])[0]
         for pattern, (start, end) in pair.matched:
             assert normalize_pattern(article.abstract[start:end]) == pattern
 

@@ -388,6 +388,49 @@ def test_removed_config_fields_are_unknown_keys(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
 
 
+class TestUnusableOutputPath:
+    """An output path that cannot be written exits 2 with one line before
+    the command reads its input, and leaves what is there untouched."""
+
+    @pytest.fixture()
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("keep\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _exits_2(argv, capsys, needle):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_ingest_out_under_a_file(self, tmp_path, tiny_dump_file, blocker, capsys):
+        for out in (blocker, blocker / "sub"):
+            argv = ["ingest", "--dump", str(tiny_dump_file), "--out", str(out)]
+            self._exits_2(argv, capsys, f"output path is not a directory: {blocker}")
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_subgraph_out_is_a_file(self, tiny_data_dir, blocker, capsys):
+        argv = ["subgraph", "--data", str(tiny_data_dir), "--seed-article", "Abraham Lincoln",
+                "--k", "3", "--out", str(blocker)]
+        self._exits_2(argv, capsys, f"output path is not a directory: {blocker}")
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_dataset_stats_samples_out_in_missing_directory(self, tmp_path, tiny_data_dir, capsys):
+        samples = tmp_path / "nodir" / "s.tsv"
+        argv = ["dataset-stats", "--data", str(tiny_data_dir), "--samples-out", str(samples)]
+        self._exits_2(argv, capsys, f"output directory not found: {samples.parent}")
+        assert capsys.readouterr().out == ""
+        assert not samples.parent.exists()
+
+    def test_eval_out_is_a_file(self, tmp_path, planted_data_dir, blocker, capsys):
+        config = _eval_config(tmp_path, planted_data_dir)
+        self._exits_2(["eval", "--config", config, "--out", str(blocker)], capsys,
+                      f"output path is not a directory: {blocker}")
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         for args in (["--help"], ["ingest", "--help"], ["eval", "--help"]):

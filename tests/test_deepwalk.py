@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from wikilinks.deepwalk import (
     _BLOCK_WALKS,
     DeepWalkParams,
     UnsupportedModeError,
     _center_gradients,
+    _NegativeTable,
     fit_deepwalk,
     generate_walks,
     score_deepwalk,
@@ -93,6 +95,57 @@ class TestSgnsGradients:
             first = contexts_n + c * k
             assert np.allclose(g_rows[first : first + k], gn)
         assert np.allclose(g_center, expected_center)
+
+
+    def test_gradient_rows_are_the_elementwise_outer_product(self):
+        # The reference loop below calls the same helper, so its rows are
+        # checked here against the broadcast product, bit for bit.
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            d = int(rng.integers(1, 80))
+            n = int(rng.integers(1, 12))
+            k = int(rng.integers(0, 7))
+            center = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3)
+            rows = rng.standard_normal((n * (1 + k), d))
+            _, g_rows = _center_gradients(center, rows, n)
+            g = expit(np.concatenate((rows[:n] @ center, rows[n:] @ center)))
+            g[:n] -= 1.0
+            assert np.array_equal(g_rows, g[:, None] * center)
+
+
+class TestNegativeTable:
+    @staticmethod
+    def _check(cumulative, draws):
+        got = _NegativeTable(cumulative).lookup(draws)
+        assert np.array_equal(got, np.searchsorted(cumulative, draws))
+
+    def test_zero_weight_nodes_repeat_table_entries(self):
+        weights = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0]) ** 0.75
+        cumulative = np.cumsum(weights / weights.sum())
+        rng = np.random.default_rng(16)
+        self._check(cumulative, rng.random((2000, 5)))
+        # Draws on the repeated entries and on every table entry.
+        self._check(cumulative, np.concatenate((cumulative[cumulative < 1.0], [0.0])))
+
+    def test_first_and_last_buckets(self):
+        rng = np.random.default_rng(17)
+        weights = rng.random(50) ** 3
+        cumulative = np.cumsum(weights / weights.sum())
+        table = _NegativeTable(cumulative)
+        width = 1.0 / table._buckets
+        draws = np.array([0.0, width / 2, np.nextafter(width, 0.0), width,
+                          1.0 - width, np.nextafter(1.0 - width, 0.0), np.nextafter(1.0, 0.0)])
+        self._check(cumulative, draws)
+
+    def test_random_tables_and_draws(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            weights = rng.random(n) ** 4 * (rng.random(n) < 0.7)
+            weights[int(rng.integers(n))] += 1.0
+            cumulative = np.cumsum(weights / weights.sum())
+            draws = np.concatenate((rng.random(500), cumulative[rng.integers(0, n, 20)]))
+            self._check(cumulative, draws[draws < 1.0])
 
 
 def reference_fit(network, params, seed, nodes=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wikilinks.predictors as predictors
-from wikilinks.anchors import AnchorMap, CandidatePair, build_anchor_map, scan_candidates
+from wikilinks.anchors import AnchorMap, CandidatePair, build_anchor_map, scan_corpus
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
 from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
@@ -106,7 +106,7 @@ class TestPredictAt:
     def test_absent_patterns_predict_zero(self):
         anchor_map = _map({"missing phrase": {1}}, 2)
         ctx = SimpleNamespace(
-            candidates={0: scan_candidates(anchor_map, _article(0, "unrelated text"))}
+            candidates=scan_corpus(anchor_map, [_article(0, "unrelated text")])
         )
         assert _at_scores("at_anchor", ctx, [(0, 1)]) == [0.0]
 
@@ -118,8 +118,8 @@ class TestPredictAt:
         title_map = _map({"politics": {1}}, 2, mode="title")
         anchor_map = _map({"political": {1}}, 2, mode="anchor")
         ctx = SimpleNamespace(
-            candidates={0: scan_candidates(anchor_map, article)},
-            title_candidates={0: scan_candidates(title_map, article)},
+            candidates=scan_corpus(anchor_map, [article]),
+            title_candidates=scan_corpus(title_map, [article]),
         )
         assert _at_scores("at_title", ctx, [(0, 1)]) == [0.0]
         assert _at_scores("at_anchor", ctx, [(0, 1)]) == [1.0]
