@@ -14,7 +14,6 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import DocumentNetwork
 from .lsa import row_cosines
@@ -53,6 +52,21 @@ class DeepWalkModel:
     trained_nodes: frozenset[int] = field(default_factory=frozenset)
 
 
+def expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x). e^-x overflows to inf for x
+    below about -709, which gives the exact limit 0; numpy's overflow
+    warning is silenced."""
+    with np.errstate(over="ignore"):
+        return _expit(x)
+
+
+def _expit(x):
+    """:func:`expit` for callers that silence overflow themselves: the
+    SGD epoch calls the sigmoid once per position, and entering
+    ``np.errstate`` each time costs more than the sigmoid."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sgns_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
     """Negative-sampling loss for one (center, context, negatives) triple:
     -log s(u_o . v_c) - sum_k log s(-u_k . v_c)."""
@@ -86,10 +100,11 @@ def _center_gradients(
     of ``rows``. Equals the sum of :func:`sgns_gradients` over the
     (context, negatives) triples evaluated at the same parameters. The
     context and negative dot products stay separate: one fused product
-    rounds differently.
+    rounds differently. Overflow in the sigmoid is the caller's to
+    silence.
     """
     contexts, negatives = rows[:n_contexts], rows[n_contexts:]
-    g = expit(np.concatenate((contexts @ center, negatives @ center)))
+    g = _expit(np.concatenate((contexts @ center, negatives @ center)))
     g[:n_contexts] -= 1.0
     grad_center = g[:n_contexts] @ contexts + g[n_contexts:] @ negatives
     # A k = 1 matrix product: the same single rounded product per cell as
@@ -232,30 +247,31 @@ def fit_deepwalk(
     # Flat index of every context_vectors entry, gathered by row ids.
     flat_index = np.arange(context_vectors.size).reshape(context_vectors.shape)
     walk_bounds = np.concatenate(([0], np.cumsum(lengths)))
-    for first in range(0, len(lengths), _BLOCK_WALKS):
-        last = min(first + _BLOCK_WALKS, len(lengths))
-        start, stop = walk_bounds[first], walk_bounds[last]
-        block = centers[start:stop]
-        n_contexts, ids = _block_windows(
-            block, lengths[first:last], params.window, k, table, rng
-        )
-        rates = params.learning_rate * np.maximum(
-            1e-4, 1.0 - np.arange(start, stop) / centers.size
-        )
-        segment_ends = np.cumsum(n_contexts) * (1 + k)
-        for center, n, end, lr in zip(
-            block.tolist(), n_contexts.tolist(), segment_ends.tolist(), rates.tolist()
-        ):
-            if not n:
-                continue
-            row_ids = ids[end - n * (1 + k) : end]
-            v = node_vectors[center]
-            # grad_rows is built from v before v's row is overwritten.
-            grad_center, grad_rows = _center_gradients(v, context_vectors[row_ids], n)
-            node_vectors[center] = v - lr * grad_center
-            # A 1-D ufunc.at over flat indices applies the row updates in
-            # the same order as a 2-D one, at a fraction of its cost.
-            np.subtract.at(flat_context, flat_index[row_ids].ravel(), (lr * grad_rows).ravel())
+    with np.errstate(over="ignore"):  # for the sigmoid in _center_gradients
+        for first in range(0, len(lengths), _BLOCK_WALKS):
+            last = min(first + _BLOCK_WALKS, len(lengths))
+            start, stop = walk_bounds[first], walk_bounds[last]
+            block = centers[start:stop]
+            n_contexts, ids = _block_windows(
+                block, lengths[first:last], params.window, k, table, rng
+            )
+            rates = params.learning_rate * np.maximum(
+                1e-4, 1.0 - np.arange(start, stop) / centers.size
+            )
+            segment_ends = np.cumsum(n_contexts) * (1 + k)
+            for center, n, end, lr in zip(
+                block.tolist(), n_contexts.tolist(), segment_ends.tolist(), rates.tolist()
+            ):
+                if not n:
+                    continue
+                row_ids = ids[end - n * (1 + k) : end]
+                v = node_vectors[center]
+                # grad_rows is built from v before v's row is overwritten.
+                grad_center, grad_rows = _center_gradients(v, context_vectors[row_ids], n)
+                node_vectors[center] = v - lr * grad_center
+                # A 1-D ufunc.at over flat indices applies the row updates in
+                # the same order as a 2-D one, at a fraction of its cost.
+                np.subtract.at(flat_context, flat_index[row_ids].ravel(), (lr * grad_rows).ravel())
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,

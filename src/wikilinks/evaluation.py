@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -411,7 +412,8 @@ def run_eval(
     method scores the identical test pairs of a split. Metrics aggregate
     as mean and sample standard deviation across runs. Per-run split
     files are persisted under ``out_dir/splits`` when a directory is
-    given, and their content hashes always land in the report. A method
+    given, replacing whatever an earlier evaluation left there, and
+    their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
     skipped by contract.
@@ -422,6 +424,9 @@ def run_eval(
     resolved = [make_method(m) for m in methods]
 
     from .dataset import write_links_tsv  # local import to avoid a cycle
+
+    if out_dir is not None and (Path(out_dir) / "splits").is_dir():
+        shutil.rmtree(Path(out_dir) / "splits")
 
     per_method: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
     failures: list[EvalFailure] = []

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lsa import tokenize
 
@@ -155,15 +154,10 @@ def personalized_pagerank(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    out_degree = np.zeros(n, dtype=float)
-    for source, _ in network.edges():
-        out_degree[source] += 1.0
-    rows, cols, vals = [], [], []
-    for source, target in network.edges():
-        rows.append(target)
-        cols.append(source)
-        vals.append(1.0 / out_degree[source])
-    transition_t = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    edges = np.array(list(network.edges()), dtype=np.intp).reshape(-1, 2)
+    sources, targets = edges[:, 0], edges[:, 1]
+    out_degree = np.bincount(sources, minlength=n).astype(float)
+    weights = 1.0 / out_degree[sources]
     dangling = out_degree == 0.0
 
     x = np.zeros(n)
@@ -171,7 +165,10 @@ def personalized_pagerank(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        nxt = damping * (transition_t @ x)
+        # The transposed transition matrix times x. Edges come sorted by
+        # source, so each target sums its terms in ascending source order,
+        # as a CSR row of that matrix would.
+        nxt = damping * np.bincount(targets, weights=weights * x[sources], minlength=n)
         nxt[seed] += damping * x[dangling].sum() + (1.0 - damping)
         delta = np.abs(nxt - x).sum()
         x = nxt

@@ -305,8 +305,9 @@ def render_abstract(
         if start == -1:
             plain.append(text[i:])
             break
-        plain.append(text[i:start])
-        out_len += start - i
+        if start > i:
+            plain.append(text[i:start])
+            out_len += start - i
         end = text.find("]]", start + 2)
         nested = text.find("[[", start + 2)
         if end == -1 or (nested != -1 and nested < end):
@@ -332,6 +333,13 @@ def render_abstract(
             if piped:
                 plain.append(rendered)
                 out_len += len(rendered)
+            elif not plain or plain[-1].endswith(" "):
+                # Nothing rendered: keep one of the two spaces that now
+                # meet, and none at the edges of the text.
+                if text.startswith(" ", i):
+                    i += 1
+                elif i == n and plain:
+                    plain[-1] = plain[-1][:-1]
             continue
         occurrences.append(
             AnchorOccurrence(

@@ -1,12 +1,13 @@
 """Text embeddings by latent semantic analysis.
 
-TF-IDF document vectors factored with a truncated SVD: small matrices
-take an exact decomposition, the top eigenpairs of the Gram matrix of
-their smaller side, and large ones a seeded randomized subspace
-iteration. New text folds into the fitted space by projecting its
-TF-IDF vector through the right singular vectors (q @ V, without
-inverse-sigma scaling), which keeps fold-in vectors on the same scale
-as the stored document embeddings U * sigma.
+TF-IDF document vectors, held in compressed sparse rows, factored with
+a truncated SVD: small matrices take an exact decomposition, the top
+eigenpairs of the Gram matrix of their smaller side, and large ones a
+seeded randomized subspace iteration over dense row blocks. New text
+folds into the fitted space by projecting its TF-IDF vector through the
+right singular vectors (q @ V, without inverse-sigma scaling), which
+keeps fold-in vectors on the same scale as the stored document
+embeddings U * sigma.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
-# Above this many cells the exact Gram decomposition gives way to the randomized path.
+# Above this many cells the exact Gram decomposition gives way to the
+# randomized path, which densifies row blocks of at most this many cells.
 _DENSE_CELL_LIMIT = 2_000_000
 
 _RANDOMIZED_OVERSAMPLES = 10
@@ -52,7 +53,28 @@ class Vocabulary:
         return np.log(self.corpus_size / self.document_frequency)
 
 
-def build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocabulary]:
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse rows: the cells of row i are
+    ``data[indptr[i]:indptr[i + 1]]``, at the columns in the same slice
+    of ``indices``, ascending."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def toarray(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows ``start`` to ``stop`` (all rows by default) as a dense array."""
+        stop = self.shape[0] if stop is None else stop
+        first, last = self.indptr[start], self.indptr[stop]
+        dense = np.zeros((stop - start, self.shape[1]))
+        rows = np.repeat(np.arange(stop - start), np.diff(self.indptr[start : stop + 1]))
+        dense[rows, self.indices[first:last]] = self.data[first:last]
+        return dense
+
+
+def build_tfidf(corpus: list[list[str]]) -> tuple[CsrMatrix, Vocabulary]:
     """Sparse document-term matrix with raw-count tf and ln(N/df) idf.
 
     Cells are tf * idf, so tokens appearing in every document vanish
@@ -64,22 +86,29 @@ def build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocabulary]:
     if not token_list:
         raise ValueError("corpus contains no tokens")
     index = {token: i for i, token in enumerate(token_list)}
-    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=len(corpus))
+    n_docs, n_terms = len(corpus), len(token_list)
+    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=n_docs)
     cols = np.fromiter(
         map(index.__getitem__, chain.from_iterable(corpus)), dtype=np.intp, count=int(lengths.sum())
     )
-    rows = np.repeat(np.arange(len(corpus)), lengths)
-    # The COO-to-CSR conversion sums duplicate cells into raw counts.
-    matrix = sp.csr_matrix(
-        (np.ones(cols.size), (rows, cols)), shape=(len(corpus), len(token_list))
-    )
+    rows = np.repeat(np.arange(n_docs), lengths)
+    # One key per (row, column) cell, sorted row by row and column by
+    # column; its count is the raw term count.
+    cells, counts = np.unique(rows * n_terms + cols, return_counts=True)
+    rows, cols = np.divmod(cells, n_terms)
     vocabulary = Vocabulary(
         index=index,
-        document_frequency=np.bincount(matrix.indices, minlength=len(token_list)).astype(float),
-        corpus_size=len(corpus),
+        document_frequency=np.bincount(cols, minlength=n_terms).astype(float),
+        corpus_size=n_docs,
     )
-    matrix.data *= vocabulary.idf()[matrix.indices]
-    matrix.eliminate_zeros()
+    data = counts * vocabulary.idf()[cols]
+    kept = data != 0.0
+    matrix = CsrMatrix(
+        data=data[kept],
+        indices=cols[kept],
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n_docs)))),
+        shape=(n_docs, n_terms),
+    )
     return matrix, vocabulary
 
 
@@ -101,8 +130,34 @@ class LsaModel:
     vocabulary: Vocabulary | None = None
 
 
+def _row_blocks(matrix: CsrMatrix | np.ndarray):
+    """(first row, dense rows) of consecutive row blocks of at most
+    ``_DENSE_CELL_LIMIT`` cells, one row at least."""
+    n_rows, n_cols = matrix.shape
+    step = max(1, _DENSE_CELL_LIMIT // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        if isinstance(matrix, CsrMatrix):
+            yield start, matrix.toarray(start, stop)
+        else:
+            yield start, matrix[start:stop]
+
+
+def _times(matrix: CsrMatrix | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ X, one dense row block at a time."""
+    return np.vstack([block @ x for _, block in _row_blocks(matrix)])
+
+
+def _transposed_times(matrix: CsrMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Aᵀ @ Y, summed over dense row blocks."""
+    total = np.zeros((matrix.shape[1], y.shape[1]))
+    for start, block in _row_blocks(matrix):
+        total += block.T @ y[start : start + len(block)]
+    return total
+
+
 def _randomized_svd(
-    matrix, d: int, seed: int, oversamples: int = _RANDOMIZED_OVERSAMPLES,
+    matrix: CsrMatrix | np.ndarray, d: int, seed: int, oversamples: int = _RANDOMIZED_OVERSAMPLES,
     power_iters: int = _RANDOMIZED_POWER_ITERS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Halko-style randomized range finder with subspace power iteration.
@@ -114,16 +169,16 @@ def _randomized_svd(
     n_rows, n_cols = matrix.shape
     k = min(d + oversamples, n_rows, n_cols)
     omega = rng.standard_normal((n_cols, k))
-    q, _ = np.linalg.qr(matrix @ omega)
+    q, _ = np.linalg.qr(_times(matrix, omega))
     for _ in range(power_iters):
-        z, _ = np.linalg.qr(matrix.T @ q)
-        q, _ = np.linalg.qr(matrix @ z)
-    b = (matrix.T @ q).T
+        z, _ = np.linalg.qr(_transposed_times(matrix, q))
+        q, _ = np.linalg.qr(_times(matrix, z))
+    b = _transposed_times(matrix, q).T
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :d], s[:d], vt[:d]
 
 
-def _gram_svd(matrix, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gram_svd(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-d singular triplets from the eigendecomposition of the
     Gram matrix of the smaller side: A Aᵀ for wide matrices, AᵀA for
     tall ones.
@@ -136,9 +191,7 @@ def _gram_svd(matrix, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     n_rows, n_cols = matrix.shape
     short = matrix if n_rows <= n_cols else matrix.T
-    # Sparse times dense adds the same products in the same order as the
-    # sparse product A Aᵀ, so the cells are equal, at half its cost.
-    gram = short @ (short.T.toarray() if sp.issparse(short) else short.T)
+    gram = short @ short.T
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
     cutoff = max(n_rows, n_cols) * np.finfo(float).eps * max(eigenvalues[-1], 0.0)
     rank = min(d, int(np.count_nonzero(eigenvalues > cutoff)))
@@ -151,32 +204,35 @@ def _gram_svd(matrix, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fit_lsa(
-    matrix,
+    matrix: CsrMatrix | np.ndarray,
     d: int = 512,
     seed: int = 0,
     vocabulary: Vocabulary | None = None,
     method: str = "auto",
 ) -> LsaModel:
-    """Rank-d truncated SVD of a (sparse) document-term matrix.
+    """Rank-d truncated SVD of a document-term matrix, sparse (from
+    :func:`build_tfidf`) or dense.
 
     ``method`` picks the decomposition: "dense" (exact, through the Gram
-    matrix of the smaller side), "randomized", or "auto" (dense below a
-    size cutoff). When d exceeds the number of available singular
-    values, the extra dimensions are zero-padded so embeddings keep a
-    fixed width; singular values too small to resolve are zero as well.
+    matrix of the densified smaller side), "randomized", or "auto"
+    (dense up to ``_DENSE_CELL_LIMIT`` cells). When d exceeds the number
+    of available singular values, the extra dimensions are zero-padded
+    so embeddings keep a fixed width; singular values too small to
+    resolve are zero as well.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
     if method not in ("auto", "dense", "randomized"):
         raise ValueError(f"unknown SVD method {method!r}")
+    if not isinstance(matrix, CsrMatrix):
+        matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
     if method == "auto":
         method = "dense" if n_rows * n_cols <= _DENSE_CELL_LIMIT else "randomized"
 
     if method == "dense":
-        if not sp.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=float)
-        u, s, vt = _gram_svd(matrix, d)
+        dense = matrix.toarray() if isinstance(matrix, CsrMatrix) else matrix
+        u, s, vt = _gram_svd(dense, d)
     else:
         u, s, vt = _randomized_svd(matrix, d, seed)
 

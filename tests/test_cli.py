@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import bz2
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +239,15 @@ class TestEvalCommand:
         # under splits/ for each of two runs and two modes.
         assert len(files) == 2 + 2 * 2 * 2
         assert written(out_b) == files
+
+    def test_rerun_with_fewer_runs_leaves_no_stale_splits(self, tmp_path, planted_data_dir):
+        out = tmp_path / "results"
+        config = _eval_config(tmp_path, planted_data_dir, out=str(out))
+        assert main(["eval", "--config", config, "--runs", "4"]) == EXIT_OK
+        assert main(["eval", "--config", config, "--runs", "2"]) == EXIT_OK
+        assert sorted(p.name for p in (out / "splits").iterdir()) == ["run_0", "run_1"]
+        report = json.loads((out / "report.json").read_text())
+        assert {record["runs"] for record in report} == {2}
 
     def test_full_method_set_and_modes(self, tmp_path, planted_data_dir):
         out = tmp_path / "full"
@@ -495,3 +509,31 @@ class TestEvalPartialFailure:
         report = json.loads((out / "report.json").read_text())
         assert any(r.get("method") == "random" and "auc_mean" in r for r in report)
         assert any(r.get("method") == "lsa" and "error" in r for r in report)
+
+
+def test_package_and_cli_run_without_scipy():
+    # A fresh interpreter: the test session itself imports scipy for its oracles.
+    script = textwrap.dedent(
+        """
+        import pkgutil, runpy, sys
+        import wikilinks
+        for module in pkgutil.iter_modules(wikilinks.__path__):
+            if module.name != "__main__":
+                __import__("wikilinks." + module.name)
+        sys.argv = ["wikilinks", "--help"]
+        try:
+            runpy.run_module("wikilinks", run_name="__main__")
+        except SystemExit as done:
+            assert done.code == 0, done.code
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout
+    assert result.stdout.splitlines()[-1] == "[]"

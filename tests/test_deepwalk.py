@@ -1,11 +1,14 @@
-"""SGNS gradients vs finite differences, walks, clique separation, and
-the blocked SGD epoch against the per-position reference loop."""
+"""The sigmoid vs scipy's, SGNS gradients vs finite differences, walks,
+clique separation, and the blocked SGD epoch against the per-position
+reference loop."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit
+import scipy.special
 
 from wikilinks.deepwalk import (
     _BLOCK_WALKS,
@@ -13,6 +16,7 @@ from wikilinks.deepwalk import (
     UnsupportedModeError,
     _center_gradients,
     _NegativeTable,
+    expit,
     fit_deepwalk,
     generate_walks,
     score_deepwalk,
@@ -62,6 +66,25 @@ def _two_cliques_with_bridge(size: int = 4) -> DocumentNetwork:
     return DocumentNetwork.from_links(2 * size, links)
 
 
+class TestExpit:
+    def test_within_rounding_of_scipy_and_silent(self):
+        limits = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+        grid = np.concatenate((np.linspace(-800.0, 800.0, 400_001), limits))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(grid)
+            scalars = [expit(x) for x in limits]
+        want = scipy.special.expit(grid)
+        # numpy's exp and the C library's each round within one unit in the
+        # last place, so each sigmoid is within 2 eps of the exact value
+        # (one more rounding for the sum, one for the quotient); results
+        # below the normal range keep an absolute error of a subnormal step.
+        tiny = np.finfo(float).smallest_subnormal
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=2 * tiny)
+        assert got[-len(limits):].tolist() == want[-len(limits):].tolist()
+        assert scalars == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+
+
 class TestSgnsGradients:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -107,7 +130,8 @@ class TestSgnsGradients:
             k = int(rng.integers(0, 7))
             center = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3)
             rows = rng.standard_normal((n * (1 + k), d))
-            _, g_rows = _center_gradients(center, rows, n)
+            with np.errstate(over="ignore"):
+                _, g_rows = _center_gradients(center, rows, n)
             g = expit(np.concatenate((rows[:n] @ center, rows[n:] @ center)))
             g[:n] -= 1.0
             assert np.array_equal(g_rows, g[:, None] * center)

@@ -252,7 +252,24 @@ class TestExtractWikilinks:
     def test_namespace_links_dropped(self):
         plain, occs = render_abstract("a [[Category:X]] b [[wikt:word|word]] c", 0)
         assert occs == []
-        assert plain == "a  b word c"
+        assert plain == "a b word c"
+
+    @pytest.mark.parametrize(
+        ("wikitext", "expected"),
+        [
+            ("a [[Category:X]] b", "a b"),
+            ("stub [[Category:X]]", "stub"),
+            ("x [[#Sec]] y", "x y"),
+            ("[[Category:X]] lead", "lead"),
+            ("a [[Category:X]] [[Category:Y]] b", "a b"),
+            ("see [[Category:X]] [[Lincoln|him]] and [[wikt:y]]", "see him and"),
+        ],
+    )
+    def test_dropped_link_leaves_no_double_or_edge_space(self, wikitext, expected):
+        plain, occs = render_abstract(extract_abstract(wikitext), 0)
+        assert plain == expected
+        for occ in occs:
+            assert plain[occ.span[0] : occ.span[1]] == occ.anchor_text
 
     def test_unclosed_link_is_literal(self):
         counters: Counter = Counter()

@@ -1,6 +1,6 @@
 """Tokenizer, TF-IDF, truncated SVD vs a dense oracle, fold-in, cosine,
 and the Gram-matrix fit and vectorized TF-IDF against the SVD and
-per-token loops they replaced."""
+per-token scipy loops they replaced."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from wikilinks import lsa
 from wikilinks.lsa import (
+    CsrMatrix,
     LsaModel,
     Vocabulary,
     build_tfidf,
@@ -65,7 +67,8 @@ def reference_build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocab
 def reference_fit_lsa(matrix, d: int, vocabulary: Vocabulary | None = None) -> LsaModel:
     """The dense path that ``fit_lsa`` replaced: every singular triplet
     of the densified matrix, the top d kept, zero-padded past the rank."""
-    u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
+    dense = matrix.toarray() if isinstance(matrix, CsrMatrix) else matrix
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
     u, s, vt = u[:, :d], s[:d], vt[:d]
     pad = d - len(s)
     u = np.hstack([u, np.zeros((u.shape[0], pad))])
@@ -110,11 +113,11 @@ class TestBuildTfidf:
     def test_token_in_every_document_vanishes(self):
         matrix, vocab = build_tfidf([["common", "alpha"], ["common", "beta"]])
         col = vocab.index["common"]
-        assert matrix[:, col].nnz == 0
+        assert not matrix.toarray()[:, col].any()
 
     def test_cell_value_against_formula(self):
         matrix, vocab = build_tfidf([["only", "only"], ["other"]])
-        cell = matrix[0, vocab.index["only"]]
+        cell = matrix.toarray()[0, vocab.index["only"]]
         assert abs(cell - 2 * math.log(2)) < 1e-12
         assert cell == pytest.approx(1.3862943611198906)
 
@@ -134,20 +137,20 @@ class TestBuildTfidf:
 class TestFitLsa:
     def test_full_rank_reconstruction(self):
         matrix = np.diag([3.0, 2.0, 1.0])
-        model = fit_lsa(sp.csr_matrix(matrix), d=3)
+        model = fit_lsa(matrix, d=3)
         approx = model.doc_embeddings @ model.projection.T
         assert np.linalg.norm(approx - matrix) < 1e-6
 
     def test_rank_one_singular_value(self):
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 4.0])
-        model = fit_lsa(sp.csr_matrix(np.outer(u, v)), d=1)
+        model = fit_lsa(np.outer(u, v), d=1)
         assert abs(model.singular_values[0] - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-8
 
     def test_top_values_match_dense_oracle(self):
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal((20, 30))
-        model = fit_lsa(sp.csr_matrix(matrix), d=5)
+        model = fit_lsa(matrix, d=5)
         _, s_oracle, _ = dense_svd_oracle(matrix)
         assert np.allclose(model.singular_values, s_oracle[:5], atol=1e-6)
 
@@ -156,13 +159,13 @@ class TestFitLsa:
         matrix = rng.standard_normal((12, 9))
         errors = []
         for d in range(1, 10):
-            model = fit_lsa(sp.csr_matrix(matrix), d=d)
+            model = fit_lsa(matrix, d=d)
             approx = model.doc_embeddings @ model.projection.T
             errors.append(np.linalg.norm(approx - matrix))
         assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 
     def test_zero_padding_beyond_rank(self):
-        matrix = sp.csr_matrix(np.outer([1.0, 1.0], [1.0, 2.0, 3.0]))
+        matrix = np.outer([1.0, 1.0], [1.0, 2.0, 3.0])
         model = fit_lsa(matrix, d=5)
         assert model.doc_embeddings.shape == (2, 5)
         assert np.allclose(model.doc_embeddings[:, 2:], 0.0)
@@ -170,26 +173,26 @@ class TestFitLsa:
 
     def test_d_below_one_errors(self):
         with pytest.raises(ValueError):
-            fit_lsa(sp.csr_matrix(np.eye(2)), d=0)
+            fit_lsa(np.eye(2), d=0)
 
     def test_randomized_path_recovers_low_rank_exactly(self):
         rng = np.random.default_rng(2)
         matrix = rng.standard_normal((200, 50)) @ rng.standard_normal((50, 8))
         matrix = matrix @ rng.standard_normal((8, 300))  # exact rank 8
-        model = fit_lsa(sp.csr_matrix(matrix), d=8, seed=5, method="randomized")
+        model = fit_lsa(matrix, d=8, seed=5, method="randomized")
         _, s_oracle, _ = dense_svd_oracle(matrix)
         assert np.allclose(model.singular_values, s_oracle[:8], rtol=1e-8, atol=1e-8)
 
     def test_randomized_path_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
-        matrix = sp.csr_matrix(rng.standard_normal((40, 60)))
+        matrix = rng.standard_normal((40, 60))
         a = fit_lsa(matrix, d=4, seed=9, method="randomized")
         b = fit_lsa(matrix, d=4, seed=9, method="randomized")
         assert np.array_equal(a.doc_embeddings, b.doc_embeddings)
 
     def test_unknown_method_errors(self):
         with pytest.raises(ValueError):
-            fit_lsa(sp.csr_matrix(np.eye(2)), d=1, method="magic")
+            fit_lsa(np.eye(2), d=1, method="magic")
 
 
 class TestAgainstReplacedPaths:
@@ -198,7 +201,9 @@ class TestAgainstReplacedPaths:
         words = [f"w{i}" for i in range(30)]
         random_corpus = [rng.choice(words, size=int(rng.integers(0, 12))).tolist()
                          for _ in range(40)]
-        for corpus in ([tokenize(t) for t in planted_texts], random_corpus):
+        # An empty document, and a token in every document, whose cells vanish.
+        small = ([["a", "b", "a"], [], ["c", "a"]], [["a", "b", "a"], ["a"], ["c", "a", "c"]])
+        for corpus in ([tokenize(t) for t in planted_texts], random_corpus, *small):
             matrix, vocab = build_tfidf(corpus)
             expected, expected_vocab = reference_build_tfidf(corpus)
             assert vocab.index == expected_vocab.index
@@ -251,7 +256,7 @@ class TestAgainstReplacedPaths:
 
     def test_tall_matrix(self):
         rng = np.random.default_rng(8)
-        matrix = sp.csr_matrix(rng.standard_normal((40, 12)) * (rng.random((40, 12)) < 0.5))
+        matrix = rng.standard_normal((40, 12)) * (rng.random((40, 12)) < 0.5)
         model = fit_lsa(matrix, d=6)
         self._agree_up_to_sign(model, reference_fit_lsa(matrix, 6), 6)
         assert model.doc_embeddings.shape == (40, 6)
@@ -260,9 +265,7 @@ class TestAgainstReplacedPaths:
     def test_rank_deficient_beyond_rank_is_exactly_zero(self):
         rng = np.random.default_rng(9)
         for shape in ((10, 25), (25, 10)):
-            matrix = sp.csr_matrix(
-                rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
-            )
+            matrix = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
             model = fit_lsa(matrix, d=8)
             self._agree_up_to_sign(model, reference_fit_lsa(matrix, 3), 3)
             assert np.all(model.singular_values[:3] > 0)
@@ -272,16 +275,30 @@ class TestAgainstReplacedPaths:
 
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1)], ids=["one-row", "one-column"])
     def test_single_row_or_column(self, shape):
-        matrix = sp.csr_matrix(np.arange(1.0, 8.0).reshape(shape))
+        matrix = np.arange(1.0, 8.0).reshape(shape)
         model = fit_lsa(matrix, d=3)
         self._agree_up_to_sign(model, reference_fit_lsa(matrix, 3), 1)
         assert model.singular_values[0] == pytest.approx(math.sqrt(140.0), rel=1e-12)
         assert np.all(model.singular_values[1:] == 0.0)
         approx = model.doc_embeddings @ model.projection.T
-        np.testing.assert_allclose(approx, matrix.toarray(), atol=1e-12)
+        np.testing.assert_allclose(approx, matrix, atol=1e-12)
+
+    def test_randomized_row_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        words = [f"w{i}" for i in range(60)]
+        corpus = [rng.choice(words, size=int(rng.integers(1, 20))).tolist() for _ in range(90)]
+        matrix, _ = build_tfidf(corpus)
+        one = fit_lsa(matrix, d=8, seed=4, method="randomized")
+        monkeypatch.setattr(lsa, "_DENSE_CELL_LIMIT", 7 * matrix.shape[1])
+        assert len(list(lsa._row_blocks(matrix))) == 13
+        blocked = fit_lsa(matrix, d=8, seed=4, method="randomized")
+        np.testing.assert_allclose(blocked.singular_values, one.singular_values, rtol=1e-12)
+        for got, want in ((blocked.doc_embeddings, one.doc_embeddings),
+                          (blocked.projection, one.projection)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_zero_matrix_embeds_to_zero(self):
-        model = fit_lsa(sp.csr_matrix((3, 5)), d=2)
+        model = fit_lsa(np.zeros((3, 5)), d=2)
         assert np.all(model.singular_values == 0.0)
         assert np.all(model.doc_embeddings == 0.0)
         assert np.all(model.projection == 0.0)
@@ -325,7 +342,7 @@ class TestEmbedText:
         assert target_cos > random_cos
 
     def test_model_without_vocabulary_rejects_text(self):
-        model = fit_lsa(sp.csr_matrix(np.eye(3)), d=2)
+        model = fit_lsa(np.eye(3), d=2)
         with pytest.raises(ValueError):
             embed_text(model, "anything")
 
