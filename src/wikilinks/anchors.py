@@ -218,7 +218,7 @@ def build_anchor_map(network: DocumentNetwork) -> AnchorMap:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
     """A string-matched candidate link from ``source`` to ``target``.
 

@@ -103,7 +103,12 @@ class PipelineConfig:
         if self.data and not Path(self.data).exists():
             raise InputError(f"referenced path does not exist: {self.data}")
         if self.out:
-            _output_directory(self.out)
+            out = _output_directory(self.out)
+            # What eval writes there: the split files, then the reports.
+            _output_directory(out / "splits")
+            for name in ("report.json", "report.md"):
+                if (out / name).is_dir():
+                    raise InputError(f"output file is a directory: {out / name}")
         for name, path in self.external_methods.items():
             if not Path(path).exists():
                 raise InputError(f"external predictions for {name!r} missing: {path}")
@@ -171,6 +176,8 @@ def _output_file(path) -> Path:
 def _open_dump(path: Path):
     if not path.exists():
         raise InputError(f"dump not found: {path}")
+    if path.is_dir():
+        raise InputError(f"dump is a directory: {path}")
     if path.suffix == ".bz2":
         return bz2.open(path, "rb")
     if path.suffix == ".gz":

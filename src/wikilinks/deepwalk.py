@@ -57,14 +57,7 @@ def expit(x):
     below about -709, which gives the exact limit 0; numpy's overflow
     warning is silenced."""
     with np.errstate(over="ignore"):
-        return _expit(x)
-
-
-def _expit(x):
-    """:func:`expit` for callers that silence overflow themselves: the
-    SGD epoch calls the sigmoid once per position, and entering
-    ``np.errstate`` each time costs more than the sigmoid."""
-    return 1.0 / (1.0 + np.exp(-x))
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sgns_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
@@ -104,9 +97,18 @@ def _center_gradients(
     silence.
     """
     contexts, negatives = rows[:n_contexts], rows[n_contexts:]
-    g = _expit(np.concatenate((contexts @ center, negatives @ center)))
-    g[:n_contexts] -= 1.0
-    grad_center = g[:n_contexts] @ contexts + g[n_contexts:] @ negatives
+    g = np.empty(len(rows))
+    g_contexts, g_negatives = g[:n_contexts], g[n_contexts:]
+    np.dot(contexts, center, out=g_contexts)
+    np.dot(negatives, center, out=g_negatives)
+    # The sigmoid 1 / (1 + e^-x) of :func:`expit`, one step at a time in
+    # place; the reciprocal is the same correctly rounded division.
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    g += 1.0
+    np.reciprocal(g, out=g)
+    g_contexts -= 1.0
+    grad_center = g_contexts @ contexts + g_negatives @ negatives
     # A k = 1 matrix product: the same single rounded product per cell as
     # ``g[:, None] * center``, through BLAS.
     return grad_center, np.dot(g[:, None], center[None, :])
@@ -267,11 +269,17 @@ def fit_deepwalk(
                 row_ids = ids[end - n * (1 + k) : end]
                 v = node_vectors[center]
                 # grad_rows is built from v before v's row is overwritten.
-                grad_center, grad_rows = _center_gradients(v, context_vectors[row_ids], n)
-                node_vectors[center] = v - lr * grad_center
+                grad_center, grad_rows = _center_gradients(
+                    v, context_vectors.take(row_ids, axis=0), n
+                )
+                grad_center *= lr
+                v -= grad_center
+                grad_rows *= lr
                 # A 1-D ufunc.at over flat indices applies the row updates in
                 # the same order as a 2-D one, at a fraction of its cost.
-                np.subtract.at(flat_context, flat_index[row_ids].ravel(), (lr * grad_rows).ravel())
+                np.subtract.at(
+                    flat_context, flat_index.take(row_ids, axis=0).ravel(), grad_rows.ravel()
+                )
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,

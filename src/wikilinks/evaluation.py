@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,6 +24,7 @@ import numpy as np
 
 from .anchors import CandidatePair
 from .graph import DocumentNetwork
+from .lsa import tokenize
 from .predictors import EvalModelConfig, Method, RunContext, make_method
 
 TestPair = tuple[int, int, int]  # (source, target, label)
@@ -158,12 +160,16 @@ def split_inductive(
 
 def _ranking_order(
     scores: Sequence[float], pairs: Sequence[tuple[int, int]] | None
-) -> list[int]:
-    # Descending score; ties break by ascending (source, target) pair
-    # identity when available, by presentation index otherwise.
-    if pairs is not None:
-        return sorted(range(len(scores)), key=lambda i: (-scores[i], pairs[i]))
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+) -> np.ndarray:
+    """Indices by descending score; ties break by ascending (source,
+    target) pair identity when available, by presentation index
+    otherwise. For finite scores this is the order of the sort key
+    ``(-score, pair)`` (or ``(-score, index)``); 0.0 and -0.0 tie."""
+    negated = -np.asarray(scores, dtype=float)
+    if pairs is None:
+        return np.argsort(negated, kind="stable")
+    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    return np.lexsort((ids[:, 1], ids[:, 0], negated))
 
 
 def pr_auc(
@@ -182,12 +188,12 @@ def pr_auc(
     n_pos = int(sum(labels))
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    hits = 0
-    total = 0.0
-    for rank, i in enumerate(_ranking_order(scores, pairs), start=1):
-        if labels[i]:
-            hits += 1
-            total += hits / rank
+    order = _ranking_order(scores, pairs)
+    ranks = np.flatnonzero(np.asarray(labels, dtype=bool)[order]) + 1
+    hits = np.arange(1, len(ranks) + 1)
+    # A cumulative sum adds the precisions one after another in rank
+    # order, as a running total does; np.sum would add them pairwise.
+    total = float(np.cumsum(hits / ranks)[-1])
     return 100.0 * total / n_pos
 
 
@@ -202,7 +208,7 @@ def precision_recall_at_prevalence(
     if n_pos == 0:
         raise UndefinedMetricError("prevalence thresholding needs at least one positive")
     order = _ranking_order(scores, pairs)
-    tp = sum(1 for i in order[:n_pos] if labels[i])
+    tp = int(np.count_nonzero(np.asarray(labels, dtype=bool)[order[:n_pos]]))
     value = 100.0 * tp / n_pos
     return value, value
 
@@ -214,9 +220,10 @@ def binary_precision_recall(
     n_pos = int(sum(labels))
     if n_pos == 0:
         raise UndefinedMetricError("recall needs at least one positive")
-    predicted = [i for i, s in enumerate(scores) if s >= 0.5]
-    tp = sum(1 for i in predicted if labels[i])
-    precision = 100.0 * tp / len(predicted) if predicted else 0.0
+    predicted = np.asarray(scores, dtype=float) >= 0.5
+    n_predicted = int(np.count_nonzero(predicted))
+    tp = int(np.count_nonzero(predicted & np.asarray(labels, dtype=bool)))
+    precision = 100.0 * tp / n_predicted if n_predicted else 0.0
     recall = 100.0 * tp / n_pos
     return precision, recall
 
@@ -435,6 +442,9 @@ def run_eval(
 
     samples = dataset.eval_samples()
     title_candidates = dataset.title_candidates()
+    # Tokenized once for every run and mode. Interned, the lists share one
+    # string per distinct token instead of holding one string per token.
+    tokens = [list(map(sys.intern, tokenize(article.abstract))) for article in dataset.articles]
     for run in range(runs):
         seed = base_seed + run
         for mode in modes:
@@ -466,6 +476,7 @@ def run_eval(
 
             ctx = RunContext(
                 articles=dataset.articles,
+                tokens=tokens,
                 train_network=split.train_network,
                 train_nodes=split.train_nodes,
                 seed=seed,

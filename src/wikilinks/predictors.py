@@ -19,7 +19,7 @@ from .anchors import CandidatePair
 from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .ingest import Article
-from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
+from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, row_cosines
 
 Scorer = Callable[[Sequence[tuple[int, int]]], np.ndarray]
 
@@ -181,12 +181,15 @@ class RunContext:
     be used for fitting; hidden documents contribute only their text at
     scoring time, through :meth:`doc_matrix`. The LSA model for the run
     is fitted lazily on the training documents and shared between the
-    LSA and ATILP methods.
+    LSA and ATILP methods. ``tokens`` holds the :func:`tokenize` output
+    of every abstract, indexed by document id, so that the runs of one
+    evaluation tokenize each abstract once.
     """
 
     def __init__(
         self,
         articles: Sequence[Article],
+        tokens: Sequence[list[str]],
         train_network: DocumentNetwork,
         train_nodes: Sequence[int],
         seed: int,
@@ -195,6 +198,7 @@ class RunContext:
         config: EvalModelConfig,
     ) -> None:
         self.articles = articles
+        self.tokens = tokens
         self.train_network = train_network
         self.train_nodes = frozenset(train_nodes)
         self.seed = seed
@@ -208,8 +212,7 @@ class RunContext:
     def lsa(self) -> tuple[LsaModel, dict[int, int]]:
         if self._lsa is None:
             docs = sorted(self.train_nodes)
-            corpus = [tokenize(self.articles[doc].abstract) for doc in docs]
-            matrix, vocabulary = build_tfidf(corpus)
+            matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
             self._lsa = fit_lsa(
                 matrix, self.config.lsa_dimension, seed=self.seed, vocabulary=vocabulary
             )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wikilinks.anchors import (
     AnchorMap,
+    CandidatePair,
     build_anchor_map,
     build_eval_samples,
     build_title_map,
@@ -342,6 +343,22 @@ class TestScanCandidates:
         (pair,) = scan_corpus(anchor_map, [article])[0]
         for pattern, (start, end) in pair.matched:
             assert normalize_pattern(article.abstract[start:end]) == pattern
+
+
+class TestCandidatePair:
+    def test_slotted_frozen_value(self):
+        matched = (("civil war", (4, 13)), ("war", (10, 13)))
+        pair = CandidatePair(source=0, target=2, matched=matched, label=True)
+        assert not hasattr(pair, "__dict__")
+        with pytest.raises(AttributeError):
+            pair.target = 3
+        twin = CandidatePair(0, 2, matched, True)
+        assert pair == twin and hash(pair) == hash(twin)
+        assert hash(pair) == hash((0, 2, matched, True))
+        assert len({pair, twin}) == 1
+        assert pair != CandidatePair(0, 2, matched, False)
+        assert pair != CandidatePair(0, 2, matched[:1], True)
+        assert pair.anchor_texts() == ("civil war", "war")
 
 
 class TestBuildEvalSamples:

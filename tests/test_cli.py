@@ -68,6 +68,14 @@ class TestIngestCommand:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_dump_that_is_a_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        for dump in (tmp_path / "dump", tmp_path / "dump.xml.bz2"):
+            dump.mkdir()
+            assert main(["ingest", "--dump", str(dump), "--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: dump is a directory: {dump}\n"
+        assert not out.exists()
+
     def test_malformed_xml_exits_2(self, tmp_path, capsys):
         dump = tmp_path / "broken.xml"
         dump.write_text("<mediawiki><page><title>X</title>")
@@ -443,6 +451,26 @@ class TestUnusableOutputPath:
         self._exits_2(["eval", "--config", config, "--out", str(blocker)], capsys,
                       f"output path is not a directory: {blocker}")
         assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_eval_splits_is_a_file(self, tmp_path, planted_data_dir, blocker, capsys):
+        out = tmp_path / "results"
+        out.mkdir()
+        splits = out / "splits"
+        blocker.rename(splits)
+        config = _eval_config(tmp_path, planted_data_dir)
+        self._exits_2(["eval", "--config", config, "--out", str(out)], capsys,
+                      f"output path is not a directory: {splits}")
+        assert list(out.iterdir()) == [splits]
+        assert splits.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize("name", ["report.json", "report.md"])
+    def test_eval_report_is_a_directory(self, tmp_path, planted_data_dir, name, capsys):
+        out = tmp_path / "results"
+        (out / name).mkdir(parents=True)
+        config = _eval_config(tmp_path, planted_data_dir)
+        self._exits_2(["eval", "--config", config, "--out", str(out)], capsys,
+                      f"output file is a directory: {out / name}")
+        assert list(out.iterdir()) == [out / name]
 
 
 class TestParser:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wikilinks import lsa
 from wikilinks.anchors import build_anchor_map, build_eval_samples
 from wikilinks.evaluation import (
     UndefinedMetricError,
+    _ranking_order,
     binary_precision_recall,
     pr_auc,
     precision_recall_at_prevalence,
@@ -102,6 +108,88 @@ class TestBinaryPrecisionRecall:
     def test_no_predictions(self):
         p, r = binary_precision_recall([0.0, 0.0], [1, 0])
         assert p == 0.0 and r == 0.0
+
+
+def reference_ranking_order(scores, pairs):
+    """The sort-key ranking that ``_ranking_order`` replaced."""
+    if pairs is not None:
+        return sorted(range(len(scores)), key=lambda i: (-scores[i], pairs[i]))
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def reference_pr_auc(scores, labels, pairs=None):
+    """The rank loop that ``pr_auc`` replaced: a running total of the
+    precision at each positive."""
+    hits = 0
+    total = 0.0
+    for rank, i in enumerate(reference_ranking_order(scores, pairs), start=1):
+        if labels[i]:
+            hits += 1
+            total += hits / rank
+    return 100.0 * total / int(sum(labels))
+
+
+def reference_precision_recall_at_prevalence(scores, labels, pairs=None):
+    n_pos = int(sum(labels))
+    tp = sum(1 for i in reference_ranking_order(scores, pairs)[:n_pos] if labels[i])
+    return 100.0 * tp / n_pos, 100.0 * tp / n_pos
+
+
+def reference_binary_precision_recall(scores, labels):
+    predicted = [i for i, s in enumerate(scores) if s >= 0.5]
+    tp = sum(1 for i in predicted if labels[i])
+    precision = 100.0 * tp / len(predicted) if predicted else 0.0
+    return precision, 100.0 * tp / int(sum(labels))
+
+
+# Few distinct values, so that ties are common, with 0.0 and -0.0 both in.
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.25, 1e-300])
+
+
+@st.composite
+def _ranked_samples(draw):
+    """(scores, labels, pairs): at least one positive; pairs repeat
+    sources and targets, and sometimes whole pairs."""
+    n = draw(st.integers(1, 40))
+    score = st.one_of(_TIED_SCORES, st.floats(-1e3, 1e3, allow_nan=False))
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[draw(st.integers(0, n - 1))] = 1
+    node = st.integers(0, 4)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=n, max_size=n))
+    return scores, labels, pairs
+
+
+class TestRankingMatchesReference:
+    """``_ranking_order`` and the metrics on top of it equal the sort-key
+    ranking and the rank loop exactly."""
+
+    @given(_ranked_samples(), st.booleans())
+    @example(([0.0, -0.0, 0.0, -0.0], [0, 1, 0, 1], [(1, 0), (0, 1), (0, 0), (1, 1)]), True)
+    @example(([0.0, -0.0, 0.0, -0.0], [0, 1, 0, 1], [(1, 0), (0, 1), (0, 0), (1, 1)]), False)
+    @example(([0.5] * 6, [0, 0, 0, 1, 0, 0], [(2, 1), (0, 3), (2, 0), (0, 1), (1, 1), (0, 2)]),
+             True)
+    @example(([0.5] * 6, [0, 0, 0, 1, 0, 0], [(2, 1), (0, 3), (2, 0), (0, 1), (1, 1), (0, 2)]),
+             False)
+    @example(([0.7], [1], [(0, 1)]), True)
+    # Pairwise summation of these 14 precisions rounds differently.
+    @example(([1 - i / 32 for i in range(23)],
+              [0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0],
+              [(i % 5, i % 3) for i in range(23)]), False)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_sort_key_and_rank_loop(self, sample, with_pairs):
+        scores, labels, pairs = sample
+        if not with_pairs:
+            pairs = None
+        assert _ranking_order(scores, pairs).tolist() == reference_ranking_order(scores, pairs)
+        for given_scores in (scores, np.asarray(scores)):
+            assert pr_auc(given_scores, labels, pairs) == reference_pr_auc(scores, labels, pairs)
+            assert precision_recall_at_prevalence(
+                given_scores, labels, pairs
+            ) == reference_precision_recall_at_prevalence(scores, labels, pairs)
+            assert binary_precision_recall(
+                given_scores, labels
+            ) == reference_binary_precision_recall(scores, labels)
 
 
 def _labeled_network(n: int, edges: list[tuple[int, int]]):
@@ -221,6 +309,21 @@ class TestRunEval:
         for entry in report.entries:
             assert entry.auc_std == 0.0
             assert entry.precision_std == 0.0
+
+    def test_each_abstract_tokenized_once(self, fixture_dataset, monkeypatch):
+        # The LSA fits of both runs share one tokenization; a transductive
+        # run folds in no document, so nothing else tokenizes an abstract.
+        tokenized = Counter()
+        pattern = lsa._TOKEN_RE
+
+        class CountingPattern:
+            def findall(self, text):
+                tokenized[text] += 1
+                return pattern.findall(text)
+
+        monkeypatch.setattr(lsa, "_TOKEN_RE", CountingPattern())
+        run_eval(fixture_dataset, ["lsa"], runs=2, modes=("transductive",), config=BENCH_CONFIG)
+        assert tokenized == Counter(a.abstract.lower() for a in fixture_dataset.articles)
 
     def test_deepwalk_skipped_inductively_and_dashed(self, fixture_dataset):
         report = run_eval(fixture_dataset, ["deepwalk"], runs=1, base_seed=0,

@@ -51,6 +51,7 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
     default); the LSA space matches ``_lsa_over`` on those documents."""
     return RunContext(
         articles=[_article(i, t) for i, t in enumerate(texts)],
+        tokens=[tokenize(t) for t in texts],
         train_network=DocumentNetwork.from_links(len(texts), []),
         train_nodes=range(len(texts)) if train is None else train,
         seed=0,
@@ -393,6 +394,7 @@ class TestFitScoreAtilp:
         split = split_inductive(fixture_dataset.network, samples, 0.2, run_seed=0)
         ctx = RunContext(
             articles=fixture_dataset.articles,
+            tokens=[tokenize(a.abstract) for a in fixture_dataset.articles],
             train_network=split.train_network,
             train_nodes=split.train_nodes,
             seed=0,
