@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dataset import Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
-from .evaluation import MetricsReport, run_eval
+from .evaluation import MODES, MetricsReport, check_method_names, run_eval
 from .graph import DocumentNetwork, network_stats, personalized_pagerank, topk_subgraph
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
 from .predictors import EvalModelConfig, ExternalFileMethod, make_method
@@ -100,6 +100,10 @@ class PipelineConfig:
             isinstance(path, str) for path in self.external_methods.values()
         ):
             raise InputError("external_methods must map method names to file paths")
+        try:
+            check_method_names(self.methods + list(self.external_methods))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         if self.data and not Path(self.data).exists():
             raise InputError(f"referenced path does not exist: {self.data}")
         if self.out:
@@ -299,7 +303,7 @@ def cmd_eval(args) -> int:
         raise InputError("no dataset directory given (--data or config 'data')")
 
     dataset = _load_dataset(config.data)
-    modes = ("inductive", "transductive") if config.mode == "both" else (config.mode,)
+    modes = MODES if config.mode == "both" else (config.mode,)
     methods: list = list(config.methods)
     for name, path in sorted(config.external_methods.items()):
         try:

@@ -65,18 +65,34 @@ def write_articles_jsonl(path, articles: Sequence[Article]) -> None:
 
 
 def read_articles_jsonl(path) -> list[Article]:
+    """Articles of a JSON-lines file, one object per line with an integer
+    ``id``, string ``title`` and ``abstract`` and an optional list of
+    string ``aliases``; ids must run 0, 1, 2, ... Raises ValueError
+    naming the first line that breaks this."""
     articles: list[Article] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             obj = json.loads(line)
+            aliases = obj.get("aliases", []) if isinstance(obj, dict) else None
+            if not (
+                isinstance(aliases, list)
+                and all(isinstance(alias, str) for alias in aliases)
+                and type(obj.get("id")) is int
+                and isinstance(obj.get("title"), str)
+                and isinstance(obj.get("abstract"), str)
+            ):
+                raise ValueError(
+                    f"{Path(path).name} line {number} is not an article record with an "
+                    f"integer id, string title and abstract and a list of string aliases"
+                )
             articles.append(
                 Article(
                     id=obj["id"],
                     title=obj["title"],
                     abstract=obj["abstract"],
-                    aliases=set(obj.get("aliases", [])),
+                    aliases=set(aliases),
                 )
             )
     for expected, article in enumerate(articles):

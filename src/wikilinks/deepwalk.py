@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import DocumentNetwork
-from .lsa import row_cosines
+from .lsa import pair_scores
 
 _LOG_FLOOR = 1e-12
 # Walks whose windows and negatives are precomputed together. The index
@@ -301,5 +301,4 @@ def score_deepwalk(model: DeepWalkModel, pairs: Sequence[tuple[int, int]]) -> np
                 f"node {node} was not in the training network; "
                 "DeepWalk cannot score unseen documents"
             )
-    vectors = model.node_vectors
-    return (1.0 + row_cosines(vectors[ids[:, 0]], vectors[ids[:, 1]])) / 2.0
+    return pair_scores(model.node_vectors, ids)

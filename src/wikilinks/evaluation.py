@@ -28,6 +28,7 @@ from .lsa import tokenize
 from .predictors import EvalModelConfig, Method, RunContext, make_method
 
 TestPair = tuple[int, int, int]  # (source, target, label)
+MODES = ("inductive", "transductive")
 
 
 class UndefinedMetricError(ValueError):
@@ -55,7 +56,7 @@ class EvalSplit:
     hidden: tuple
 
     def __post_init__(self) -> None:
-        if self.mode not in ("transductive", "inductive"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if len(set(self.test_pairs)) != len(self.test_pairs):
             raise ValueError("test pairs contain duplicates")
@@ -258,7 +259,6 @@ class MetricsReport:
     """All method/mode aggregates of an evaluation, plus split hashes."""
 
     dataset: str
-    runs: int
     entries: list[MethodMetrics]
     split_hashes: dict[str, str]
     failures: list[EvalFailure] = field(default_factory=list)
@@ -268,7 +268,8 @@ class MetricsReport:
         """Rebuild a report from the output of :meth:`to_records`.
 
         Per-run values and the binary flag are not recorded, so entries
-        come back without them. Malformed records raise ValueError.
+        come back without them. Malformed records, such as one whose mode
+        is neither "inductive" nor "transductive", raise ValueError.
         """
         if not isinstance(records, list) or not records or not all(
             isinstance(record, dict) for record in records
@@ -278,7 +279,9 @@ class MetricsReport:
         failures: list[EvalFailure] = []
         split_hashes: dict[str, str] = {}
         try:
-            for r in records:
+            for number, r in enumerate(records):
+                if r["mode"] not in MODES:
+                    raise ValueError(f"record {number} has unknown mode {r['mode']!r}")
                 if "error" in r:
                     failures.append(EvalFailure(r["method"], r["mode"], r["run"], r["error"]))
                     continue
@@ -302,7 +305,6 @@ class MetricsReport:
             raise ValueError(f"record lacks key {exc}") from None
         return cls(
             dataset=dataset,
-            runs=max((item.runs for item in entries), default=0),
             entries=entries,
             split_hashes=split_hashes,
             failures=failures,
@@ -352,7 +354,7 @@ class MetricsReport:
         # The only modes, "inductive" and "transductive", sort into table order.
         return sorted({e.mode for e in self.entries} | {f.mode for f in self.failures})
 
-    def to_markdown(self, modes: Sequence[str] = ("inductive", "transductive")) -> str:
+    def to_markdown(self, modes: Sequence[str] = MODES) -> str:
         """Results table: one row per method, AUC/P/R blocks per mode.
 
         Methods that skip a mode show an em dash.
@@ -402,12 +404,24 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
+def check_method_names(names: Sequence[str]) -> None:
+    """Raise ValueError unless there is at least one method name and no
+    name repeats: a report pools each method's runs under its name."""
+    if not names:
+        raise ValueError("no methods to evaluate")
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"method {name!r} is listed twice")
+        seen.add(name)
+
+
 def run_eval(
     dataset,
     methods: Sequence[str | Method],
     runs: int = 5,
     base_seed: int = 0,
-    modes: Sequence[str] = ("inductive", "transductive"),
+    modes: Sequence[str] = MODES,
     transductive_ratio: float = 0.10,
     inductive_ratio: float = 0.10,
     config: EvalModelConfig | None = None,
@@ -423,12 +437,14 @@ def run_eval(
     their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
-    skipped by contract.
+    skipped by contract. An empty method list, or one that names a
+    method twice, raises ValueError.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     config = config or EvalModelConfig()
     resolved = [make_method(m) for m in methods]
+    check_method_names([method.name for method in resolved])
 
     from .dataset import write_links_tsv  # local import to avoid a cycle
 
@@ -475,7 +491,6 @@ def run_eval(
                 )
 
             ctx = RunContext(
-                articles=dataset.articles,
                 tokens=tokens,
                 train_network=split.train_network,
                 train_nodes=split.train_nodes,
@@ -544,7 +559,6 @@ def run_eval(
 
     report = MetricsReport(
         dataset=dataset.name,
-        runs=runs,
         entries=entries,
         split_hashes={mode: hashers[mode].hexdigest() for mode in modes},
         failures=failures,

@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +45,6 @@ class Vocabulary:
     index: dict[str, int]
     document_frequency: np.ndarray
     corpus_size: int
-
-    def __len__(self) -> int:
-        return len(self.index)
 
     def idf(self) -> np.ndarray:
         """ln(N / df) per token; tokens present in every document get 0."""
@@ -118,15 +116,14 @@ class LsaModel:
 
     ``doc_embeddings`` holds U * sigma rows for the training documents;
     ``projection`` is the n_terms x d matrix of right singular vectors
-    used for fold-in. ``vocabulary`` and ``idf`` are needed to embed raw
-    text and may be absent for models fitted on bare matrices.
+    used for fold-in. ``vocabulary`` is needed to embed text and may be
+    absent for models fitted on bare matrices.
     """
 
     dimension: int
     projection: np.ndarray
     doc_embeddings: np.ndarray
     singular_values: np.ndarray
-    idf: np.ndarray | None = None
     vocabulary: Vocabulary | None = None
 
 
@@ -247,29 +244,30 @@ def fit_lsa(
         projection=vt.T.copy(),
         doc_embeddings=u * s,
         singular_values=s,
-        idf=vocabulary.idf() if vocabulary is not None else None,
         vocabulary=vocabulary,
     )
 
 
-def embed_text(model: LsaModel, text: str) -> np.ndarray:
-    """Fold text into the LSA space: TF-IDF with the training idf,
-    projected through the right singular vectors.
+def embed_text(model: LsaModel, texts: Sequence[list[str]]) -> np.ndarray:
+    """Fold token lists into the LSA space, one row per text: TF-IDF with
+    the training idf, projected through the right singular vectors.
 
-    Unseen tokens are dropped; text with no known tokens embeds to the
-    zero vector.
+    Unseen tokens are dropped; a text with no known token embeds to the
+    zero vector. ``np.add.at`` adds a row's count * idf * projection terms
+    in first-occurrence order of its tokens, whatever else is in the batch.
     """
-    if model.vocabulary is None or model.idf is None:
+    if model.vocabulary is None:
         raise ValueError("model was fitted without a vocabulary; cannot embed text")
-    vector = np.zeros(model.dimension)
     index = model.vocabulary.index
-    for token, count in Counter(tokenize(text)).items():
-        col = index.get(token)
-        if col is not None:
-            weight = count * model.idf[col]
-            if weight != 0.0:
-                vector += weight * model.projection[col]
-    return vector
+    terms = [(row, index[token], count) for row, tokens in enumerate(texts)
+             for token, count in Counter(tokens).items() if token in index]
+    flat = np.fromiter(chain.from_iterable(terms), dtype=np.intp, count=3 * len(terms))
+    rows, cols, counts = flat.reshape(-1, 3).T
+    weights = counts * model.vocabulary.idf()[cols]
+    kept = weights != 0.0
+    vectors = np.zeros((len(texts), model.dimension))
+    np.add.at(vectors, rows[kept], weights[kept, None] * model.projection[cols[kept]])
+    return vectors
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,3 +280,9 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cosines = np.zeros(len(dots))
     np.divide(dots, norms, out=cosines, where=norms != 0.0)
     return np.clip(cosines, -1.0, 1.0)
+
+
+def pair_scores(vectors: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Link score (1 + cos)/2 of the ``vectors`` rows of each (source, target) pair."""
+    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    return (1.0 + row_cosines(vectors[ids[:, 0]], vectors[ids[:, 1]])) / 2.0

@@ -11,15 +11,14 @@ producing scores in [0, 1]; binary models emit exactly 0 or 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from .anchors import CandidatePair
 from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
-from .ingest import Article
-from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, row_cosines
+from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
 
 Scorer = Callable[[Sequence[tuple[int, int]]], np.ndarray]
 
@@ -37,33 +36,31 @@ def ols_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, floa
 class AtilpModel:
     """Linear model over the (s1, s2, s3) anchor/document cosine scores.
 
-    ``anchor_vectors`` caches the LSA embedding of every anchor string
-    seen so far, so each distinct string is folded in once.
+    ``anchor_vectors`` maps every anchor string the model can score to
+    its LSA fold-in.
     """
 
     coefficients: np.ndarray
     intercept: float
-    lsa: LsaModel
+    anchor_vectors: Mapping[str, np.ndarray]
     n_positive: int = 0
     n_negative: int = 0
-    anchor_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def predict(self, doc_matrix: np.ndarray, pairs: Sequence[CandidatePair]) -> np.ndarray:
         """Linear prediction of each pair, maximized over its matched
         anchors and clamped to [0, 1]."""
         if len(pairs) == 0:
             return np.zeros(0)
-        features, counts = atilp_features(self.lsa, doc_matrix, pairs, self.anchor_vectors)
+        features, counts = atilp_features(doc_matrix, self.anchor_vectors, pairs)
         raw = features @ self.coefficients + self.intercept
         best = np.maximum.reduceat(raw, np.cumsum(counts) - counts)
         return np.clip(best, 0.0, 1.0)
 
 
 def atilp_features(
-    lsa: LsaModel,
     doc_matrix: np.ndarray,
+    anchor_vectors: Mapping[str, np.ndarray],
     pairs: Sequence[CandidatePair],
-    anchor_vectors: dict[str, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(s1, s2, s3) rows, one per distinct matched anchor string of each
     pair, and the number of rows of each pair.
@@ -71,18 +68,14 @@ def atilp_features(
     s1 = cos(anchor, source), s2 = cos(anchor, target),
     s3 = cos(source, target). Rows follow the pairs in order, and each
     pair's anchors in :meth:`CandidatePair.anchor_texts` order.
-    ``doc_matrix`` rows are indexed by document id. Anchor strings
-    missing from ``anchor_vectors`` are embedded and added to it.
+    ``doc_matrix`` rows are indexed by document id, and
+    ``anchor_vectors`` holds the fold-in of every matched anchor string.
     """
     texts = [pair.anchor_texts() for pair in pairs]
-    for anchors in texts:
-        for text in anchors:
-            if text not in anchor_vectors:
-                anchor_vectors[text] = embed_text(lsa, text)
     counts = np.array([len(anchors) for anchors in texts], dtype=np.intp)
     anchor_rows = np.array(
         [anchor_vectors[text] for anchors in texts for text in anchors]
-    ).reshape(-1, lsa.dimension)
+    ).reshape(-1, doc_matrix.shape[1])
     sources = doc_matrix[[pair.source for pair in pairs]]
     targets = doc_matrix[[pair.target for pair in pairs]]
     s3 = row_cosines(sources, targets)
@@ -100,8 +93,7 @@ def fit_atilp(
     seed: int = 0,
     n_positive: int = 1000,
     n_negative: int = 1000,
-    sources: Iterable[int] | None = None,
-    targets: Iterable[int] | None = None,
+    nodes: Collection[int] | None = None,
     doc_matrix: np.ndarray | None = None,
 ) -> AtilpModel:
     """Least squares fit of the anchor-informed link model.
@@ -111,20 +103,19 @@ def fit_atilp(
     when fewer than requested exist, all are taken and the shortfall is
     visible in ``n_positive``/``n_negative`` of the returned model. Each
     sampled pair contributes one design row per distinct matched anchor
-    string. ``sources``/``targets`` restrict the training pairs to the
-    given documents (the harness passes the training documents, so
-    hidden documents never reach the fit). ``doc_matrix`` defaults to
-    the model's training embeddings, indexed by document id.
+    string. ``nodes`` restricts the training pairs to those with both
+    ends among the given documents (the harness passes the training
+    documents, so hidden documents never reach the fit); ``None`` keeps
+    every candidate. ``doc_matrix`` defaults to the model's training
+    embeddings, indexed by document id. The model folds in every
+    distinct anchor string of the candidates, in one batch.
     """
-    if sources is None:
-        sources = sorted(candidates_by_source)
-    target_set = None if targets is None else set(targets)
+    candidates = [pair for source in sorted(candidates_by_source)
+                  for pair in candidates_by_source[source]]
     positives: list[CandidatePair] = []
     negatives: list[CandidatePair] = []
-    for source in sorted(sources):
-        for pair in candidates_by_source.get(source, ()):
-            if target_set is not None and pair.target not in target_set:
-                continue
+    for pair in candidates:
+        if nodes is None or (pair.source in nodes and pair.target in nodes):
             if network.has_edge(pair.source, pair.target):
                 positives.append(pair)
             else:
@@ -145,22 +136,21 @@ def fit_atilp(
     sampled_pos = sample(positives, n_positive)
     sampled_neg = sample(negatives, n_negative)
 
-    anchor_vectors: dict[str, np.ndarray] = {}
+    texts = list(dict.fromkeys(pattern for pair in candidates for pattern, _ in pair.matched))
+    anchor_vectors = dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
     features, counts = atilp_features(
-        lsa,
         lsa.doc_embeddings if doc_matrix is None else doc_matrix,
-        sampled_pos + sampled_neg,
         anchor_vectors,
+        sampled_pos + sampled_neg,
     )
     labels = np.repeat([1.0] * len(sampled_pos) + [0.0] * len(sampled_neg), counts)
     coefficients, intercept = ols_fit(features, labels)
     return AtilpModel(
         coefficients=coefficients,
         intercept=intercept,
-        lsa=lsa,
+        anchor_vectors=anchor_vectors,
         n_positive=len(sampled_pos),
         n_negative=len(sampled_neg),
-        anchor_vectors=anchor_vectors,
     )
 
 
@@ -183,12 +173,11 @@ class RunContext:
     is fitted lazily on the training documents and shared between the
     LSA and ATILP methods. ``tokens`` holds the :func:`tokenize` output
     of every abstract, indexed by document id, so that the runs of one
-    evaluation tokenize each abstract once.
+    evaluation tokenize each abstract once, for fitting and fold-in.
     """
 
     def __init__(
         self,
-        articles: Sequence[Article],
         tokens: Sequence[list[str]],
         train_network: DocumentNetwork,
         train_nodes: Sequence[int],
@@ -197,7 +186,6 @@ class RunContext:
         title_candidates: Mapping[int, Sequence[CandidatePair]],
         config: EvalModelConfig,
     ) -> None:
-        self.articles = articles
         self.tokens = tokens
         self.train_network = train_network
         self.train_nodes = frozenset(train_nodes)
@@ -205,33 +193,32 @@ class RunContext:
         self.candidates = candidates
         self.title_candidates = title_candidates
         self.config = config
-        self._lsa: LsaModel | None = None
-        self._lsa_rows: dict[int, int] | None = None
+        self._lsa: tuple[LsaModel, list[int]] | None = None
         self._doc_matrix: np.ndarray | None = None
 
-    def lsa(self) -> tuple[LsaModel, dict[int, int]]:
+    def lsa(self) -> tuple[LsaModel, list[int]]:
+        """The LSA model of the training documents, and their ids in row order."""
         if self._lsa is None:
             docs = sorted(self.train_nodes)
             matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
-            self._lsa = fit_lsa(
+            model = fit_lsa(
                 matrix, self.config.lsa_dimension, seed=self.seed, vocabulary=vocabulary
             )
-            self._lsa_rows = {doc: row for row, doc in enumerate(docs)}
-        return self._lsa, self._lsa_rows
+            self._lsa = (model, docs)
+        return self._lsa
 
     def doc_matrix(self) -> np.ndarray:
         """LSA vectors of all documents, rows indexed by document id.
 
         Training documents keep their fitted embedding; every other
-        document is folded in once from its text alone.
+        document is folded in from its tokens alone, all in one batch.
         """
         if self._doc_matrix is None:
-            model, rows = self.lsa()
-            matrix = np.empty((len(self.articles), model.dimension))
-            matrix[list(rows)] = model.doc_embeddings[list(rows.values())]
-            for doc, article in enumerate(self.articles):
-                if doc not in rows:
-                    matrix[doc] = embed_text(model, article.abstract)
+            model, docs = self.lsa()
+            matrix = np.empty((len(self.tokens), model.dimension))
+            matrix[docs] = model.doc_embeddings
+            others = sorted(set(range(len(self.tokens))) - self.train_nodes)
+            matrix[others] = embed_text(model, [self.tokens[doc] for doc in others])
             self._doc_matrix = matrix
         return self._doc_matrix
 
@@ -288,12 +275,7 @@ class LsaMethod(Method):
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
         docs = ctx.doc_matrix()
-
-        def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-            ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-            return (1.0 + row_cosines(docs[ids[:, 0]], docs[ids[:, 1]])) / 2.0
-
-        return scorer
+        return lambda pairs: pair_scores(docs, pairs)
 
 
 class DeepWalkMethod(Method):
@@ -323,8 +305,7 @@ class AtilpMethod(Method):
             seed=ctx.seed,
             n_positive=ctx.config.atilp_positives,
             n_negative=ctx.config.atilp_negatives,
-            sources=sorted(set(ctx.candidates) & ctx.train_nodes),
-            targets=ctx.train_nodes,
+            nodes=ctx.train_nodes,
             doc_matrix=docs,
         )
         by_pair = {

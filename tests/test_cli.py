@@ -368,6 +368,7 @@ class TestReportCommand:
     [
         ("report", "{not json", "malformed report"),
         ("report", "[1, 2]", "malformed report"),
+        ("report", '[{"dataset": "d", "mode": 5, "method": "m", "auc_mean": 1.0, "auc_std": 0.0, "p_mean": 1.0, "p_std": 0.0, "r_mean": 1.0, "r_std": 0.0, "runs": 1, "split_hash": "h"}]', "record 0 has unknown mode 5"),
         ("eval", '["data", "runs"]', "must be a JSON object"),
         ("eval", '{"runs": "2"}', "runs"),
         ("eval", '{"transductive_ratio": "0.1"}', "transductive_ratio"),
@@ -379,13 +380,19 @@ class TestReportCommand:
         ("eval", '{"deepwalk": {"window": 0}}', "deepwalk.window"),
         ("eval", '{"deepwalk": {"learning_rate": 0}}', "deepwalk.learning_rate"),
         ("eval", '{"deepwalk": {"undirected": 1}}', "deepwalk.undirected"),
+        ("eval", '{"methods": ["lsa", "lsa"]}', "method 'lsa' is listed twice"),
+        ("eval", '{"methods": ["random"], "external_methods": {"random": "p.tsv"}}',
+         "method 'random' is listed twice"),
+        ("eval", '{"methods": []}', "no methods to evaluate"),
     ],
     ids=[
-        "report-invalid-json", "report-list-of-numbers", "eval-config-list",
+        "report-invalid-json", "report-list-of-numbers", "report-mode-not-a-string",
+        "eval-config-list",
         "eval-runs-string", "eval-ratio-string", "eval-negative-seed", "eval-unknown-method",
         "eval-deepwalk-unknown-key", "eval-deepwalk-negatives-negative",
         "eval-deepwalk-walk-length-string", "eval-deepwalk-window-zero",
         "eval-deepwalk-learning-rate-zero", "eval-deepwalk-undirected-int",
+        "eval-method-twice", "eval-external-method-shadows-builtin", "eval-no-methods",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content, needle):
@@ -396,6 +403,32 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, conten
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '[1, "B", "text", []]',
+        '"an article"',
+        '{"id": 1, "title": "B", "abstract": "text", "aliases": 5}',
+        '{"id": 1, "title": "B", "abstract": null, "aliases": []}',
+        '{"id": 1, "title": 7, "abstract": "text", "aliases": []}',
+        '{"id": true, "title": "B", "abstract": "text", "aliases": []}',
+        '{"id": 1, "title": "B", "abstract": "text", "aliases": ["C", 2]}',
+    ],
+    ids=["list", "string", "aliases-number", "abstract-null", "title-number", "id-bool",
+         "alias-number"],
+)
+def test_malformed_article_record_exits_2_with_one_line(tmp_path, capsys, line):
+    data = tmp_path / "data"
+    data.mkdir()
+    valid = '{"id": 0, "title": "A", "abstract": "text", "aliases": []}'
+    (data / "articles.jsonl").write_text(f"{valid}\n{line}\n", encoding="utf-8")
+    (data / "links.tsv").write_text("", encoding="utf-8")
+    assert main(["dataset-stats", "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "articles.jsonl line 2 is not an article record" in err
 
 
 @pytest.mark.parametrize(

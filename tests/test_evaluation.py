@@ -311,8 +311,8 @@ class TestRunEval:
             assert entry.precision_std == 0.0
 
     def test_each_abstract_tokenized_once(self, fixture_dataset, monkeypatch):
-        # The LSA fits of both runs share one tokenization; a transductive
-        # run folds in no document, so nothing else tokenizes an abstract.
+        # The LSA fits and the inductive fold-ins of both runs share one
+        # tokenization, so nothing else tokenizes an abstract.
         tokenized = Counter()
         pattern = lsa._TOKEN_RE
 
@@ -322,8 +322,25 @@ class TestRunEval:
                 return pattern.findall(text)
 
         monkeypatch.setattr(lsa, "_TOKEN_RE", CountingPattern())
-        run_eval(fixture_dataset, ["lsa"], runs=2, modes=("transductive",), config=BENCH_CONFIG)
+        report = run_eval(fixture_dataset, ["lsa"], runs=2, config=BENCH_CONFIG)
+        assert report.modes() == ["inductive", "transductive"] and not report.failures
         assert tokenized == Counter(a.abstract.lower() for a in fixture_dataset.articles)
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ([], "no methods to evaluate"),
+            (["lsa", "lsa"], "method 'lsa' is listed twice"),
+            (["random", FailingMethod(), "at_title", FailingMethod()],
+             "method 'broken' is listed twice"),
+        ],
+        ids=["empty", "builtin-twice", "custom-twice"],
+    )
+    def test_method_list_rejected(self, fixture_dataset, methods, message):
+        # Each method's runs pool under its name, so a repeated name would
+        # write one row per listing over the runs of all of them.
+        with pytest.raises(ValueError, match=message):
+            run_eval(fixture_dataset, methods, runs=1, config=BENCH_CONFIG)
 
     def test_deepwalk_skipped_inductively_and_dashed(self, fixture_dataset):
         report = run_eval(fixture_dataset, ["deepwalk"], runs=1, base_seed=0,

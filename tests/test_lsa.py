@@ -1,6 +1,6 @@
 """Tokenizer, TF-IDF, truncated SVD vs a dense oracle, fold-in, cosine,
-and the Gram-matrix fit and vectorized TF-IDF against the SVD and
-per-token scipy loops they replaced."""
+and the Gram-matrix fit, vectorized TF-IDF and batched fold-in against
+the SVD, per-token scipy loops and per-text loop they replaced."""
 
 from __future__ import annotations
 
@@ -79,20 +79,46 @@ def reference_fit_lsa(matrix, d: int, vocabulary: Vocabulary | None = None) -> L
         projection=vt.T.copy(),
         doc_embeddings=u * s,
         singular_values=s,
-        idf=vocabulary.idf() if vocabulary is not None else None,
         vocabulary=vocabulary,
     )
 
 
+def reference_embed_text(model: LsaModel, text: str) -> np.ndarray:
+    """The per-text fold-in that the batched ``embed_text`` replaced:
+    tokenize one string, then add count * idf * projection row one
+    distinct token at a time."""
+    idf = model.vocabulary.idf()
+    vector = np.zeros(model.dimension)
+    index = model.vocabulary.index
+    for token, count in Counter(tokenize(text)).items():
+        col = index.get(token)
+        if col is not None:
+            weight = count * idf[col]
+            if weight != 0.0:
+                vector += weight * model.projection[col]
+    return vector
+
+
+def embed_one(model: LsaModel, text: str) -> np.ndarray:
+    """One string through the batched fold-in."""
+    (row,) = embed_text(model, [tokenize(text)])
+    return row
+
+
 @pytest.fixture(scope="module")
-def planted_texts() -> list[str]:
-    """Abstracts of a noisy planted-topic corpus, shaped like the text
-    benchmark's at a fifth of its size: more terms than documents."""
+def planted():
+    """A noisy planted-topic corpus, shaped like the text benchmark's at a
+    fifth of its size: more terms than documents."""
     params = PlantedCorpusParams(
         topics=10, docs_per_topic=10, topic_vocab=10, filler_vocab=20, body_tokens=30,
         links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=10, seed=3,
     )
-    return [article.abstract for article in planted_dataset(params).articles]
+    return planted_dataset(params)
+
+
+@pytest.fixture(scope="module")
+def planted_texts(planted) -> list[str]:
+    return [article.abstract for article in planted.articles]
 
 
 class TestTokenize:
@@ -231,9 +257,9 @@ class TestAgainstReplacedPaths:
             rtol=0, atol=1e-9,
         )
         # Fold-ins of spans of the training text, against the documents.
-        spans = [" ".join(tokens[i : i + 3]) for tokens in corpus[:50] for i in (0, 5)]
-        folded = np.array([embed_text(model, text) for text in spans])
-        folded_expected = np.array([embed_text(expected, text) for text in spans])
+        spans = [tokens[i : i + 3] for tokens in corpus[:50] for i in (0, 5)]
+        folded = embed_text(model, spans)
+        folded_expected = embed_text(expected, spans)
         targets = rng.integers(0, matrix.shape[0], len(spans))
         np.testing.assert_allclose(
             row_cosines(folded, model.doc_embeddings[targets]),
@@ -320,13 +346,15 @@ class TestEmbedText:
         ]
         model = self._model(texts, d=3)
         for i, text in enumerate(texts):
-            folded = embed_text(model, text)
+            folded = embed_one(model, text)
             assert cosine(folded, model.doc_embeddings[i]) > 1 - 1e-6
             np.testing.assert_allclose(folded, model.doc_embeddings[i], rtol=1e-6, atol=1e-9)
 
     def test_out_of_vocabulary_text_is_zero(self):
         model = self._model(["alpha beta", "beta gamma"])
-        assert np.array_equal(embed_text(model, "unknown words"), np.zeros(4))
+        assert np.array_equal(embed_one(model, "unknown words"), np.zeros(4))
+        assert np.array_equal(embed_text(model, [[]]), np.zeros((1, 4)))
+        assert embed_text(model, []).shape == (0, 4)
 
     def test_anchor_closer_to_its_target_than_to_random_article(self):
         # The anchor's tokens dominate the target article's text.
@@ -336,7 +364,7 @@ class TestEmbedText:
             "the war between the states was a civil conflict",
         ]
         model = self._model(texts, d=3)
-        anchor = embed_text(model, "American Civil War")
+        anchor = embed_one(model, "American Civil War")
         target_cos = cosine(anchor, model.doc_embeddings[0])
         random_cos = cosine(anchor, model.doc_embeddings[1])
         assert target_cos > random_cos
@@ -344,7 +372,31 @@ class TestEmbedText:
     def test_model_without_vocabulary_rejects_text(self):
         model = fit_lsa(np.eye(3), d=2)
         with pytest.raises(ValueError):
-            embed_text(model, "anything")
+            embed_text(model, [["anything"]])
+
+    def test_batch_equals_the_per_text_loop(self, planted):
+        # Fitted on 80 of the 100 documents: the other 20 fold in as hidden
+        # documents do, next to anchors, titles, a text with only unseen
+        # tokens, an empty text and a repeat.
+        abstracts = [article.abstract for article in planted.articles]
+        matrix, vocab = build_tfidf([tokenize(text) for text in abstracts[:80]])
+        model = fit_lsa(matrix, d=16, vocabulary=vocab)
+        anchors = sorted({
+            text for pairs in planted.eval_samples().values() for pair in pairs
+            for text in pair.anchor_texts()
+        })
+        titles = [article.title for article in planted.articles]
+        texts = abstracts[80:] + anchors + titles + ["zzz qqq unseen", "", anchors[0]]
+        assert len(anchors) > 20
+        assert all(tokenize(text) for text in texts[:-3])
+        batch = embed_text(model, [tokenize(text) for text in texts])
+        assert batch.shape == (len(texts), 16)
+        for text, row in zip(texts, batch):
+            assert np.array_equal(row, reference_embed_text(model, text)), text
+        assert not batch[-3:-1].any()
+        assert batch[:-3].any(axis=1).all()
+        # Rows do not depend on the rest of the batch.
+        assert np.array_equal(embed_one(model, anchors[0]), batch[-1])
 
 
 class TestCosine:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from wikilinks.predictors import (
 )
 
 from conftest import BENCH_CONFIG, write_predictions
-from test_lsa import cosine_oracle, dense_svd_oracle
+from test_lsa import cosine_oracle, dense_svd_oracle, reference_embed_text
 
 
 def _map(patterns: dict[str, set[int]], count: int, mode: str = "anchor") -> AnchorMap:
@@ -50,7 +50,6 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
     """A run over ``texts`` whose training documents are ``train`` (all by
     default); the LSA space matches ``_lsa_over`` on those documents."""
     return RunContext(
-        articles=[_article(i, t) for i, t in enumerate(texts)],
         tokens=[tokenize(t) for t in texts],
         train_network=DocumentNetwork.from_links(len(texts), []),
         train_nodes=range(len(texts)) if train is None else train,
@@ -61,13 +60,19 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
     )
 
 
+def _anchor_vectors(lsa, pairs) -> dict[str, np.ndarray]:
+    """Batched fold-in of every distinct anchor string of ``pairs``."""
+    texts = sorted({text for pair in pairs for text in pair.anchor_texts()})
+    return dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
+
+
 def _triples_per_pair(lsa, doc_matrix, pair: CandidatePair) -> np.ndarray:
     """Loop reference for the batch features: one pair, one anchor at a time."""
     source, target = doc_matrix[pair.source], doc_matrix[pair.target]
     s3 = cosine_oracle(source, target)
     rows = []
     for text in pair.anchor_texts():
-        anchor = embed_text(lsa, text)
+        anchor = reference_embed_text(lsa, text)
         rows.append((cosine_oracle(anchor, source), cosine_oracle(anchor, target), s3))
     return np.array(rows)
 
@@ -162,18 +167,21 @@ class TestDocMatrix:
         ctx = _context(texts, train=[0, 1, 2])
         folded = []
 
-        def counting_embed(model, text):
-            folded.append(text)
-            return embed_text(model, text)
+        def counting_embed(model, batch):
+            folded.append(batch)
+            return embed_text(model, batch)
 
         monkeypatch.setattr(predictors, "embed_text", counting_embed)
         docs = ctx.doc_matrix()
         assert ctx.doc_matrix() is docs
         model, rows = ctx.lsa()
-        for doc, row in rows.items():
+        assert rows == [0, 1, 2]
+        for row, doc in enumerate(rows):
             np.testing.assert_array_equal(docs[doc], model.doc_embeddings[row])
-        np.testing.assert_array_equal(docs[3], embed_text(model, texts[3]))
-        assert folded == [texts[3]]  # each hidden document folds in once
+        assert np.array_equal(docs[3], reference_embed_text(model, texts[3]))
+        # One batch, from the shared tokens: each hidden document folds in once.
+        assert folded == [[ctx.tokens[3]]]
+        assert folded[0][0] is ctx.tokens[3]
 
 
 class TestComputeAtilpScores:
@@ -181,13 +189,17 @@ class TestComputeAtilpScores:
         texts = ["lincoln led the union", "economy of trade", "battles of the war"]
         model, _ = _lsa_over(texts)
         pair = CandidatePair(source=0, target=1, matched=((texts[0], (0, len(texts[0]))),))
-        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
+        (triple,), _ = atilp_features(
+            model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
+        )
         assert triple[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_all_oov_anchor(self):
         model, _ = _lsa_over(["alpha beta", "beta gamma", "gamma delta"])
         pair = CandidatePair(source=0, target=1, matched=(("zzz qqq", (0, 7)),))
-        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
+        (triple,), _ = atilp_features(
+            model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
+        )
         assert triple[0] == 0.0
         assert triple[1] == 0.0
 
@@ -198,7 +210,9 @@ class TestComputeAtilpScores:
         doc_vecs = u[:, :2] * s[:2]
         anchor = "army battle"
         pair = CandidatePair(source=0, target=2, matched=((anchor, (0, 11)),))
-        (triple,), _ = atilp_features(model, model.doc_embeddings, [pair], {})
+        (triple,), _ = atilp_features(
+            model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
+        )
 
         counts = {t: anchor.split().count(t) for t in set(anchor.split())}
         q = np.zeros(matrix.shape[1])
@@ -217,12 +231,14 @@ class TestComputeAtilpScores:
             source=4, target=1, matched=(("red apples", (0, 10)), ("apples", (4, 10)))
         )
         pairs = [p for ps in samples.values() for p in ps] + [two_anchors]
-        cache: dict = {}
-        features, counts = atilp_features(model, model.doc_embeddings, pairs, cache)
+        # Read-only inputs: computing the features mutates neither.
+        vectors = MappingProxyType(_anchor_vectors(model, pairs))
+        docs = model.doc_embeddings.copy()
+        docs.flags.writeable = False
+        features, counts = atilp_features(docs, vectors, pairs)
         expected = [_triples_per_pair(model, model.doc_embeddings, p) for p in pairs]
         assert counts.tolist() == [len(rows) for rows in expected]
         np.testing.assert_allclose(features, np.vstack(expected), rtol=0, atol=1e-12)
-        assert set(cache) == {t for p in pairs for t in p.anchor_texts()}
 
 
 class TestOlsFit:
@@ -307,6 +323,16 @@ class TestFitScoreAtilp:
         np.testing.assert_allclose(atilp.coefficients, coefficients, rtol=0, atol=1e-9)
         assert atilp.intercept == pytest.approx(intercept, abs=1e-9)
 
+    def test_anchor_table_holds_every_candidate_anchor(self):
+        _, net, _, samples, model = _candidate_fixture()
+        # Restricted to documents 0, 1 and 4, the fit still folds in the
+        # anchors of every candidate, so that it can score all of them.
+        atilp = fit_atilp(net, model, samples, seed=0, nodes=[0, 1, 4])
+        anchors = {t for ps in samples.values() for p in ps for t in p.anchor_texts()}
+        assert set(atilp.anchor_vectors) == anchors
+        for text, vector in atilp.anchor_vectors.items():
+            assert np.array_equal(vector, reference_embed_text(model, text)), text
+
     def test_shortfall_recorded(self):
         _, net, _, samples, model = _candidate_fixture()
         atilp = fit_atilp(net, model, samples, seed=0, n_positive=1000, n_negative=1000)
@@ -334,10 +360,11 @@ class TestFitScoreAtilp:
 
     def test_pure_s3_model_orders_like_lsa(self):
         _, net, _, samples, model = _candidate_fixture()
-        pure_s3 = AtilpModel(
-            coefficients=np.array([0.0, 0.0, 1.0]), intercept=0.0, lsa=model
-        )
         pairs = [p for ps in samples.values() for p in ps]
+        pure_s3 = AtilpModel(
+            coefficients=np.array([0.0, 0.0, 1.0]), intercept=0.0,
+            anchor_vectors=_anchor_vectors(model, pairs),
+        )
         docs = model.doc_embeddings
         atilp_scores = pure_s3.predict(docs, pairs)
         lsa_scores = (
@@ -357,9 +384,10 @@ class TestFitScoreAtilp:
             source=0, target=1, matched=(("alpha", (0, 5)), ("gamma", (11, 16)))
         )
         atilp = AtilpModel(
-            coefficients=np.array([2.0, 2.0, 2.0]), intercept=0.5, lsa=model
+            coefficients=np.array([2.0, 2.0, 2.0]), intercept=0.5,
+            anchor_vectors=_anchor_vectors(model, [pair]),
         )
-        triples, _ = atilp_features(model, docs, [pair], {})
+        triples, _ = atilp_features(docs, atilp.anchor_vectors, [pair])
         raw = triples @ atilp.coefficients + atilp.intercept
         (score,) = atilp.predict(docs, [pair])
         assert score == pytest.approx(min(1.0, max(0.0, raw.max())))
@@ -375,7 +403,10 @@ class TestFitScoreAtilp:
             CandidatePair(source=4, target=3, matched=matched[::-1]),
         ]
         pairs = [p for ps in samples.values() for p in ps] + two_anchors
-        atilp = AtilpModel(coefficients=np.array([0.3, -0.2, 0.1]), intercept=0.2, lsa=model)
+        atilp = AtilpModel(
+            coefficients=np.array([0.3, -0.2, 0.1]), intercept=0.2,
+            anchor_vectors=_anchor_vectors(model, pairs),
+        )
         raw = _triples_per_pair(model, docs, two_anchors[0]) @ atilp.coefficients
         assert 0.0 < raw.min() + atilp.intercept < raw.max() + atilp.intercept < 1.0
         expected = [
@@ -393,7 +424,6 @@ class TestFitScoreAtilp:
         samples = fixture_dataset.eval_samples()
         split = split_inductive(fixture_dataset.network, samples, 0.2, run_seed=0)
         ctx = RunContext(
-            articles=fixture_dataset.articles,
             tokens=[tokenize(a.abstract) for a in fixture_dataset.articles],
             train_network=split.train_network,
             train_nodes=split.train_nodes,
@@ -402,17 +432,27 @@ class TestFitScoreAtilp:
             title_candidates={},
             config=BENCH_CONFIG,
         )
-        embedded = []
+        batches, tokenized = [], []
 
-        def counting_embed(model, text):
-            embedded.append(text)
-            return embed_text(model, text)
+        def counting_embed(model, texts):
+            batches.append(len(texts))
+            return embed_text(model, texts)
+
+        def counting_tokenize(text):
+            tokenized.append(text)
+            return tokenize(text)
 
         monkeypatch.setattr(predictors, "embed_text", counting_embed)
+        monkeypatch.setattr(predictors, "tokenize", counting_tokenize)
         scorer = make_method("atilp").make_scorer(ctx)
         scores = scorer([(s, t) for s, t, _ in split.test_pairs])
         assert len(scores) == len(split.test_pairs)
-        assert len(embedded) == len(set(embedded))
+        # Each distinct anchor string folds in once, in one batch after the
+        # one of the hidden documents; scoring folds in nothing more.
+        anchors = {t for ps in samples.values() for p in ps for t in p.anchor_texts()}
+        assert sorted(tokenized) == sorted(anchors)
+        hidden = fixture_dataset.network.node_count - len(split.train_nodes)
+        assert batches == [hidden, len(anchors)]
 
 
 class TestScoreRandom:
@@ -504,4 +544,18 @@ class TestAtilpTrainingRestriction:
         assert [(p.source, p.target) for p in negatives] == [(0, 2)]
         fit_atilp(net, model, samples, seed=0)  # unrestricted: fits fine
         with pytest.raises(ValueError):
-            fit_atilp(net, model, samples, seed=0, targets=[0, 1])
+            fit_atilp(net, model, samples, seed=0, nodes=[0, 1])
+
+    def test_source_restriction_excludes_hidden_documents(self):
+        # The only negative candidate leaves doc 0; restricting to docs
+        # {1, 2} keeps the positive (1, 2) and leaves no negative.
+        texts = ["alpha beta", "alpha words here", "beta words there"]
+        articles = [_article(i, t) for i, t in enumerate(texts)]
+        net = DocumentNetwork.from_links(3, [(0, 1, "alpha"), (1, 2, "beta")])
+        from wikilinks.anchors import build_eval_samples
+
+        samples = build_eval_samples(net, build_anchor_map(net), articles)
+        model, _ = _lsa_over(texts, d=2)
+        assert fit_atilp(net, model, samples, seed=0, nodes=[0, 1, 2]).n_negative == 1
+        with pytest.raises(ValueError):
+            fit_atilp(net, model, samples, seed=0, nodes=[1, 2])
