@@ -55,7 +55,7 @@ def main() -> None:
     split = split_transductive(dataset.network, dataset.eval_samples(), 0.1, run_seed=0)
     corpus = [tokenize(a.abstract) for a in dataset.articles]
     matrix, vocab = build_tfidf(corpus)
-    lsa_model = fit_lsa(matrix, d=config.lsa_dimension, seed=0, vocabulary=vocab)
+    lsa_model = fit_lsa(matrix, d=config.lsa_dimension, vocabulary=vocab)
     model = fit_atilp(split.train_network, lsa_model, dataset.eval_samples(), seed=0)
     c = model.coefficients
     print("\nlearned weights on (anchor-source, anchor-target, source-target):")

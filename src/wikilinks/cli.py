@@ -198,6 +198,8 @@ def cmd_ingest(args) -> int:
         except DumpParseError as exc:
             offset = f" near byte {exc.byte_offset}" if exc.byte_offset is not None else ""
             raise InputError(f"{exc}{offset}") from exc
+        except (OSError, EOFError) as exc:  # a corrupt or truncated .gz or .bz2
+            raise InputError(f"cannot read dump {args.dump}: {exc}") from exc
     network = DocumentNetwork.from_links(len(articles), links)
     Dataset(name=out.name, articles=articles, network=network).save(out)
     warnings = sum(

@@ -248,8 +248,8 @@ def network_stats(network: DocumentNetwork, articles, samples=None) -> NetworkSt
         neg = np.array(
             [sum(1 for p in samples.get(i, []) if not p.label) for i in range(n)], dtype=float
         )
-        pos_mean, pos_std = float(pos.mean()), float(pos.std())
-        neg_mean, neg_std = float(neg.mean()), float(neg.std())
+        pos_mean, pos_std = (float(pos.mean()), float(pos.std())) if n else (0.0, 0.0)
+        neg_mean, neg_std = (float(neg.mean()), float(neg.std())) if n else (0.0, 0.0)
     return NetworkStats(
         n_docs=n,
         n_links=network.edge_count,

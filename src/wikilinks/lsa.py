@@ -1,13 +1,12 @@
 """Text embeddings by latent semantic analysis.
 
 TF-IDF document vectors, held in compressed sparse rows, factored with
-a truncated SVD: small matrices take an exact decomposition, the top
-eigenpairs of the Gram matrix of their smaller side, and large ones a
-seeded randomized subspace iteration over dense row blocks. New text
-folds into the fitted space by projecting its TF-IDF vector through the
-right singular vectors (q @ V, without inverse-sigma scaling), which
-keeps fold-in vectors on the same scale as the stored document
-embeddings U * sigma.
+an exact truncated SVD: the top eigenpairs of the Gram matrix of the
+matrix's smaller side, summed over dense blocks of its long side. New
+text folds into the fitted space by projecting its TF-IDF vector
+through the right singular vectors (q @ V, without inverse-sigma
+scaling), which keeps fold-in vectors on the same scale as the stored
+document embeddings U * sigma.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-# Above this many cells the exact Gram decomposition gives way to the
-# randomized path, which densifies row blocks of at most this many cells.
+# The Gram matrix of the smaller side is dense and eigendecomposed
+# whole, so that side holds at most this many rows or columns.
+_GRAM_SIDE_LIMIT = 5_000
+# Dense blocks of the long side hold at most this many cells.
 _DENSE_CELL_LIMIT = 2_000_000
-
-_RANDOMIZED_OVERSAMPLES = 10
-_RANDOMIZED_POWER_ITERS = 2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -70,6 +68,15 @@ class CsrMatrix:
         rows = np.repeat(np.arange(stop - start), np.diff(self.indptr[start : stop + 1]))
         dense[rows, self.indices[first:last]] = self.data[first:last]
         return dense
+
+    def transposed(self) -> CsrMatrix:
+        """The transpose, in compressed sparse rows: a stable sort by
+        column keeps each new row's columns ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return CsrMatrix(self.data[order], rows[order], indptr, self.shape[::-1])
 
 
 def build_tfidf(corpus: list[list[str]]) -> tuple[CsrMatrix, Vocabulary]:
@@ -127,111 +134,70 @@ class LsaModel:
     vocabulary: Vocabulary | None = None
 
 
-def _row_blocks(matrix: CsrMatrix | np.ndarray):
-    """(first row, dense rows) of consecutive row blocks of at most
-    ``_DENSE_CELL_LIMIT`` cells, one row at least."""
+def _dense_row_blocks(matrix: CsrMatrix | np.ndarray):
+    """Consecutive dense row blocks of at most ``_DENSE_CELL_LIMIT``
+    cells, one row at least."""
     n_rows, n_cols = matrix.shape
     step = max(1, _DENSE_CELL_LIMIT // max(n_cols, 1))
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)
-        if isinstance(matrix, CsrMatrix):
-            yield start, matrix.toarray(start, stop)
-        else:
-            yield start, matrix[start:stop]
+        yield matrix.toarray(start, stop) if isinstance(matrix, CsrMatrix) else matrix[start:stop]
 
 
-def _times(matrix: CsrMatrix | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ X, one dense row block at a time."""
-    return np.vstack([block @ x for _, block in _row_blocks(matrix)])
-
-
-def _transposed_times(matrix: CsrMatrix | np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Aᵀ @ Y, summed over dense row blocks."""
-    total = np.zeros((matrix.shape[1], y.shape[1]))
-    for start, block in _row_blocks(matrix):
-        total += block.T @ y[start : start + len(block)]
-    return total
-
-
-def _randomized_svd(
-    matrix: CsrMatrix | np.ndarray, d: int, seed: int, oversamples: int = _RANDOMIZED_OVERSAMPLES,
-    power_iters: int = _RANDOMIZED_POWER_ITERS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Halko-style randomized range finder with subspace power iteration.
-
-    Deterministic for a fixed seed. Re-orthonormalizes between power
-    iterations to keep the sample matrix well conditioned.
-    """
-    rng = np.random.default_rng(seed)
-    n_rows, n_cols = matrix.shape
-    k = min(d + oversamples, n_rows, n_cols)
-    omega = rng.standard_normal((n_cols, k))
-    q, _ = np.linalg.qr(_times(matrix, omega))
-    for _ in range(power_iters):
-        z, _ = np.linalg.qr(_transposed_times(matrix, q))
-        q, _ = np.linalg.qr(_times(matrix, z))
-    b = _transposed_times(matrix, q).T
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return (q @ ub)[:, :d], s[:d], vt[:d]
-
-
-def _gram_svd(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gram_svd(matrix: CsrMatrix | np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-d singular triplets from the eigendecomposition of the
     Gram matrix of the smaller side: A Aᵀ for wide matrices, AᵀA for
-    tall ones.
+    tall ones, summed over dense row blocks of the long side.
 
     The eigenvalues are the squared singular values and the eigenvectors
-    one side's singular vectors; the other side is Aᵀu/σ (or Av/σ).
-    Eigenvalues at or below max(shape) * eps * λ_max are below what the
-    Gram matrix resolves and count as zero, so fewer than d triplets
-    come back when the matrix has lower numerical rank. Largest first.
+    one side's singular vectors; the other side is Aᵀu/σ (or Av/σ),
+    recovered block by block. Eigenvalues at or below
+    max(shape) * eps * λ_max are below what the Gram matrix resolves and
+    count as zero, so fewer than d triplets come back when the matrix
+    has lower numerical rank. Largest first.
     """
     n_rows, n_cols = matrix.shape
-    short = matrix if n_rows <= n_cols else matrix.T
-    gram = short @ short.T
+    wide = n_rows <= n_cols
+    if wide:  # turn the long side down the rows
+        matrix = matrix.transposed() if isinstance(matrix, CsrMatrix) else matrix.T
+    blocks = _dense_row_blocks(matrix)
+    block = next(blocks)
+    gram = block.T @ block
+    for block in blocks:
+        gram += block.T @ block
+    del block  # freed before the recovery pass densifies its own blocks
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
     cutoff = max(n_rows, n_cols) * np.finfo(float).eps * max(eigenvalues[-1], 0.0)
     rank = min(d, int(np.count_nonzero(eigenvalues > cutoff)))
     s = np.sqrt(eigenvalues[::-1][:rank])
     vectors = eigenvectors[:, ::-1][:, :rank]
-    recovered = (short.T @ vectors) / s
-    if short is matrix:
+    recovered = np.vstack([block @ vectors for block in _dense_row_blocks(matrix)]) / s
+    if wide:
         return vectors, s, recovered.T
     return recovered, s, vectors.T
 
 
 def fit_lsa(
-    matrix: CsrMatrix | np.ndarray,
-    d: int = 512,
-    seed: int = 0,
-    vocabulary: Vocabulary | None = None,
-    method: str = "auto",
+    matrix: CsrMatrix | np.ndarray, d: int = 512, vocabulary: Vocabulary | None = None
 ) -> LsaModel:
     """Rank-d truncated SVD of a document-term matrix, sparse (from
-    :func:`build_tfidf`) or dense.
+    :func:`build_tfidf`) or dense, exact through the Gram matrix of its
+    smaller side.
 
-    ``method`` picks the decomposition: "dense" (exact, through the Gram
-    matrix of the densified smaller side), "randomized", or "auto"
-    (dense up to ``_DENSE_CELL_LIMIT`` cells). When d exceeds the number
-    of available singular values, the extra dimensions are zero-padded
-    so embeddings keep a fixed width; singular values too small to
-    resolve are zero as well.
+    Raises ValueError when the smaller side exceeds ``_GRAM_SIDE_LIMIT``.
+    When d exceeds the number of available singular values, the extra
+    dimensions are zero-padded so embeddings keep a fixed width;
+    singular values too small to resolve are zero as well.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    if method not in ("auto", "dense", "randomized"):
-        raise ValueError(f"unknown SVD method {method!r}")
     if not isinstance(matrix, CsrMatrix):
         matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
-    if method == "auto":
-        method = "dense" if n_rows * n_cols <= _DENSE_CELL_LIMIT else "randomized"
-
-    if method == "dense":
-        dense = matrix.toarray() if isinstance(matrix, CsrMatrix) else matrix
-        u, s, vt = _gram_svd(dense, d)
-    else:
-        u, s, vt = _randomized_svd(matrix, d, seed)
+    if min(n_rows, n_cols) > _GRAM_SIDE_LIMIT:
+        raise ValueError(f"LSA takes at most {_GRAM_SIDE_LIMIT} documents or terms, whichever "
+                         f"are fewer; this matrix is {n_rows} x {n_cols}")
+    u, s, vt = _gram_svd(matrix, d)
 
     rank = len(s)
     if rank < d:

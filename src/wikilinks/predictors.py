@@ -201,9 +201,7 @@ class RunContext:
         if self._lsa is None:
             docs = sorted(self.train_nodes)
             matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
-            model = fit_lsa(
-                matrix, self.config.lsa_dimension, seed=self.seed, vocabulary=vocabulary
-            )
+            model = fit_lsa(matrix, self.config.lsa_dimension, vocabulary=vocabulary)
             self._lsa = (model, docs)
         return self._lsa
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import bz2
+import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,26 @@ class TestIngestCommand:
         code = main(["ingest", "--dump", str(dump), "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("name", "content"),
+        [
+            ("not-gzip.xml.gz", lambda raw: raw),
+            ("truncated.xml.gz", lambda raw: gzip.compress(raw)[:60]),
+            ("truncated.xml.bz2", lambda raw: bz2.compress(raw)[:60]),
+            ("garbage.xml.bz2", lambda raw: b"BZh9" + bytes(range(200))),
+        ],
+        ids=["not-gzip", "truncated-gz", "truncated-bz2", "bz2-garbage"],
+    )
+    def test_corrupt_compressed_dump_exits_2_with_one_line(self, tmp_path, capsys, name, content):
+        dump = tmp_path / name
+        dump.write_bytes(content(TINY_DUMP.encode("utf-8")))
+        out = tmp_path / "o"
+        assert main(["ingest", "--dump", str(dump), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read dump {dump}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_idempotent_outputs(self, tmp_path, tiny_dump_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -181,6 +204,23 @@ class TestDatasetStatsCommand:
         assert "links:" in out and "%" in out
         assert "vocabulary:" in out
         assert "positives/doc:" in out
+
+    def test_dataset_without_articles(self, tmp_path, capsys):
+        data = tmp_path / "empty"
+        data.mkdir()
+        (data / "articles.jsonl").write_text("")
+        (data / "links.tsv").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dataset-stats", "--data", str(data)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "documents: 0",
+            "links: 0 (0.00%)",
+            "vocabulary: 0",
+            "doc length: 0.00 (0.00)",
+            "positives/doc: 0.00 (0.00)",
+            "negatives/doc: 0.00 (0.00)",
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +610,31 @@ class TestEvalPartialFailure:
         report = json.loads((out / "report.json").read_text())
         assert any(r.get("method") == "random" and "auc_mean" in r for r in report)
         assert any(r.get("method") == "lsa" and "error" in r for r in report)
+
+
+    def test_lsa_above_the_gram_bound_fails_each_run(self, tmp_path, planted_data_dir, capsys,
+                                                     monkeypatch):
+        from wikilinks import lsa
+        from wikilinks.cli import EXIT_PARTIAL
+
+        monkeypatch.setattr(lsa, "_GRAM_SIDE_LIMIT", 3)
+        out = tmp_path / "results"
+        config = _eval_config(
+            tmp_path, planted_data_dir, out=str(out), methods=["random", "lsa", "atilp"]
+        )
+        assert main(["eval", "--config", config]) == EXIT_PARTIAL
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED")]
+        assert sorted(line.split(":")[0] for line in failed) == sorted(
+            f"FAILED {method} [{mode}, run {run}]" for method in ("lsa", "atilp")
+            for mode in ("inductive", "transductive") for run in (0, 1)
+        )
+        bound = r"at most 3 documents or terms, whichever are fewer; this matrix is \d+ x \d+$"
+        assert all(re.search(bound, line) for line in failed)
+        report = json.loads((out / "report.json").read_text())
+        assert {r["mode"] for r in report if r["method"] == "random" and "auc_mean" in r} == {
+            "inductive", "transductive"
+        }
 
 
 def test_package_and_cli_run_without_scipy():

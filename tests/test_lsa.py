@@ -1,6 +1,7 @@
 """Tokenizer, TF-IDF, truncated SVD vs a dense oracle, fold-in, cosine,
-and the Gram-matrix fit, vectorized TF-IDF and batched fold-in against
-the SVD, per-token scipy loops and per-text loop they replaced."""
+the CSR transpose, and the blocked Gram-matrix fit, vectorized TF-IDF
+and batched fold-in against the SVD, per-token scipy loops and per-text
+loop they replaced."""
 
 from __future__ import annotations
 
@@ -62,6 +63,12 @@ def reference_build_tfidf(corpus: list[list[str]]) -> tuple[sp.csr_matrix, Vocab
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(corpus), len(token_list)))
     matrix.eliminate_zeros()
     return matrix, vocabulary
+
+
+def as_csr(dense: np.ndarray) -> CsrMatrix:
+    """A dense array in the package's compressed sparse rows."""
+    csr = sp.csr_matrix(dense)
+    return CsrMatrix(data=csr.data, indices=csr.indices, indptr=csr.indptr, shape=csr.shape)
 
 
 def reference_fit_lsa(matrix, d: int, vocabulary: Vocabulary | None = None) -> LsaModel:
@@ -201,24 +208,16 @@ class TestFitLsa:
         with pytest.raises(ValueError):
             fit_lsa(np.eye(2), d=0)
 
-    def test_randomized_path_recovers_low_rank_exactly(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.standard_normal((200, 50)) @ rng.standard_normal((50, 8))
-        matrix = matrix @ rng.standard_normal((8, 300))  # exact rank 8
-        model = fit_lsa(matrix, d=8, seed=5, method="randomized")
-        _, s_oracle, _ = dense_svd_oracle(matrix)
-        assert np.allclose(model.singular_values, s_oracle[:8], rtol=1e-8, atol=1e-8)
-
-    def test_randomized_path_deterministic_per_seed(self):
-        rng = np.random.default_rng(3)
-        matrix = rng.standard_normal((40, 60))
-        a = fit_lsa(matrix, d=4, seed=9, method="randomized")
-        b = fit_lsa(matrix, d=4, seed=9, method="randomized")
-        assert np.array_equal(a.doc_embeddings, b.doc_embeddings)
-
-    def test_unknown_method_errors(self):
-        with pytest.raises(ValueError):
-            fit_lsa(np.eye(2), d=1, method="magic")
+    def test_smaller_side_within_the_gram_bound(self, monkeypatch):
+        monkeypatch.setattr(lsa, "_GRAM_SIDE_LIMIT", 3)
+        rng = np.random.default_rng(11)
+        for shape in ((3, 40), (40, 3)):
+            matrix = rng.standard_normal(shape)
+            model = fit_lsa(matrix, d=2)
+            expected = reference_fit_lsa(matrix, 2)
+            np.testing.assert_allclose(model.singular_values, expected.singular_values)
+        with pytest.raises(ValueError, match=r"at most 3\b.* 4 x 5$"):
+            fit_lsa(rng.standard_normal((4, 5)), d=2)
 
 
 class TestAgainstReplacedPaths:
@@ -309,25 +308,36 @@ class TestAgainstReplacedPaths:
         approx = model.doc_embeddings @ model.projection.T
         np.testing.assert_allclose(approx, matrix, atol=1e-12)
 
-    def test_randomized_row_blocks_agree_with_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+    @pytest.mark.parametrize("shape", [(20, 90), (90, 20)], ids=["wide", "tall"])
+    def test_gram_summed_over_blocks(self, monkeypatch, shape, sparse):
         rng = np.random.default_rng(10)
-        words = [f"w{i}" for i in range(60)]
-        corpus = [rng.choice(words, size=int(rng.integers(1, 20))).tolist() for _ in range(90)]
-        matrix, _ = build_tfidf(corpus)
-        one = fit_lsa(matrix, d=8, seed=4, method="randomized")
-        monkeypatch.setattr(lsa, "_DENSE_CELL_LIMIT", 7 * matrix.shape[1])
-        assert len(list(lsa._row_blocks(matrix))) == 13
-        blocked = fit_lsa(matrix, d=8, seed=4, method="randomized")
-        np.testing.assert_allclose(blocked.singular_values, one.singular_values, rtol=1e-12)
-        for got, want in ((blocked.doc_embeddings, one.doc_embeddings),
-                          (blocked.projection, one.projection)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        dense = rng.random(shape) * (rng.random(shape) < 0.4)
+        expected = reference_fit_lsa(dense, 8)
+        monkeypatch.setattr(lsa, "_DENSE_CELL_LIMIT", 7 * min(shape))
+        long_side = dense if shape[0] > shape[1] else dense.T
+        assert len(list(lsa._dense_row_blocks(long_side))) == 13
+        model = fit_lsa(as_csr(dense) if sparse else dense, d=8)
+        self._agree_up_to_sign(model, expected, 8)
 
     def test_zero_matrix_embeds_to_zero(self):
         model = fit_lsa(np.zeros((3, 5)), d=2)
         assert np.all(model.singular_values == 0.0)
         assert np.all(model.doc_embeddings == 0.0)
         assert np.all(model.projection == 0.0)
+
+
+class TestCsrMatrix:
+    def test_transposed_equals_scipy(self):
+        rng = np.random.default_rng(12)
+        dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
+        got = as_csr(dense).transposed()
+        expected = sp.csr_matrix(dense).T.tocsr()
+        assert got.shape == (40, 60)
+        assert np.array_equal(got.data, expected.data)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.toarray(), dense.T)
 
 
 class TestEmbedText:
