@@ -48,7 +48,7 @@ def main() -> None:
     for pair in samples[0]:
         label = "LINK" if pair.label else "no link (hard negative)"
         print(f"    -> {dataset.articles[pair.target].title:20}  "
-              f"matched {pair.anchor_texts()}  [{label}]")
+              f"matched {pair.anchors}  [{label}]")
 
     print("\n=== Dataset statistics in the style of the published tables ===")
     stats = network_stats(net, dataset.articles, samples)

@@ -86,7 +86,7 @@ class _Matcher:
     accepts) closes it. ``search`` therefore finds, in C, the leftmost
     start at which some pattern ends on a token boundary, and matches
     the longest such pattern there. Every shorter pattern at the same
-    start is a prefix of that one, so the prefix lists hold the rest.
+    start is a prefix of that one, so the pattern chains hold the rest.
     A subtree deeper than ``_MAX_NESTING`` groups is written as a flat
     alternation of its suffixes, longest first.
     """
@@ -96,8 +96,8 @@ class _Matcher:
         # In sorted order a pattern's prefixes come before it, and every
         # pattern sorted between a prefix and the pattern starts with that
         # prefix, so ``chain`` (the previous pattern and its prefixes)
-        # holds them all.
-        self._prefixes: dict[str, list[str]] = {}
+        # holds them all. A pattern's chain is itself, then its prefixes.
+        self._chains: dict[str, tuple[str, ...]] = {}
         chain: list[str] = []
         for pattern in sorted(patterns):
             node = trie
@@ -106,8 +106,8 @@ class _Matcher:
             node[""] = None
             while chain and not pattern.startswith(chain[-1]):
                 chain.pop()
-            self._prefixes[pattern] = chain[::-1]
             chain.append(pattern)
+            self._chains[pattern] = tuple(chain[::-1])
         # With no pattern the trie regex would match the empty string;
         # ``(?!)`` matches nothing.
         source = _trie_regex(trie, 0) + r"(?![^\W_])" if trie else "(?!)"
@@ -115,15 +115,16 @@ class _Matcher:
 
     def find_all(self, text: str) -> Iterator[tuple[int, int, str]]:
         """Yield (start, end, pattern) for every occurrence in ``text``
-        with no alphanumeric character on either side."""
+        with no alphanumeric character on either side; each ``pattern``
+        is the string object the matcher was built from."""
         search = self._regex.search
         match = search(text)
         while match is not None:
             start, end = match.span()
             if start == 0 or not text[start - 1].isalnum():
-                longest = match.group()
+                longest, *prefixes = self._chains[match.group()]
                 yield start, end, longest
-                for prefix in self._prefixes[longest]:
+                for prefix in prefixes:
                     stop = start + len(prefix)
                     if not text[stop].isalnum():
                         yield start, stop, prefix
@@ -222,21 +223,15 @@ def build_anchor_map(network: DocumentNetwork) -> AnchorMap:
 class CandidatePair:
     """A string-matched candidate link from ``source`` to ``target``.
 
-    ``matched`` lists (pattern, span) hits; each span's abstract
-    substring normalizes to its pattern. ``label`` is set once the pair
-    has been checked against a network.
+    ``anchors`` holds the distinct patterns matched in the source's
+    abstract that map to ``target``, in first-match order. ``label`` is
+    set once the pair has been checked against a network.
     """
 
     source: int
     target: int
-    matched: tuple[tuple[str, tuple[int, int]], ...]
+    anchors: tuple[str, ...]
     label: bool | None = None
-
-    def anchor_texts(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for pattern, _ in self.matched:
-            seen.setdefault(pattern, None)
-        return tuple(seen)
 
 
 def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, int]]]:
@@ -264,9 +259,9 @@ def scan_corpus(
     scanning each abstract against a map and labeled against
     ``network`` when given.
 
-    Candidates aggregate per distinct target, keeping all matched
-    patterns and spans; self-pairs are removed. Each document's list is
-    sorted by target id. The matcher is fetched once for the corpus.
+    Candidates aggregate per distinct target, keeping the distinct
+    matched patterns but no spans; self-pairs are removed. Each
+    document's list is sorted by target id. The matcher is fetched once.
     """
     matcher = anchor_map.automaton()
     return {
@@ -282,20 +277,19 @@ def _candidate_pairs(
     network: DocumentNetwork | None,
 ) -> list[CandidatePair]:
     """One document's candidates for :func:`scan_corpus`."""
-    by_target: dict[int, list[tuple[str, tuple[int, int]]]] = {}
-    for pattern, span in _scan(matcher, article.abstract):
+    by_target: dict[int, dict[str, None]] = {}
+    for pattern, _ in _scan(matcher, article.abstract):
         for target in anchor_map.patterns[pattern]:
-            if target == article.id:
-                continue
-            by_target.setdefault(target, []).append((pattern, span))
+            if target != article.id:
+                by_target.setdefault(target, {})[pattern] = None
     return [
         CandidatePair(
             source=article.id,
             target=target,
-            matched=tuple(matched),
+            anchors=tuple(anchors),
             label=None if network is None else network.has_edge(article.id, target),
         )
-        for target, matched in sorted(by_target.items())
+        for target, anchors in sorted(by_target.items())
     ]
 
 

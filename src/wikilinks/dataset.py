@@ -128,7 +128,7 @@ def write_samples_tsv(path, samples: Mapping[int, Sequence[CandidatePair]]) -> N
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for source in sorted(samples):
             for pair in samples[source]:
-                matched = "|".join(escape_field(text) for text in pair.anchor_texts())
+                matched = "|".join(escape_field(text) for text in pair.anchors)
                 label = 1 if pair.label else 0
                 fh.write(f"{pair.source}\t{pair.target}\t{label}\t{matched}\n")
 

@@ -167,6 +167,7 @@ def _gram_svd(matrix: CsrMatrix | np.ndarray, d: int) -> tuple[np.ndarray, np.nd
         gram += block.T @ block
     del block  # freed before the recovery pass densifies its own blocks
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
+    del gram
     cutoff = max(n_rows, n_cols) * np.finfo(float).eps * max(eigenvalues[-1], 0.0)
     rank = min(d, int(np.count_nonzero(eigenvalues > cutoff)))
     s = np.sqrt(eigenvalues[::-1][:rank])

@@ -67,14 +67,13 @@ def atilp_features(
 
     s1 = cos(anchor, source), s2 = cos(anchor, target),
     s3 = cos(source, target). Rows follow the pairs in order, and each
-    pair's anchors in :meth:`CandidatePair.anchor_texts` order.
+    pair's anchors in :attr:`CandidatePair.anchors` order.
     ``doc_matrix`` rows are indexed by document id, and
     ``anchor_vectors`` holds the fold-in of every matched anchor string.
     """
-    texts = [pair.anchor_texts() for pair in pairs]
-    counts = np.array([len(anchors) for anchors in texts], dtype=np.intp)
+    counts = np.array([len(pair.anchors) for pair in pairs], dtype=np.intp)
     anchor_rows = np.array(
-        [anchor_vectors[text] for anchors in texts for text in anchors]
+        [anchor_vectors[text] for pair in pairs for text in pair.anchors]
     ).reshape(-1, doc_matrix.shape[1])
     sources = doc_matrix[[pair.source for pair in pairs]]
     targets = doc_matrix[[pair.target for pair in pairs]]
@@ -136,7 +135,7 @@ def fit_atilp(
     sampled_pos = sample(positives, n_positive)
     sampled_neg = sample(negatives, n_negative)
 
-    texts = list(dict.fromkeys(pattern for pair in candidates for pattern, _ in pair.matched))
+    texts = list(dict.fromkeys(text for pair in candidates for text in pair.anchors))
     anchor_vectors = dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
     features, counts = atilp_features(
         lsa.doc_embeddings if doc_matrix is None else doc_matrix,
@@ -193,16 +192,22 @@ class RunContext:
         self.candidates = candidates
         self.title_candidates = title_candidates
         self.config = config
-        self._lsa: tuple[LsaModel, list[int]] | None = None
+        self._lsa: tuple[LsaModel, list[int]] | Exception | None = None
         self._doc_matrix: np.ndarray | None = None
 
     def lsa(self) -> tuple[LsaModel, list[int]]:
-        """The LSA model of the training documents, and their ids in row order."""
+        """The LSA model of the training documents, and their ids in row
+        order. A failed fit is kept, and every call raises its error."""
         if self._lsa is None:
             docs = sorted(self.train_nodes)
-            matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
-            model = fit_lsa(matrix, self.config.lsa_dimension, vocabulary=vocabulary)
-            self._lsa = (model, docs)
+            try:
+                matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
+                model = fit_lsa(matrix, self.config.lsa_dimension, vocabulary=vocabulary)
+                self._lsa = (model, docs)
+            except Exception as exc:  # noqa: BLE001 - raised below, now and on every call
+                self._lsa = exc
+        if isinstance(self._lsa, Exception):
+            raise self._lsa
         return self._lsa
 
     def doc_matrix(self) -> np.ndarray:

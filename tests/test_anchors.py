@@ -3,6 +3,9 @@ scanning vs a naive oracle, anchor maps, eval samples."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from wikilinks.anchors import (
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
+from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 from test_ingest import markup_text
 
@@ -65,6 +69,18 @@ def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]
                 found.add((pattern, (starts[begin], ends[stop - 1])))
             begin = norm.find(pattern, begin + 1)
     return found
+
+
+def assert_anchors_have_spans(anchor_map: AnchorMap, text: str, pair: CandidatePair) -> None:
+    """Every anchor of ``pair`` has a :func:`scan_text` hit in ``text``,
+    and each of its hits' substrings normalizes to it."""
+    hits: dict[str, list[tuple[int, int]]] = {}
+    for pattern, span in scan_text(anchor_map, text):
+        hits.setdefault(pattern, []).append(span)
+    for anchor in pair.anchors:
+        assert hits.get(anchor), f"{anchor!r} has no hit"
+        for start, end in hits[anchor]:
+            assert normalize_pattern(text[start:end]) == anchor
 
 
 def _map(patterns: dict[str, set[int]], article_count: int, mode: str = "anchor") -> AnchorMap:
@@ -317,7 +333,7 @@ class TestScanCandidates:
         pairs = scan_corpus(anchor_map, [article])[0]
         assert len(pairs) == 1
         assert pairs[0].target == 3
-        assert pairs[0].matched[0][0] == "political"
+        assert pairs[0].anchors == ("political",)
 
     def test_empty_abstract(self):
         anchor_map = _map({"x": {1}}, 2)
@@ -334,31 +350,36 @@ class TestScanCandidates:
         pairs = scan_corpus(anchor_map, [article])[0]
         assert [p.target for p in pairs] == [1, 2]
         by_target = {p.target: p for p in pairs}
-        assert by_target[1].anchor_texts() == ("american", "american civil war")
-        assert by_target[2].anchor_texts() == ("american civil war",)
+        assert by_target[1].anchors == ("american", "american civil war")
+        assert by_target[2].anchors == ("american civil war",)
+
+    def test_repeated_matches_keep_first_match_order(self):
+        anchor_map = _map({"war": {1}, "civil war": {1}, "peace": {1}}, 2)
+        article = _article(0, "War and peace, then civil war and war again.")
+        (pair,) = scan_corpus(anchor_map, [article])[0]
+        assert pair.anchors == ("war", "peace", "civil war")
 
     def test_span_substring_normalizes_to_pattern(self):
         anchor_map = _map({"federal government": {1}}, 2)
         article = _article(0, "The Federal  Government acted swiftly.")
         (pair,) = scan_corpus(anchor_map, [article])[0]
-        for pattern, (start, end) in pair.matched:
-            assert normalize_pattern(article.abstract[start:end]) == pattern
+        assert pair.anchors == ("federal government",)
+        assert_anchors_have_spans(anchor_map, article.abstract, pair)
 
 
 class TestCandidatePair:
     def test_slotted_frozen_value(self):
-        matched = (("civil war", (4, 13)), ("war", (10, 13)))
-        pair = CandidatePair(source=0, target=2, matched=matched, label=True)
+        anchors = ("civil war", "war")
+        pair = CandidatePair(source=0, target=2, anchors=anchors, label=True)
         assert not hasattr(pair, "__dict__")
         with pytest.raises(AttributeError):
             pair.target = 3
-        twin = CandidatePair(0, 2, matched, True)
+        twin = CandidatePair(0, 2, anchors, True)
         assert pair == twin and hash(pair) == hash(twin)
-        assert hash(pair) == hash((0, 2, matched, True))
+        assert hash(pair) == hash((0, 2, anchors, True))
         assert len({pair, twin}) == 1
-        assert pair != CandidatePair(0, 2, matched, False)
-        assert pair != CandidatePair(0, 2, matched[:1], True)
-        assert pair.anchor_texts() == ("civil war", "war")
+        assert pair != CandidatePair(0, 2, anchors, False)
+        assert pair != CandidatePair(0, 2, anchors[:1], True)
 
 
 class TestBuildEvalSamples:
@@ -426,10 +447,81 @@ class TestBuildEvalSamples:
             ), f"edge ({source}, {target}) missing from candidates"
 
     def test_hard_negatives_occur_in_source_abstract(self, fixture_dataset):
+        anchor_map = build_anchor_map(fixture_dataset.network)
         samples = fixture_dataset.eval_samples()
         for source, pairs in samples.items():
             abstract = fixture_dataset.articles[source].abstract
             for pair in pairs:
                 if not pair.label:
-                    for pattern, (start, end) in pair.matched:
-                        assert normalize_pattern(abstract[start:end]) == pattern
+                    assert_anchors_have_spans(anchor_map, abstract, pair)
+
+
+# A smaller corpus shaped like the eval-text benchmark's: noisy text,
+# many mentions per document and redirect aliases in the title map.
+NOISY_PLANTED = PlantedCorpusParams(
+    topics=5, docs_per_topic=8, topic_vocab=10, filler_vocab=20, body_tokens=30,
+    links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=5, seed=1,
+)
+
+
+def _maps_and_candidates(dataset):
+    """(map, candidates) for the anchor map and the title map of a dataset."""
+    anchor_map = build_anchor_map(dataset.network)
+    title_map = build_title_map(dataset.articles)
+    return [
+        (anchor_map, build_eval_samples(dataset.network, anchor_map, dataset.articles)),
+        (title_map, scan_corpus(title_map, dataset.articles)),
+    ]
+
+
+@pytest.fixture(scope="module", params=["fixture", "noisy"])
+def scanned_dataset(request, fixture_dataset):
+    if request.param == "fixture":
+        return fixture_dataset
+    return planted_dataset(NOISY_PLANTED, name="noisy40")
+
+
+class TestCandidateAnchors:
+    def test_anchors_are_the_scan_patterns_of_the_target(self, scanned_dataset):
+        # Oracle: the distinct scan_text patterns, in scan order, that map
+        # to the pair's target.
+        for anchor_map, candidates in _maps_and_candidates(scanned_dataset):
+            assert any(candidates.values())
+            for source, pairs in candidates.items():
+                hits = scan_text(anchor_map, scanned_dataset.articles[source].abstract)
+                for pair in pairs:
+                    expected = dict.fromkeys(
+                        pattern for pattern, _ in hits
+                        if pair.target in anchor_map.patterns[pattern]
+                    )
+                    assert pair.anchors == tuple(expected)
+
+    def test_anchors_are_the_maps_own_strings(self, scanned_dataset):
+        for anchor_map, candidates in _maps_and_candidates(scanned_dataset):
+            keys = {pattern: pattern for pattern in anchor_map.patterns}
+            for pairs in candidates.values():
+                for pair in pairs:
+                    assert all(keys[anchor] is anchor for anchor in pair.anchors)
+
+    def test_candidates_retain_few_bytes_each(self):
+        # The eval-text benchmark's corpus at seed 0: 14,623 anchor and
+        # title candidates. Candidates that keep one tuple of the maps'
+        # own strings retain about 136 bytes each; per-hit spans and
+        # copied match strings retained about 362.
+        params = PlantedCorpusParams(
+            topics=25, docs_per_topic=20, topic_vocab=10, filler_vocab=20, body_tokens=30,
+            links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=25, seed=0,
+        )
+        dataset = planted_dataset(params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            samples = dataset.eval_samples()
+            titles = dataset.title_candidates()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        count = sum(map(len, samples.values())) + sum(map(len, titles.values()))
+        assert count > 10_000
+        assert retained / count < 200

@@ -636,6 +636,33 @@ class TestEvalPartialFailure:
             "inductive", "transductive"
         }
 
+    def test_failed_lsa_fit_is_not_repeated_for_atilp(self, planted_data_dir, monkeypatch):
+        # atilp shares the run's LSA fit; when that fit fails, atilp raises
+        # the same error without building the TF-IDF matrix again.
+        from wikilinks import lsa, predictors
+        from wikilinks.evaluation import run_eval
+        from wikilinks.predictors import EvalModelConfig
+
+        monkeypatch.setattr(lsa, "_GRAM_SIDE_LIMIT", 3)
+        calls = []
+
+        def counted_build_tfidf(corpus):
+            calls.append(len(corpus))
+            return lsa.build_tfidf(corpus)
+
+        monkeypatch.setattr(predictors, "build_tfidf", counted_build_tfidf)
+        report = run_eval(
+            Dataset.load(planted_data_dir), ["random", "lsa", "atilp"], runs=2,
+            config=EvalModelConfig(lsa_dimension=16),
+        )
+        assert len(calls) == 4  # one per run and mode
+        errors = {(f.method, f.mode, f.run): f.error for f in report.failures}
+        assert len(errors) == 8
+        for mode in ("inductive", "transductive"):
+            for run in (0, 1):
+                assert errors["lsa", mode, run] == errors["atilp", mode, run]
+                assert "at most 3 documents or terms" in errors["atilp", mode, run]
+
 
 def test_package_and_cli_run_without_scipy():
     # A fresh interpreter: the test session itself imports scipy for its oracles.

@@ -115,8 +115,8 @@ class TestSamplesTsv:
     def test_round_trip_labels_and_strings(self, tmp_path):
         samples = {
             0: [
-                CandidatePair(0, 1, (("alpha beta", (0, 10)),), label=True),
-                CandidatePair(0, 2, (("x", (3, 4)), ("y\tz", (5, 8))), label=False),
+                CandidatePair(0, 1, ("alpha beta",), label=True),
+                CandidatePair(0, 2, ("x", "y\tz"), label=False),
             ],
             1: [],
         }

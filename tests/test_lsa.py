@@ -393,7 +393,7 @@ class TestEmbedText:
         model = fit_lsa(matrix, d=16, vocabulary=vocab)
         anchors = sorted({
             text for pairs in planted.eval_samples().values() for pair in pairs
-            for text in pair.anchor_texts()
+            for text in pair.anchors
         })
         titles = [article.title for article in planted.articles]
         texts = abstracts[80:] + anchors + titles + ["zzz qqq unseen", "", anchors[0]]

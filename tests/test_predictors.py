@@ -62,7 +62,7 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
 
 def _anchor_vectors(lsa, pairs) -> dict[str, np.ndarray]:
     """Batched fold-in of every distinct anchor string of ``pairs``."""
-    texts = sorted({text for pair in pairs for text in pair.anchor_texts()})
+    texts = sorted({text for pair in pairs for text in pair.anchors})
     return dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
 
 
@@ -71,7 +71,7 @@ def _triples_per_pair(lsa, doc_matrix, pair: CandidatePair) -> np.ndarray:
     source, target = doc_matrix[pair.source], doc_matrix[pair.target]
     s3 = cosine_oracle(source, target)
     rows = []
-    for text in pair.anchor_texts():
+    for text in pair.anchors:
         anchor = reference_embed_text(lsa, text)
         rows.append((cosine_oracle(anchor, source), cosine_oracle(anchor, target), s3))
     return np.array(rows)
@@ -188,7 +188,7 @@ class TestComputeAtilpScores:
     def test_anchor_equal_to_source_abstract(self):
         texts = ["lincoln led the union", "economy of trade", "battles of the war"]
         model, _ = _lsa_over(texts)
-        pair = CandidatePair(source=0, target=1, matched=((texts[0], (0, len(texts[0]))),))
+        pair = CandidatePair(source=0, target=1, anchors=(texts[0],))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -196,7 +196,7 @@ class TestComputeAtilpScores:
 
     def test_all_oov_anchor(self):
         model, _ = _lsa_over(["alpha beta", "beta gamma", "gamma delta"])
-        pair = CandidatePair(source=0, target=1, matched=(("zzz qqq", (0, 7)),))
+        pair = CandidatePair(source=0, target=1, anchors=("zzz qqq",))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -209,7 +209,7 @@ class TestComputeAtilpScores:
         u, s, vt = dense_svd_oracle(matrix.toarray())
         doc_vecs = u[:, :2] * s[:2]
         anchor = "army battle"
-        pair = CandidatePair(source=0, target=2, matched=((anchor, (0, 11)),))
+        pair = CandidatePair(source=0, target=2, anchors=(anchor,))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -227,9 +227,7 @@ class TestComputeAtilpScores:
 
     def test_rows_follow_pairs_and_anchor_order(self):
         _, _, _, samples, model = _candidate_fixture()
-        two_anchors = CandidatePair(
-            source=4, target=1, matched=(("red apples", (0, 10)), ("apples", (4, 10)))
-        )
+        two_anchors = CandidatePair(source=4, target=1, anchors=("red apples", "apples"))
         pairs = [p for ps in samples.values() for p in ps] + [two_anchors]
         # Read-only inputs: computing the features mutates neither.
         vectors = MappingProxyType(_anchor_vectors(model, pairs))
@@ -328,7 +326,7 @@ class TestFitScoreAtilp:
         # Restricted to documents 0, 1 and 4, the fit still folds in the
         # anchors of every candidate, so that it can score all of them.
         atilp = fit_atilp(net, model, samples, seed=0, nodes=[0, 1, 4])
-        anchors = {t for ps in samples.values() for p in ps for t in p.anchor_texts()}
+        anchors = {t for ps in samples.values() for p in ps for t in p.anchors}
         assert set(atilp.anchor_vectors) == anchors
         for text, vector in atilp.anchor_vectors.items():
             assert np.array_equal(vector, reference_embed_text(model, text)), text
@@ -380,9 +378,7 @@ class TestFitScoreAtilp:
         texts = ["alpha beta gamma", "gamma delta", "epsilon zeta"]
         model, _ = _lsa_over(texts)
         docs = model.doc_embeddings
-        pair = CandidatePair(
-            source=0, target=1, matched=(("alpha", (0, 5)), ("gamma", (11, 16)))
-        )
+        pair = CandidatePair(source=0, target=1, anchors=("alpha", "gamma"))
         atilp = AtilpModel(
             coefficients=np.array([2.0, 2.0, 2.0]), intercept=0.5,
             anchor_vectors=_anchor_vectors(model, [pair]),
@@ -397,10 +393,10 @@ class TestFitScoreAtilp:
         _, _, _, samples, model = _candidate_fixture()
         docs = model.doc_embeddings
         # One pair per anchor order, so the maximum sits first in one of them.
-        matched = (("blue rivers", (16, 27)), ("rivers", (21, 27)))
+        anchors = ("blue rivers", "rivers")
         two_anchors = [
-            CandidatePair(source=4, target=3, matched=matched),
-            CandidatePair(source=4, target=3, matched=matched[::-1]),
+            CandidatePair(source=4, target=3, anchors=anchors),
+            CandidatePair(source=4, target=3, anchors=anchors[::-1]),
         ]
         pairs = [p for ps in samples.values() for p in ps] + two_anchors
         atilp = AtilpModel(
@@ -449,7 +445,7 @@ class TestFitScoreAtilp:
         assert len(scores) == len(split.test_pairs)
         # Each distinct anchor string folds in once, in one batch after the
         # one of the hidden documents; scoring folds in nothing more.
-        anchors = {t for ps in samples.values() for p in ps for t in p.anchor_texts()}
+        anchors = {t for ps in samples.values() for p in ps for t in p.anchors}
         assert sorted(tokenized) == sorted(anchors)
         hidden = fixture_dataset.network.node_count - len(split.train_nodes)
         assert batches == [hidden, len(anchors)]
