@@ -53,19 +53,18 @@ def main() -> None:
     print("=== 1. Stream the dump into RawPage records ===")
     pages = list(parse_dump(io.BytesIO(DUMP.encode("utf-8"))))
     for page in pages:
-        kind = f"redirect -> {page.redirect_target}" if page.is_redirect else "article"
+        kind = f"redirect -> {page.redirect_target}" if page.redirect_target else "article"
         print(f"  ns={page.namespace}  {page.title!r}  ({kind})")
 
     print("\n=== 2. Abstract extraction keeps the lead, drops the markup ===")
     lincoln = pages[0]
     abstract_wikitext = extract_abstract(lincoln.wikitext)
     print("  lead wikitext:", abstract_wikitext[:90], "...")
-    plain, occurrences = render_abstract(abstract_wikitext, source=0)
+    plain, page_links = render_abstract(abstract_wikitext)
     print("  plain text:   ", plain[:90], "...")
     print("  anchors found:")
-    for occ in occurrences:
-        start, end = occ.span
-        print(f"    {plain[start:end]!r:30} -> {occ.target_title!r}")
+    for target_title, anchor_text in page_links:
+        print(f"    {anchor_text!r:30} -> {target_title!r}")
     print("  (note '[[federal government]]s': the trailing 's' joins the anchor)")
 
     print("\n=== 3. Redirects resolve to canonical titles ===")

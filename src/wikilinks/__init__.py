@@ -42,7 +42,6 @@ from .graph import (
     topk_subgraph,
 )
 from .ingest import (
-    AnchorOccurrence,
     Article,
     DumpParseError,
     RawPage,

@@ -185,19 +185,21 @@ class AnchorMap:
         return self._automaton
 
 
+def _build_map(mode: str, names: Iterable[tuple[str, int]], article_count: int) -> AnchorMap:
+    """The map of each normalized non-empty string to the ids paired
+    with it, patterns in first-seen order."""
+    patterns: dict[str, set[int]] = {}
+    for name, target in names:
+        pattern = normalize_pattern(name)
+        if pattern:
+            patterns.setdefault(pattern, set()).add(target)
+    return AnchorMap(mode, {p: frozenset(ids) for p, ids in patterns.items()}, article_count)
+
+
 def build_title_map(articles: Sequence[Article]) -> AnchorMap:
     """Map each article's canonical title and redirect aliases to its id."""
-    patterns: dict[str, set[int]] = {}
-    for article in articles:
-        for name in (article.title, *article.aliases):
-            pattern = normalize_pattern(name)
-            if pattern:
-                patterns.setdefault(pattern, set()).add(article.id)
-    return AnchorMap(
-        mode="title",
-        patterns={p: frozenset(ids) for p, ids in patterns.items()},
-        article_count=len(articles),
-    )
+    names = ((name, a.id) for a in articles for name in (a.title, *a.aliases))
+    return _build_map("title", names, len(articles))
 
 
 def build_anchor_map(network: DocumentNetwork) -> AnchorMap:
@@ -206,17 +208,8 @@ def build_anchor_map(network: DocumentNetwork) -> AnchorMap:
     Built on the full pre-split network so that candidate generation can
     reach every link of the dataset.
     """
-    patterns: dict[str, set[int]] = {}
-    for (_, target), anchors in network.edge_items():
-        for anchor in anchors:
-            pattern = normalize_pattern(anchor)
-            if pattern:
-                patterns.setdefault(pattern, set()).add(target)
-    return AnchorMap(
-        mode="anchor",
-        patterns={p: frozenset(ids) for p, ids in patterns.items()},
-        article_count=network.node_count,
-    )
+    names = ((anchor, t) for (_, t), anchors in network.edge_items() for anchor in anchors)
+    return _build_map("anchor", names, network.node_count)
 
 
 @dataclass(frozen=True, slots=True)

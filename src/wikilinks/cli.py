@@ -61,6 +61,8 @@ class PipelineConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -104,17 +106,17 @@ class PipelineConfig:
             check_method_names(self.methods + list(self.external_methods))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        if self.data and not Path(self.data).exists():
+        if self.data and _path_kind(Path(self.data)) is None:
             raise InputError(f"referenced path does not exist: {self.data}")
         if self.out:
             out = _output_directory(self.out)
             # What eval writes there: the split files, then the reports.
             _output_directory(out / "splits")
             for name in ("report.json", "report.md"):
-                if (out / name).is_dir():
+                if _path_kind(out / name) == "dir":
                     raise InputError(f"output file is a directory: {out / name}")
         for name, path in self.external_methods.items():
-            if not Path(path).exists():
+            if _path_kind(Path(path)) is None:
                 raise InputError(f"external predictions for {name!r} missing: {path}")
 
     def model_config(self) -> EvalModelConfig:
@@ -157,12 +159,23 @@ def _validate_deepwalk(raw) -> None:
             _require_int(f"deepwalk.{name}", value, 1)
 
 
+def _path_kind(path: Path) -> str | None:
+    """``"dir"``, ``"file"``, or ``None`` when nothing is at ``path``; a
+    path the OS rejects, such as a name too long, is an :class:`InputError`."""
+    try:
+        if not path.exists():
+            return None
+        return "dir" if path.is_dir() else "file"
+    except OSError as exc:
+        raise InputError(f"unusable path {path}: {exc.strerror}") from exc
+
+
 def _output_directory(path) -> Path:
     """An output directory that exists or can be made: the nearest part
     of ``path`` that exists must be a directory."""
     path = Path(path)
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
+    existing = next(p for p in (path, *path.parents) if _path_kind(p))
+    if _path_kind(existing) != "dir":
         raise InputError(f"output path is not a directory: {existing}")
     return path
 
@@ -170,23 +183,24 @@ def _output_directory(path) -> Path:
 def _output_file(path) -> Path:
     """An output file in a directory that exists."""
     path = Path(path)
-    if path.is_dir():
+    if _path_kind(path) == "dir":
         raise InputError(f"output file is a directory: {path}")
-    if not path.parent.is_dir():
+    if _path_kind(path.parent) != "dir":
         raise InputError(f"output directory not found: {path.parent}")
     return path
 
 
 def _open_dump(path: Path):
-    if not path.exists():
+    kind = _path_kind(path)
+    if kind is None:
         raise InputError(f"dump not found: {path}")
-    if path.is_dir():
+    if kind == "dir":
         raise InputError(f"dump is a directory: {path}")
-    if path.suffix == ".bz2":
-        return bz2.open(path, "rb")
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    opener = {".bz2": bz2.open, ".gz": gzip.open}.get(path.suffix, open)
+    try:
+        return opener(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot open dump {path}: {exc.strerror}") from exc
 
 
 def cmd_ingest(args) -> int:
@@ -257,7 +271,7 @@ def cmd_subgraph(args) -> int:
 
 def _load_dataset(path: str) -> Dataset:
     directory = Path(path)
-    if not directory.is_dir():
+    if _path_kind(directory) != "dir":
         raise InputError(f"dataset directory not found: {directory}")
     try:
         return Dataset.load(directory)
@@ -336,7 +350,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.report)
-    if not path.exists():
+    if _path_kind(path) is None:
         raise InputError(f"report not found: {path}")
     try:
         report = MetricsReport.from_records(json.loads(path.read_text(encoding="utf-8")))

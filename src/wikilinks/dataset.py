@@ -24,7 +24,7 @@ from .anchors import (
     scan_corpus,
 )
 from .graph import DocumentNetwork
-from .ingest import Article
+from .ingest import Article, normalize_title
 
 ARTICLES_FILE = "articles.jsonl"
 LINKS_FILE = "links.tsv"
@@ -173,8 +173,6 @@ class Dataset:
 
     def resolve_title(self, title: str) -> int | None:
         """Find an article id by canonical title or redirect alias."""
-        from .ingest import normalize_title
-
         wanted = normalize_title(title)
         for article in self.articles:
             if article.title == wanted:
@@ -198,10 +196,10 @@ class Dataset:
         )
 
     @classmethod
-    def load(cls, directory, name: str | None = None) -> "Dataset":
+    def load(cls, directory) -> "Dataset":
         directory = Path(directory)
         articles = read_articles_jsonl(directory / ARTICLES_FILE)
         network = DocumentNetwork.from_links(
             len(articles), read_links_tsv(directory / LINKS_FILE)
         )
-        return cls(name=name or directory.name, articles=articles, network=network)
+        return cls(name=directory.name, articles=articles, network=network)

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .anchors import CandidatePair
+from .dataset import write_links_tsv
 from .graph import DocumentNetwork
 from .lsa import tokenize
 from .predictors import EvalModelConfig, Method, RunContext, make_method
@@ -446,14 +447,11 @@ def run_eval(
     resolved = [make_method(m) for m in methods]
     check_method_names([method.name for method in resolved])
 
-    from .dataset import write_links_tsv  # local import to avoid a cycle
-
     if out_dir is not None and (Path(out_dir) / "splits").is_dir():
         shutil.rmtree(Path(out_dir) / "splits")
 
     per_method: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
     failures: list[EvalFailure] = []
-    failed_pairs: set[tuple[str, str]] = set()
     hashers = {mode: hashlib.sha256() for mode in modes}
 
     samples = dataset.eval_samples()
@@ -525,17 +523,17 @@ def run_eval(
                     failures.append(
                         EvalFailure(method=method.name, mode=mode, run=run, error=str(exc))
                     )
-                    failed_pairs.add((method.name, mode))
                     continue
                 per_method.setdefault((method.name, mode), []).append(
                     (auc, precision, recall)
                 )
 
+    failed = {(failure.method, failure.mode) for failure in failures}
     entries: list[MethodMetrics] = []
     for method in resolved:
         for mode in modes:
             key = (method.name, mode)
-            if key in failed_pairs or key not in per_method:
+            if key in failed or key not in per_method:
                 continue
             values = per_method[key]
             auc_mean, auc_std = _mean_std([v[0] for v in values])

@@ -216,17 +216,17 @@ class NetworkStats:
     n_vocab: int
     doc_length_mean: float
     doc_length_std: float
-    positives_per_doc_mean: float | None = None
-    positives_per_doc_std: float | None = None
-    negatives_per_doc_mean: float | None = None
-    negatives_per_doc_std: float | None = None
+    positives_per_doc_mean: float
+    positives_per_doc_std: float
+    negatives_per_doc_mean: float
+    negatives_per_doc_std: float
 
 
-def network_stats(network: DocumentNetwork, articles, samples=None) -> NetworkStats:
+def network_stats(network: DocumentNetwork, articles, samples) -> NetworkStats:
     """Summary statistics of a dataset.
 
-    ``samples``, when given, is the per-document labeled candidate map
-    from :func:`wikilinks.anchors.build_eval_samples`; it feeds the
+    ``samples`` is the per-document labeled candidate map from
+    :func:`wikilinks.anchors.build_eval_samples`; it feeds the
     positive/negative per-document averages.
     """
     n = network.node_count
@@ -240,16 +240,12 @@ def network_stats(network: DocumentNetwork, articles, samples=None) -> NetworkSt
         token_counts.append(len(tokens))
         vocab.update(tokens)
     lengths = np.array(token_counts, dtype=float)
-    pos_mean = pos_std = neg_mean = neg_std = None
-    if samples is not None:
-        pos = np.array(
-            [sum(1 for p in samples.get(i, []) if p.label) for i in range(n)], dtype=float
-        )
-        neg = np.array(
-            [sum(1 for p in samples.get(i, []) if not p.label) for i in range(n)], dtype=float
-        )
-        pos_mean, pos_std = (float(pos.mean()), float(pos.std())) if n else (0.0, 0.0)
-        neg_mean, neg_std = (float(neg.mean()), float(neg.std())) if n else (0.0, 0.0)
+    pos = np.array(
+        [sum(1 for p in samples.get(i, []) if p.label) for i in range(n)], dtype=float
+    )
+    neg = np.array(
+        [sum(1 for p in samples.get(i, []) if not p.label) for i in range(n)], dtype=float
+    )
     return NetworkStats(
         n_docs=n,
         n_links=network.edge_count,
@@ -257,8 +253,8 @@ def network_stats(network: DocumentNetwork, articles, samples=None) -> NetworkSt
         n_vocab=len(vocab),
         doc_length_mean=float(lengths.mean()) if len(lengths) else 0.0,
         doc_length_std=float(lengths.std()) if len(lengths) else 0.0,
-        positives_per_doc_mean=pos_mean,
-        positives_per_doc_std=pos_std,
-        negatives_per_doc_mean=neg_mean,
-        negatives_per_doc_std=neg_std,
+        positives_per_doc_mean=float(pos.mean()) if n else 0.0,
+        positives_per_doc_std=float(pos.std()) if n else 0.0,
+        negatives_per_doc_mean=float(neg.mean()) if n else 0.0,
+        negatives_per_doc_std=float(neg.std()) if n else 0.0,
     )

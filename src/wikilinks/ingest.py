@@ -40,24 +40,7 @@ class RawPage:
     title: str
     namespace: int
     wikitext: str
-    is_redirect: bool = False
     redirect_target: str | None = None
-
-
-@dataclass(frozen=True)
-class AnchorOccurrence:
-    """A wikilink found in an abstract.
-
-    ``span`` indexes into the plain-text abstract produced by
-    :func:`render_abstract`; the invariant ``abstract[start:end] ==
-    anchor_text`` always holds. ``target_title`` is the raw link target
-    before redirect resolution.
-    """
-
-    source: int
-    target_title: str
-    anchor_text: str
-    span: tuple[int, int]
 
 
 @dataclass
@@ -179,7 +162,6 @@ def _parse_page(elem: ET.Element, counters: Counter) -> RawPage | None:
         title=title,
         namespace=namespace,
         wikitext=wikitext,
-        is_redirect=redirect_target is not None,
         redirect_target=redirect_target,
     )
 
@@ -283,21 +265,22 @@ _LINKTRAIL_RE = re.compile(r"[a-z]+")
 
 
 def render_abstract(
-    abstract_wikitext: str, source: int = -1, counters: Counter | None = None
-) -> tuple[str, list[AnchorOccurrence]]:
-    """Strip wikilink markup, returning plain text plus anchor spans.
+    abstract_wikitext: str, counters: Counter | None = None
+) -> tuple[str, list[tuple[str, str]]]:
+    """Strip wikilink markup, returning plain text plus one (raw target
+    title, anchor text) pair per link, in text order.
 
     Each ``[[target]]`` contributes its target as anchor text, each
-    ``[[target|anchor]]`` the anchor; '#' section suffixes are cut from
-    targets and links into other namespaces (":" in the target) produce
-    text but no occurrence. An unclosed "[[" is kept as literal text and
-    counted under ``unclosed_wikilink``.
+    ``[[target|anchor]]`` the anchor; either appears verbatim in the
+    plain text. '#' section suffixes are cut from targets, and links
+    into other namespaces (":" in the target) produce text but no pair.
+    An unclosed "[[" is kept as literal text and counted under
+    ``unclosed_wikilink``.
     """
     counters = counters if counters is not None else Counter()
     text = abstract_wikitext
     plain: list[str] = []
-    occurrences: list[AnchorOccurrence] = []
-    out_len = 0
+    links: list[tuple[str, str]] = []
     i = 0
     n = len(text)
     while i < n:
@@ -307,13 +290,11 @@ def render_abstract(
             break
         if start > i:
             plain.append(text[i:start])
-            out_len += start - i
         end = text.find("]]", start + 2)
         nested = text.find("[[", start + 2)
         if end == -1 or (nested != -1 and nested < end):
             counters["unclosed_wikilink"] += 1
             plain.append("[[")
-            out_len += 2
             i = start + 2
             continue
         inner = text[start + 2 : end]
@@ -332,7 +313,6 @@ def render_abstract(
             counters["links_dropped_namespace"] += 1
             if piped:
                 plain.append(rendered)
-                out_len += len(rendered)
             elif not plain or plain[-1].endswith(" "):
                 # Nothing rendered: keep one of the two spaces that now
                 # meet, and none at the edges of the text.
@@ -341,17 +321,9 @@ def render_abstract(
                 elif i == n and plain:
                     plain[-1] = plain[-1][:-1]
             continue
-        occurrences.append(
-            AnchorOccurrence(
-                source=source,
-                target_title=target,
-                anchor_text=rendered,
-                span=(out_len, out_len + len(rendered)),
-            )
-        )
+        links.append((target, rendered))
         plain.append(rendered)
-        out_len += len(rendered)
-    return "".join(plain), occurrences
+    return "".join(plain), links
 
 
 def _resolve_chains(
@@ -413,7 +385,7 @@ def build_corpus(
         if not title:
             counters["pages_skipped"] += 1
             continue
-        if page.is_redirect and page.redirect_target:
+        if page.redirect_target:
             redirect_to.setdefault(title, normalize_title(page.redirect_target))
             continue
         if title in real_titles:
@@ -431,10 +403,9 @@ def build_corpus(
 
     links: list[tuple[int, int, str]] = []
     for article, (_, abstract_wikitext) in zip(articles, kept):
-        plain, occurrences = render_abstract(abstract_wikitext, article.id, counters)
-        article.abstract = plain
-        for occ in occurrences:
-            target_title = normalize_title(occ.target_title)
+        article.abstract, page_links = render_abstract(abstract_wikitext, counters)
+        for raw_target, anchor_text in page_links:
+            target_title = normalize_title(raw_target)
             target_title = aliases.get(target_title, target_title)
             target_id = title_to_id.get(target_title)
             if target_id is None:
@@ -443,6 +414,6 @@ def build_corpus(
             if target_id == article.id:
                 counters["links_self"] += 1
                 continue
-            links.append((article.id, target_id, occ.anchor_text))
+            links.append((article.id, target_id, anchor_text))
             counters["links_kept"] += 1
     return articles, links

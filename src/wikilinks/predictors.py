@@ -16,6 +16,7 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .anchors import CandidatePair
+from .dataset import read_predictions_tsv
 from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
@@ -168,9 +169,9 @@ class RunContext:
 
     Exposes the training network and the set of documents whose text may
     be used for fitting; hidden documents contribute only their text at
-    scoring time, through :meth:`doc_matrix`. The LSA model for the run
-    is fitted lazily on the training documents and shared between the
-    LSA and ATILP methods. ``tokens`` holds the :func:`tokenize` output
+    scoring time, folded in by :meth:`lsa`. The LSA model for the run is
+    fitted lazily on the training documents and shared between the LSA
+    and ATILP methods. ``tokens`` holds the :func:`tokenize` output
     of every abstract, indexed by document id, so that the runs of one
     evaluation tokenize each abstract once, for fitting and fold-in.
     """
@@ -192,38 +193,32 @@ class RunContext:
         self.candidates = candidates
         self.title_candidates = title_candidates
         self.config = config
-        self._lsa: tuple[LsaModel, list[int]] | Exception | None = None
-        self._doc_matrix: np.ndarray | None = None
+        self._lsa: tuple[LsaModel, np.ndarray] | Exception | None = None
 
-    def lsa(self) -> tuple[LsaModel, list[int]]:
-        """The LSA model of the training documents, and their ids in row
-        order. A failed fit is kept, and every call raises its error."""
+    def lsa(self) -> tuple[LsaModel, np.ndarray]:
+        """The LSA model of the training documents, and the LSA vectors of
+        all documents, rows indexed by document id.
+
+        Training documents keep their fitted embedding; every other
+        document is folded in from its tokens alone, all in one batch. A
+        failed fit is kept, and every call raises its error.
+        """
         if self._lsa is None:
             docs = sorted(self.train_nodes)
             try:
                 matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
                 model = fit_lsa(matrix, self.config.lsa_dimension, vocabulary=vocabulary)
-                self._lsa = (model, docs)
+                del matrix  # free the TF-IDF cells before the fold-in
+                vectors = np.empty((len(self.tokens), model.dimension))
+                vectors[docs] = model.doc_embeddings
+                others = sorted(set(range(len(self.tokens))) - self.train_nodes)
+                vectors[others] = embed_text(model, [self.tokens[doc] for doc in others])
+                self._lsa = (model, vectors)
             except Exception as exc:  # noqa: BLE001 - raised below, now and on every call
                 self._lsa = exc
         if isinstance(self._lsa, Exception):
             raise self._lsa
         return self._lsa
-
-    def doc_matrix(self) -> np.ndarray:
-        """LSA vectors of all documents, rows indexed by document id.
-
-        Training documents keep their fitted embedding; every other
-        document is folded in from its tokens alone, all in one batch.
-        """
-        if self._doc_matrix is None:
-            model, docs = self.lsa()
-            matrix = np.empty((len(self.tokens), model.dimension))
-            matrix[docs] = model.doc_embeddings
-            others = sorted(set(range(len(self.tokens))) - self.train_nodes)
-            matrix[others] = embed_text(model, [self.tokens[doc] for doc in others])
-            self._doc_matrix = matrix
-        return self._doc_matrix
 
 
 class Method:
@@ -277,8 +272,8 @@ class LsaMethod(Method):
     name = "lsa"
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
-        docs = ctx.doc_matrix()
-        return lambda pairs: pair_scores(docs, pairs)
+        _, vectors = ctx.lsa()
+        return lambda pairs: pair_scores(vectors, pairs)
 
 
 class DeepWalkMethod(Method):
@@ -299,8 +294,7 @@ class AtilpMethod(Method):
     name = "atilp"
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
-        lsa_model, _ = ctx.lsa()
-        docs = ctx.doc_matrix()
+        lsa_model, vectors = ctx.lsa()
         model = fit_atilp(
             ctx.train_network,
             lsa_model,
@@ -309,7 +303,7 @@ class AtilpMethod(Method):
             n_positive=ctx.config.atilp_positives,
             n_negative=ctx.config.atilp_negatives,
             nodes=ctx.train_nodes,
-            doc_matrix=docs,
+            doc_matrix=vectors,
         )
         by_pair = {
             (pair.source, pair.target): pair
@@ -321,7 +315,7 @@ class AtilpMethod(Method):
             found = [by_pair.get((s, t)) for s, t in pairs]
             hits = [i for i, pair in enumerate(found) if pair is not None]
             scores = np.zeros(len(pairs))  # non-candidates stay unlinked
-            scores[hits] = model.predict(docs, [found[i] for i in hits])
+            scores[hits] = model.predict(vectors, [found[i] for i in hits])
             return scores
 
         return scorer
@@ -335,8 +329,6 @@ class ExternalFileMethod(Method):
     """
 
     def __init__(self, name: str, path) -> None:
-        from .dataset import read_predictions_tsv
-
         self.name = name
         self._scores = {(s, t): score for s, t, score in read_predictions_tsv(path)}
 

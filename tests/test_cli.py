@@ -546,6 +546,68 @@ class TestUnusableOutputPath:
         assert list(out.iterdir()) == [out / name]
 
 
+# One path component longer than any file system allows: stat() fails
+# with ENAMETOOLONG rather than reporting the path missing.
+_TOO_LONG = "x" * 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--dump", "{long}", "--out", "{tmp}/o"],
+        ["ingest", "--dump", "{dump}", "--out", "{long}"],
+        ["subgraph", "--data", "{long}", "--seed-article", "Abraham Lincoln", "--out", "{tmp}/o"],
+        ["subgraph", "--data", "{data}", "--seed-article", "Abraham Lincoln", "--k", "3",
+         "--out", "{long}"],
+        ["dataset-stats", "--data", "{long}"],
+        ["dataset-stats", "--data", "{data}", "--samples-out", "{long}"],
+        ["eval", "--config", "{config}", "--data", "{long}"],
+        ["eval", "--config", "{config}", "--out", "{long}"],
+        ["report", "--report", "{long}"],
+    ],
+    ids=["ingest-dump", "ingest-out", "subgraph-data", "subgraph-out", "dataset-stats-data",
+         "dataset-stats-samples-out", "eval-data", "eval-out", "report-report"],
+)
+def test_path_the_os_rejects_exits_2_with_one_line(
+    tmp_path, tiny_dump_file, tiny_data_dir, capsys, argv
+):
+    config = _eval_config(tmp_path, tiny_data_dir)
+    long = str(tmp_path / _TOO_LONG / "leaf")
+    argv = [arg.format(long=long, tmp=tmp_path, dump=tiny_dump_file, data=tiny_data_dir,
+                       config=config) for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "File name too long" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_dump_that_cannot_be_opened_exits_2_with_one_line(tmp_path, tiny_dump_file, capsys,
+                                                           monkeypatch):
+    def refuse(path, mode):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("wikilinks.cli.open", refuse, raising=False)
+    out = tmp_path / "o"
+    assert main(["ingest", "--dump", str(tiny_dump_file), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot open dump {tiny_dump_file}: ")
+    assert err.count("\n") == 1 and "Permission denied" in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"runs": 2, "base_seed": "\xff"}')
+    assert main(["eval", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         for args in (["--help"], ["ingest", "--help"], ["eval", "--help"]):

@@ -247,18 +247,18 @@ def _articles(abstracts: list[str]) -> list[Article]:
 class TestNetworkStats:
     def test_complete_directed_graph_density(self):
         net = _net(3, [(s, t) for s in range(3) for t in range(3) if s != t])
-        stats = network_stats(net, _articles(["a", "b", "c"]))
+        stats = network_stats(net, _articles(["a", "b", "c"]), {})
         assert stats.density_pct == 100.0
 
     def test_density_formula(self):
         net = _net(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)])
-        stats = network_stats(net, _articles(["a"] * 4))
+        stats = network_stats(net, _articles(["a"] * 4), {})
         assert stats.density_pct == pytest.approx(100.0 * 5 / 12)
         assert round(stats.density_pct, 2) == 41.67
 
     def test_vocabulary_and_lengths(self):
         articles = _articles(["one two two", "two three"])
-        stats = network_stats(_net(2, [(0, 1)]), articles)
+        stats = network_stats(_net(2, [(0, 1)]), articles, {})
         assert stats.n_vocab == 3
         assert stats.doc_length_mean == pytest.approx(2.5)
         assert stats.doc_length_std == pytest.approx(0.5)
@@ -281,5 +281,5 @@ class TestNetworkStats:
                     abstract=fixture_dataset.articles[old].abstract)
             for new, old in enumerate(kept)
         ]
-        stats = network_stats(sub, articles)
+        stats = network_stats(sub, articles, {})
         assert stats.n_docs == 7

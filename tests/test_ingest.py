@@ -46,11 +46,10 @@ class TestParseDump:
         assert pages[0].title == "Politics"
         assert pages[0].namespace == 0
         assert pages[0].wikitext == "Some text."
-        assert not pages[0].is_redirect
+        assert pages[0].redirect_target is None
 
     def test_redirect_from_text_directive(self):
         pages = list(parse_dump(_dump(_page("UK", "#REDIRECT [[United Kingdom]]"))))
-        assert pages[0].is_redirect
         assert pages[0].redirect_target == "United Kingdom"
 
     def test_redirect_element_and_section_suffix(self):
@@ -228,30 +227,34 @@ class TestExtractAbstract:
         assert extract_abstract("a\n\n b\tc") == "a b c"
 
 
+def _assert_anchors_in_order(plain: str, links) -> None:
+    """Each anchor text appears in the plain text at or after the end of
+    the previous one."""
+    pos = 0
+    for _, anchor in links:
+        pos = plain.index(anchor, pos) + len(anchor)
+
+
 class TestExtractWikilinks:
     def test_equal_anchor_and_title(self):
-        _, occs = render_abstract("[[American Civil War|American Civil War]]", 0)
-        assert len(occs) == 1
-        assert occs[0].target_title == "American Civil War"
-        assert occs[0].anchor_text == "American Civil War"
+        _, links = render_abstract("[[American Civil War|American Civil War]]")
+        assert links == [("American Civil War", "American Civil War")]
 
     def test_piped_link(self):
-        _, occs = render_abstract("[[Slavery in the United States|slavery]]", 0)
-        assert occs[0].target_title == "Slavery in the United States"
-        assert occs[0].anchor_text == "slavery"
+        _, links = render_abstract("[[Slavery in the United States|slavery]]")
+        assert links == [("Slavery in the United States", "slavery")]
 
     def test_unpiped_link(self):
-        _, occs = render_abstract("[[Politics]]", 0)
-        assert occs[0].target_title == "Politics"
-        assert occs[0].anchor_text == "Politics"
+        _, links = render_abstract("[[Politics]]")
+        assert links == [("Politics", "Politics")]
 
     def test_section_suffix_truncated(self):
-        _, occs = render_abstract("[[Politics#History|politics]]", 0)
-        assert occs[0].target_title == "Politics"
+        _, links = render_abstract("[[Politics#History|politics]]")
+        assert links == [("Politics", "politics")]
 
     def test_namespace_links_dropped(self):
-        plain, occs = render_abstract("a [[Category:X]] b [[wikt:word|word]] c", 0)
-        assert occs == []
+        plain, links = render_abstract("a [[Category:X]] b [[wikt:word|word]] c")
+        assert links == []
         assert plain == "a b word c"
 
     @pytest.mark.parametrize(
@@ -266,32 +269,27 @@ class TestExtractWikilinks:
         ],
     )
     def test_dropped_link_leaves_no_double_or_edge_space(self, wikitext, expected):
-        plain, occs = render_abstract(extract_abstract(wikitext), 0)
+        plain, links = render_abstract(extract_abstract(wikitext))
         assert plain == expected
-        for occ in occs:
-            assert plain[occ.span[0] : occ.span[1]] == occ.anchor_text
+        _assert_anchors_in_order(plain, links)
 
     def test_unclosed_link_is_literal(self):
         counters: Counter = Counter()
-        plain, occs = render_abstract("broken [[link", 0, counters)
-        assert occs == []
+        plain, links = render_abstract("broken [[link", counters)
+        assert links == []
         assert plain == "broken [[link"
         assert counters["unclosed_wikilink"] == 1
 
     def test_linktrail_joins_anchor(self):
-        plain, occs = render_abstract("two [[apple]]s fell", 0)
+        plain, links = render_abstract("two [[apple]]s fell")
         assert plain == "two apples fell"
-        assert occs[0].anchor_text == "apples"
-        assert occs[0].target_title == "apple"
+        assert links == [("apple", "apples")]
 
     def test_spans_index_plain_text(self):
         text = "He led the [[American Civil War|war]] and freed [[slave]]s."
-        plain, occs = render_abstract(text, 7)
-        for occ in occs:
-            start, end = occ.span
-            assert 0 <= start < end <= len(plain)
-            assert plain[start:end] == occ.anchor_text
-            assert occ.source == 7
+        plain, links = render_abstract(text)
+        assert links == [("American Civil War", "war"), ("slave", "slaves")]
+        _assert_anchors_in_order(plain, links)
 
 
 class TestNormalizeTitle:
@@ -305,7 +303,7 @@ class TestNormalizeTitle:
 class TestResolveRedirects:
     @staticmethod
     def _redirect(title: str, target: str) -> RawPage:
-        return RawPage(title, 0, "", is_redirect=True, redirect_target=target)
+        return RawPage(title, 0, "", redirect_target=target)
 
     @staticmethod
     def _article(title: str) -> RawPage:

@@ -172,16 +172,23 @@ class TestDocMatrix:
             return embed_text(model, batch)
 
         monkeypatch.setattr(predictors, "embed_text", counting_embed)
-        docs = ctx.doc_matrix()
-        assert ctx.doc_matrix() is docs
-        model, rows = ctx.lsa()
-        assert rows == [0, 1, 2]
-        for row, doc in enumerate(rows):
+        docs = ctx.lsa()[1]
+        assert ctx.lsa()[1] is docs
+        model, _ = ctx.lsa()
+        for row, doc in enumerate([0, 1, 2]):
             np.testing.assert_array_equal(docs[doc], model.doc_embeddings[row])
         assert np.array_equal(docs[3], reference_embed_text(model, texts[3]))
         # One batch, from the shared tokens: each hidden document folds in once.
         assert folded == [[ctx.tokens[3]]]
         assert folded[0][0] is ctx.tokens[3]
+
+    def test_one_row_per_document_training_rows_from_the_fit(self):
+        texts = ["war army battle", "army victory", "economy trade market", "trade war army"]
+        train = [0, 2, 3]
+        ctx = _context(texts, d=2, train=train)
+        model, vectors = ctx.lsa()
+        assert vectors.shape == (len(texts), 2)
+        np.testing.assert_array_equal(vectors[train], model.doc_embeddings)
 
 
 class TestComputeAtilpScores:
