@@ -33,7 +33,7 @@ def main() -> None:
 
     print("\n=== Top-k extraction keeps the seed's topical neighborhood ===")
     titles = [a.title for a in dataset.articles]
-    subgraph, old_to_new = topk_subgraph(net, ppr, k=10, titles=titles)
+    subgraph, old_to_new = topk_subgraph(net, ppr.scores, k=10, titles=titles)
     kept = sorted(old_to_new, key=old_to_new.get)
     same_topic = sum(1 for old in kept if dataset.articles[old].title.split()[1][1]
                      == dataset.articles[seed].title.split()[1][1])

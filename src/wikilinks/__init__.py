@@ -13,7 +13,6 @@ from .anchors import (
     build_eval_samples,
     build_title_map,
     normalize_pattern,
-    scan_corpus,
 )
 from .dataset import Dataset
 from .deepwalk import (

@@ -8,7 +8,8 @@ map's pattern trie; matches must align on token boundaries so that
 "art" never fires inside "party". Scanning a corpus against the anchor
 map and labeling the hits against the network yields the evaluation
 samples: positives are real links, the rest are string-matched hard
-negatives.
+negatives. Scanning it against the title map yields, per document, the
+set of articles it names. Neither scan keeps match spans.
 """
 
 from __future__ import annotations
@@ -232,58 +233,37 @@ def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, in
 
     Spans index the original text; overlapping matches are all reported.
     """
-    return _scan(anchor_map.automaton(), text)
-
-
-def _scan(matcher: _Matcher, text: str) -> list[tuple[str, tuple[int, int]]]:
-    """:func:`scan_text` with the map's matcher already fetched."""
     norm, starts, ends = normalize_text_with_map(text)
-    matches = [(pattern, (starts[a], ends[b - 1])) for a, b, pattern in matcher.find_all(norm)]
+    hits = anchor_map.automaton().find_all(norm)
+    matches = [(pattern, (starts[a], ends[b - 1])) for a, b, pattern in hits]
     matches.sort(key=lambda m: (m[1], m[0]))
     return matches
 
 
-def scan_corpus(
-    anchor_map: AnchorMap,
-    articles: Sequence[Article],
-    network: DocumentNetwork | None = None,
-) -> dict[int, list[CandidatePair]]:
-    """Candidate links of every document, keyed by document id, found by
-    scanning each abstract against a map and labeled against
-    ``network`` when given.
+def _matched_targets(
+    anchor_map: AnchorMap, matcher: _Matcher, article: Article
+) -> dict[int, dict[str, None]]:
+    """The distinct patterns matched in an article's abstract, grouped by
+    each target they map to, self-pairs removed.
 
-    Candidates aggregate per distinct target, keeping the distinct
-    matched patterns but no spans; self-pairs are removed. Each
-    document's list is sorted by target id. The matcher is fetched once.
+    Hits are taken by normalized (start, end), the order of their
+    original spans: the one lowercase expansion to several characters
+    (U+0130 to "i" + U+0307) starts with an alphanumeric character, so
+    no match starts inside it.
     """
-    matcher = anchor_map.automaton()
-    return {
-        article.id: _candidate_pairs(anchor_map, matcher, article, network)
-        for article in articles
-    }
-
-
-def _candidate_pairs(
-    anchor_map: AnchorMap,
-    matcher: _Matcher,
-    article: Article,
-    network: DocumentNetwork | None,
-) -> list[CandidatePair]:
-    """One document's candidates for :func:`scan_corpus`."""
     by_target: dict[int, dict[str, None]] = {}
-    for pattern, _ in _scan(matcher, article.abstract):
+    for _, _, pattern in sorted(matcher.find_all(normalize_text_with_map(article.abstract)[0])):
         for target in anchor_map.patterns[pattern]:
             if target != article.id:
                 by_target.setdefault(target, {})[pattern] = None
-    return [
-        CandidatePair(
-            source=article.id,
-            target=target,
-            anchors=tuple(anchors),
-            label=None if network is None else network.has_edge(article.id, target),
-        )
-        for target, anchors in sorted(by_target.items())
-    ]
+    return by_target
+
+
+def title_targets(title_map: AnchorMap, articles: Sequence[Article]) -> dict[int, frozenset[int]]:
+    """Per document id, the ids of the other articles whose title or
+    alias its abstract mentions. The matcher is fetched once."""
+    matcher = title_map.automaton()
+    return {a.id: frozenset(_matched_targets(title_map, matcher, a)) for a in articles}
 
 
 def build_eval_samples(
@@ -293,10 +273,19 @@ def build_eval_samples(
 ) -> dict[int, list[CandidatePair]]:
     """Per-document candidates labeled against the full network.
 
-    Positives are candidates backed by a real edge; the remaining
-    candidates are the hard negatives. Every document id appears as a
-    key, possibly with an empty list.
+    Candidates aggregate per distinct target, keeping the distinct
+    matched patterns in first-match order; each document's list is
+    sorted by target id. Positives are candidates backed by a real edge;
+    the remaining candidates are the hard negatives. Every document id
+    appears as a key, possibly with an empty list.
     """
     if anchor_map.mode != "anchor":
         raise ValueError("evaluation samples require an anchor-mode map")
-    return scan_corpus(anchor_map, articles, network)
+    matcher = anchor_map.automaton()
+    return {
+        article.id: [
+            CandidatePair(article.id, target, tuple(anchors), network.has_edge(article.id, target))
+            for target, anchors in sorted(_matched_targets(anchor_map, matcher, article).items())
+        ]
+        for article in articles
+    }

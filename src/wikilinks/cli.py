@@ -254,7 +254,7 @@ def cmd_subgraph(args) -> int:
     if not scores.converged:
         print("warning: PageRank did not converge", file=sys.stderr)
     titles = [a.title for a in dataset.articles]
-    subgraph, old_to_new = topk_subgraph(dataset.network, scores, args.k, titles)
+    subgraph, old_to_new = topk_subgraph(dataset.network, scores.scores, args.k, titles)
     new_articles = []
     for old, new in sorted(old_to_new.items(), key=lambda kv: kv[1]):
         source = dataset.articles[old]

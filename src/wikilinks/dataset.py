@@ -21,7 +21,7 @@ from .anchors import (
     build_anchor_map,
     build_eval_samples,
     build_title_map,
-    scan_corpus,
+    title_targets,
 )
 from .graph import DocumentNetwork
 from .ingest import Article, normalize_title
@@ -151,7 +151,7 @@ class Dataset:
     articles: list[Article]
     network: DocumentNetwork
     _samples: dict[int, list[CandidatePair]] | None = field(default=None, repr=False)
-    _title_candidates: dict[int, list[CandidatePair]] | None = field(default=None, repr=False)
+    _title_candidates: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.network.node_count != len(self.articles):
@@ -164,11 +164,11 @@ class Dataset:
             self._samples = build_eval_samples(self.network, anchor_map, self.articles)
         return self._samples
 
-    def title_candidates(self) -> dict[int, list[CandidatePair]]:
-        """Title-map candidates per document (unlabeled)."""
+    def title_candidates(self) -> dict[int, frozenset[int]]:
+        """Title-map candidate target ids per document."""
         if self._title_candidates is None:
             title_map = build_title_map(self.articles)
-            self._title_candidates = scan_corpus(title_map, self.articles)
+            self._title_candidates = title_targets(title_map, self.articles)
         return self._title_candidates
 
     def resolve_title(self, title: str) -> int | None:

@@ -180,29 +180,24 @@ def personalized_pagerank(
 
 def topk_subgraph(
     network: DocumentNetwork,
-    scores: PprScores | np.ndarray,
+    scores: np.ndarray,
     k: int,
-    titles: Sequence[str] | None = None,
+    titles: Sequence[str],
 ) -> tuple[DocumentNetwork, dict[int, int]]:
     """Induced subgraph on the k highest-scored nodes.
 
-    Ties at the rank-k boundary break by ascending title (when titles are
-    given) and then by node id, so the cut is deterministic. New ids run
-    0..k-1 in descending-score order; the old-to-new table is returned
-    alongside the subgraph.
+    Ties at the rank-k boundary break by ascending title and then by node
+    id, so the cut is deterministic. New ids run 0..k-1 in
+    descending-score order; the old-to-new table is returned alongside
+    the subgraph.
     """
-    values = scores.scores if isinstance(scores, PprScores) else np.asarray(scores, dtype=float)
     if k <= 0:
         raise ValueError("k must be positive")
     if k > network.node_count:
         raise ValueError(f"k={k} exceeds node count {network.node_count}")
-    if len(values) != network.node_count:
+    if len(scores) != network.node_count:
         raise ValueError("scores length does not match node count")
-
-    if titles is not None:
-        order = sorted(range(network.node_count), key=lambda i: (-values[i], titles[i], i))
-    else:
-        order = sorted(range(network.node_count), key=lambda i: (-values[i], i))
+    order = sorted(range(network.node_count), key=lambda i: (-scores[i], titles[i], i))
     return network.relabeled_subgraph(order[:k])
 
 

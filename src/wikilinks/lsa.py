@@ -134,17 +134,16 @@ class LsaModel:
     vocabulary: Vocabulary | None = None
 
 
-def _dense_row_blocks(matrix: CsrMatrix | np.ndarray):
+def _dense_row_blocks(matrix: CsrMatrix):
     """Consecutive dense row blocks of at most ``_DENSE_CELL_LIMIT``
     cells, one row at least."""
     n_rows, n_cols = matrix.shape
     step = max(1, _DENSE_CELL_LIMIT // max(n_cols, 1))
     for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        yield matrix.toarray(start, stop) if isinstance(matrix, CsrMatrix) else matrix[start:stop]
+        yield matrix.toarray(start, min(start + step, n_rows))
 
 
-def _gram_svd(matrix: CsrMatrix | np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gram_svd(matrix: CsrMatrix, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-d singular triplets from the eigendecomposition of the
     Gram matrix of the smaller side: A Aᵀ for wide matrices, AᵀA for
     tall ones, summed over dense row blocks of the long side.
@@ -159,7 +158,7 @@ def _gram_svd(matrix: CsrMatrix | np.ndarray, d: int) -> tuple[np.ndarray, np.nd
     n_rows, n_cols = matrix.shape
     wide = n_rows <= n_cols
     if wide:  # turn the long side down the rows
-        matrix = matrix.transposed() if isinstance(matrix, CsrMatrix) else matrix.T
+        matrix = matrix.transposed()
     blocks = _dense_row_blocks(matrix)
     block = next(blocks)
     gram = block.T @ block
@@ -182,8 +181,8 @@ def fit_lsa(
     matrix: CsrMatrix | np.ndarray, d: int = 512, vocabulary: Vocabulary | None = None
 ) -> LsaModel:
     """Rank-d truncated SVD of a document-term matrix, sparse (from
-    :func:`build_tfidf`) or dense, exact through the Gram matrix of its
-    smaller side.
+    :func:`build_tfidf`) or dense (taken into compressed sparse rows),
+    exact through the Gram matrix of its smaller side.
 
     Raises ValueError when the smaller side exceeds ``_GRAM_SIDE_LIMIT``.
     When d exceeds the number of available singular values, the extra
@@ -193,7 +192,10 @@ def fit_lsa(
     if d < 1:
         raise ValueError("dimension d must be at least 1")
     if not isinstance(matrix, CsrMatrix):
-        matrix = np.asarray(matrix, dtype=float)
+        dense = np.asarray(matrix, dtype=float)
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(dense)))))
+        matrix = CsrMatrix(dense[rows, cols], cols, indptr, dense.shape)
     n_rows, n_cols = matrix.shape
     if min(n_rows, n_cols) > _GRAM_SIDE_LIMIT:
         raise ValueError(f"LSA takes at most {_GRAM_SIDE_LIMIT} documents or terms, whichever "

@@ -183,7 +183,7 @@ class RunContext:
         train_nodes: Sequence[int],
         seed: int,
         candidates: Mapping[int, Sequence[CandidatePair]],
-        title_candidates: Mapping[int, Sequence[CandidatePair]],
+        title_candidates: Mapping[int, frozenset[int]],
         config: EvalModelConfig,
     ) -> None:
         self.tokens = tokens
@@ -242,13 +242,13 @@ class RandomMethod(Method):
 
 class _AtMethod(Method):
     binary = True
-    map_attr = ""
+
+    def targets(self, ctx: RunContext) -> Mapping[int, Collection[int]]:
+        """The candidate target ids of each source document."""
+        raise NotImplementedError
 
     def make_scorer(self, ctx: RunContext) -> Scorer:
-        candidates = ctx.candidates if self.map_attr == "anchor" else ctx.title_candidates
-        targets = {
-            source: {pair.target for pair in pairs} for source, pairs in candidates.items()
-        }
+        targets = self.targets(ctx)
 
         def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
             return np.array(
@@ -260,12 +260,16 @@ class _AtMethod(Method):
 
 class AtTitleMethod(_AtMethod):
     name = "at_title"
-    map_attr = "title"
+
+    def targets(self, ctx: RunContext) -> Mapping[int, Collection[int]]:
+        return ctx.title_candidates
 
 
 class AtAnchorMethod(_AtMethod):
     name = "at_anchor"
-    map_attr = "anchor"
+
+    def targets(self, ctx: RunContext) -> Mapping[int, Collection[int]]:
+        return {source: {pair.target for pair in pairs} for source, pairs in ctx.candidates.items()}
 
 
 class LsaMethod(Method):

@@ -19,8 +19,8 @@ from wikilinks.anchors import (
     build_title_map,
     normalize_pattern,
     normalize_text_with_map,
-    scan_corpus,
     scan_text,
+    title_targets,
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
@@ -95,6 +95,28 @@ def _article(doc_id: int, abstract: str, title: str | None = None) -> Article:
     return Article(id=doc_id, title=title or f"T{doc_id}", abstract=abstract)
 
 
+def _candidates(anchor_map: AnchorMap, articles: list[Article]) -> dict[int, list[CandidatePair]]:
+    """Candidates of ``articles`` labeled against a network with no edge."""
+    network = DocumentNetwork.from_links(anchor_map.article_count, [])
+    return build_eval_samples(network, anchor_map, articles)
+
+
+def reference_candidate_pairs(
+    anchor_map: AnchorMap, article: Article, network: DocumentNetwork
+) -> list[CandidatePair]:
+    """The candidate builder that ``build_eval_samples`` replaced: hits
+    in the order of their original spans, then pattern."""
+    by_target: dict[int, dict[str, None]] = {}
+    for pattern, _ in scan_text(anchor_map, article.abstract):
+        for target in anchor_map.patterns[pattern]:
+            if target != article.id:
+                by_target.setdefault(target, {})[pattern] = None
+    return [
+        CandidatePair(article.id, target, tuple(anchors), network.has_edge(article.id, target))
+        for target, anchors in sorted(by_target.items())
+    ]
+
+
 class TestNormalization:
     def test_case_and_whitespace(self):
         assert normalize_pattern("  Federal   Government ") == "federal government"
@@ -157,6 +179,9 @@ class TestNormalizationMatchesReference:
             text = " ".join(ch * 2 for ch in batch[begin : begin + 512])
             assert_normalizes_like_reference(text)
 
+
+# The dotted capital I, its lowercase parts and letters around them.
+DOTTED_ALPHABET = "abi\u0307\u0130 "
 
 # Regex metacharacters, the underscore that ``\w`` would count as a word
 # character, an Arabic-Indic digit (alphanumeric, not ASCII), an accented
@@ -330,24 +355,24 @@ class TestScanCandidates:
     def test_figure_style_candidate(self):
         anchor_map = _map({"political": {3}}, 4)
         article = _article(0, "A political crisis unfolded.")
-        pairs = scan_corpus(anchor_map, [article])[0]
+        pairs = _candidates(anchor_map, [article])[0]
         assert len(pairs) == 1
         assert pairs[0].target == 3
         assert pairs[0].anchors == ("political",)
 
     def test_empty_abstract(self):
         anchor_map = _map({"x": {1}}, 2)
-        assert scan_corpus(anchor_map, [_article(0, "")]) == {0: []}
+        assert _candidates(anchor_map, [_article(0, "")]) == {0: []}
 
     def test_self_pairs_removed(self):
         anchor_map = _map({"myself": {0, 1}}, 2)
-        pairs = scan_corpus(anchor_map, [_article(0, "all about myself")])[0]
+        pairs = _candidates(anchor_map, [_article(0, "all about myself")])[0]
         assert [p.target for p in pairs] == [1]
 
     def test_aggregates_per_target_with_all_matches(self):
         anchor_map = _map({"american": {1}, "american civil war": {1, 2}}, 3)
         article = _article(0, "the american civil war began")
-        pairs = scan_corpus(anchor_map, [article])[0]
+        pairs = _candidates(anchor_map, [article])[0]
         assert [p.target for p in pairs] == [1, 2]
         by_target = {p.target: p for p in pairs}
         assert by_target[1].anchors == ("american", "american civil war")
@@ -356,15 +381,42 @@ class TestScanCandidates:
     def test_repeated_matches_keep_first_match_order(self):
         anchor_map = _map({"war": {1}, "civil war": {1}, "peace": {1}}, 2)
         article = _article(0, "War and peace, then civil war and war again.")
-        (pair,) = scan_corpus(anchor_map, [article])[0]
+        (pair,) = _candidates(anchor_map, [article])[0]
         assert pair.anchors == ("war", "peace", "civil war")
 
     def test_span_substring_normalizes_to_pattern(self):
         anchor_map = _map({"federal government": {1}}, 2)
         article = _article(0, "The Federal  Government acted swiftly.")
-        (pair,) = scan_corpus(anchor_map, [article])[0]
+        (pair,) = _candidates(anchor_map, [article])[0]
         assert pair.anchors == ("federal government",)
         assert_anchors_have_spans(anchor_map, article.abstract, pair)
+
+    @given(
+        text=st.text(alphabet=DOTTED_ALPHABET, max_size=40),
+        drawn=st.lists(
+            st.tuples(st.text(alphabet=DOTTED_ALPHABET, min_size=1, max_size=4), st.integers(0, 3)),
+            max_size=6,
+        ),
+        cuts=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 6), st.integers(0, 3)), max_size=6
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_order_matches_span_sorted_reference(self, text, drawn, cuts):
+        # "İ" lowercases to "i" + U+0307, the one expansion to several
+        # characters, where normalized and original offsets part. Slices
+        # of the normalized text make hits common.
+        norm = normalize_text_with_map(text)[0]
+        patterns: dict[str, set[int]] = {}
+        for raw, target in [*drawn, *((norm[i : i + n], t) for i, n, t in cuts)]:
+            pattern = normalize_pattern(raw)
+            if pattern:
+                patterns.setdefault(pattern, set()).add(target)
+        anchor_map = _map(patterns, 4)
+        network = DocumentNetwork.from_links(4, [(0, 1, "a"), (0, 3, "b")])
+        article = _article(0, text)
+        got = build_eval_samples(network, anchor_map, [article])[0]
+        assert got == reference_candidate_pairs(anchor_map, article, network)
 
 
 class TestCandidatePair:
@@ -464,14 +516,10 @@ NOISY_PLANTED = PlantedCorpusParams(
 )
 
 
-def _maps_and_candidates(dataset):
-    """(map, candidates) for the anchor map and the title map of a dataset."""
+def _anchor_candidates(dataset):
+    """(anchor map, its candidates) of a dataset."""
     anchor_map = build_anchor_map(dataset.network)
-    title_map = build_title_map(dataset.articles)
-    return [
-        (anchor_map, build_eval_samples(dataset.network, anchor_map, dataset.articles)),
-        (title_map, scan_corpus(title_map, dataset.articles)),
-    ]
+    return anchor_map, build_eval_samples(dataset.network, anchor_map, dataset.articles)
 
 
 @pytest.fixture(scope="module", params=["fixture", "noisy"])
@@ -485,29 +533,43 @@ class TestCandidateAnchors:
     def test_anchors_are_the_scan_patterns_of_the_target(self, scanned_dataset):
         # Oracle: the distinct scan_text patterns, in scan order, that map
         # to the pair's target.
-        for anchor_map, candidates in _maps_and_candidates(scanned_dataset):
-            assert any(candidates.values())
-            for source, pairs in candidates.items():
-                hits = scan_text(anchor_map, scanned_dataset.articles[source].abstract)
-                for pair in pairs:
-                    expected = dict.fromkeys(
-                        pattern for pattern, _ in hits
-                        if pair.target in anchor_map.patterns[pattern]
-                    )
-                    assert pair.anchors == tuple(expected)
+        anchor_map, candidates = _anchor_candidates(scanned_dataset)
+        assert any(candidates.values())
+        for source, pairs in candidates.items():
+            hits = scan_text(anchor_map, scanned_dataset.articles[source].abstract)
+            for pair in pairs:
+                expected = dict.fromkeys(
+                    pattern for pattern, _ in hits
+                    if pair.target in anchor_map.patterns[pattern]
+                )
+                assert pair.anchors == tuple(expected)
+
+    def test_title_targets_are_the_scan_targets(self, scanned_dataset):
+        # Oracle: every target of every scan_text pattern, but the source.
+        title_map = build_title_map(scanned_dataset.articles)
+        targets = scanned_dataset.title_candidates()
+        assert targets == title_targets(title_map, scanned_dataset.articles)
+        assert sorted(targets) == list(range(len(scanned_dataset.articles)))
+        assert any(targets.values())
+        for source, got in targets.items():
+            hits = scan_text(title_map, scanned_dataset.articles[source].abstract)
+            expected = {t for pattern, _ in hits for t in title_map.patterns[pattern]} - {source}
+            assert got == expected
 
     def test_anchors_are_the_maps_own_strings(self, scanned_dataset):
-        for anchor_map, candidates in _maps_and_candidates(scanned_dataset):
-            keys = {pattern: pattern for pattern in anchor_map.patterns}
-            for pairs in candidates.values():
-                for pair in pairs:
-                    assert all(keys[anchor] is anchor for anchor in pair.anchors)
+        anchor_map, candidates = _anchor_candidates(scanned_dataset)
+        keys = {pattern: pattern for pattern in anchor_map.patterns}
+        for pairs in candidates.values():
+            for pair in pairs:
+                assert all(keys[anchor] is anchor for anchor in pair.anchors)
 
     def test_candidates_retain_few_bytes_each(self):
-        # The eval-text benchmark's corpus at seed 0: 14,623 anchor and
-        # title candidates. Candidates that keep one tuple of the maps'
-        # own strings retain about 136 bytes each; per-hit spans and
-        # copied match strings retained about 362.
+        # The eval-text benchmark's corpus at seed 0: 7,194 anchor
+        # candidates and 7,429 title-map targets. Anchor candidates that
+        # keep one tuple of the maps' own strings, and title targets held
+        # as id sets, retain about 96 bytes each; title candidates held as
+        # full records retained about 136, and per-hit spans and copied
+        # match strings about 362.
         params = PlantedCorpusParams(
             topics=25, docs_per_topic=20, topic_vocab=10, filler_vocab=20, body_tokens=30,
             links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=25, seed=0,

@@ -159,7 +159,7 @@ class TestSubgraphCommand:
         seed = dataset.resolve_title("Abraham Lincoln")
         scores = personalized_pagerank(dataset.network, seed)
         titles = [a.title for a in dataset.articles]
-        expected, old_to_new = topk_subgraph(dataset.network, scores, 3, titles)
+        expected, old_to_new = topk_subgraph(dataset.network, scores.scores, 3, titles)
         sub = Dataset.load(out)
         assert (out / "remap.tsv").read_text(encoding="utf-8") == "".join(
             f"{old}\t{new}\n" for old, new in sorted(old_to_new.items())

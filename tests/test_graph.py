@@ -208,8 +208,8 @@ class TestPersonalizedPagerank:
 class TestTopkSubgraph:
     def test_full_k_is_isomorphic_copy(self):
         net = _net(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
-        scores = personalized_pagerank(net, seed=0)
-        sub, old_to_new = topk_subgraph(net, scores, k=4)
+        scores = personalized_pagerank(net, seed=0).scores
+        sub, old_to_new = topk_subgraph(net, scores, k=4, titles=["A", "B", "C", "D"])
         assert sub.node_count == 4
         remapped = {(old_to_new[s], old_to_new[t]) for s, t in net.edges()}
         assert set(sub.edges()) == remapped
@@ -218,7 +218,7 @@ class TestTopkSubgraph:
         # Scores pick nodes 0, 2, 4; the induced edges are (0,2) and (4,0).
         net = _net(5, [(0, 2), (2, 1), (4, 0), (3, 4), (1, 3)])
         scores = np.array([0.5, 0.1, 0.3, 0.05, 0.2])
-        sub, old_to_new = topk_subgraph(net, scores, k=3)
+        sub, old_to_new = topk_subgraph(net, scores, k=3, titles=["A", "B", "C", "D", "E"])
         assert sorted(old_to_new) == [0, 2, 4]
         assert old_to_new == {0: 0, 2: 1, 4: 2}
         assert set(sub.edges()) == {(0, 1), (2, 0)}
@@ -228,16 +228,16 @@ class TestTopkSubgraph:
         scores = np.array([0.2, 0.2, 0.6])
         _, by_title = topk_subgraph(net, scores, k=2, titles=["Zebra", "Apple", "Mid"])
         assert sorted(by_title) == [1, 2]  # "Apple" wins the tie
-        _, by_id = topk_subgraph(net, scores, k=2)
+        _, by_id = topk_subgraph(net, scores, k=2, titles=["Same", "Same", "Mid"])
         assert sorted(by_id) == [0, 2]
 
     def test_invalid_k(self):
         net = _net(2, [(0, 1)])
         scores = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
-            topk_subgraph(net, scores, k=0)
+            topk_subgraph(net, scores, k=0, titles=["A", "B"])
         with pytest.raises(ValueError):
-            topk_subgraph(net, scores, k=3)
+            topk_subgraph(net, scores, k=3, titles=["A", "B"])
 
 
 def _articles(abstracts: list[str]) -> list[Article]:
@@ -273,8 +273,9 @@ class TestNetworkStats:
         assert stats.negatives_per_doc_std >= 0
 
     def test_topk_then_stats_reports_k_nodes(self, fixture_dataset):
-        scores = personalized_pagerank(fixture_dataset.network, seed=0)
-        sub, old_to_new = topk_subgraph(fixture_dataset.network, scores, k=7)
+        scores = personalized_pagerank(fixture_dataset.network, seed=0).scores
+        titles = [a.title for a in fixture_dataset.articles]
+        sub, old_to_new = topk_subgraph(fixture_dataset.network, scores, k=7, titles=titles)
         kept = sorted(old_to_new, key=old_to_new.get)
         articles = [
             Article(id=new, title=fixture_dataset.articles[old].title,

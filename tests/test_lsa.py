@@ -316,7 +316,7 @@ class TestAgainstReplacedPaths:
         expected = reference_fit_lsa(dense, 8)
         monkeypatch.setattr(lsa, "_DENSE_CELL_LIMIT", 7 * min(shape))
         long_side = dense if shape[0] > shape[1] else dense.T
-        assert len(list(lsa._dense_row_blocks(long_side))) == 13
+        assert len(list(lsa._dense_row_blocks(as_csr(long_side)))) == 13
         model = fit_lsa(as_csr(dense) if sparse else dense, d=8)
         self._agree_up_to_sign(model, expected, 8)
 

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import wikilinks.predictors as predictors
-from wikilinks.anchors import AnchorMap, CandidatePair, build_anchor_map, scan_corpus
+from wikilinks.anchors import (
+    AnchorMap,
+    CandidatePair,
+    build_anchor_map,
+    build_eval_samples,
+    title_targets,
+)
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
 from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
@@ -112,7 +118,9 @@ class TestPredictAt:
     def test_absent_patterns_predict_zero(self):
         anchor_map = _map({"missing phrase": {1}}, 2)
         ctx = SimpleNamespace(
-            candidates=scan_corpus(anchor_map, [_article(0, "unrelated text")])
+            candidates=build_eval_samples(
+                DocumentNetwork.from_links(2, []), anchor_map, [_article(0, "unrelated text")]
+            )
         )
         assert _at_scores("at_anchor", ctx, [(0, 1)]) == [0.0]
 
@@ -124,8 +132,8 @@ class TestPredictAt:
         title_map = _map({"politics": {1}}, 2, mode="title")
         anchor_map = _map({"political": {1}}, 2, mode="anchor")
         ctx = SimpleNamespace(
-            candidates=scan_corpus(anchor_map, [article]),
-            title_candidates=scan_corpus(title_map, [article]),
+            candidates=build_eval_samples(DocumentNetwork.from_links(2, []), anchor_map, [article]),
+            title_candidates=title_targets(title_map, [article]),
         )
         assert _at_scores("at_title", ctx, [(0, 1)]) == [0.0]
         assert _at_scores("at_anchor", ctx, [(0, 1)]) == [1.0]
