@@ -5,13 +5,7 @@ Run with:  python3 demos/02_pagerank_and_candidates.py
 
 import numpy as np
 
-from wikilinks import (
-    build_anchor_map,
-    build_eval_samples,
-    network_stats,
-    personalized_pagerank,
-    topk_subgraph,
-)
+from wikilinks import network_stats, personalized_pagerank, topk_subgraph
 from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 
@@ -41,17 +35,16 @@ def main() -> None:
           f" {same_topic}/10 share the seed's topic")
 
     print("\n=== Anchor map + scan: every link is matched, plus hard negatives ===")
-    anchor_map = build_anchor_map(net)
-    samples = build_eval_samples(net, anchor_map, dataset.articles)
+    candidates = dataset.anchor_candidates()  # source -> target -> matched anchors
     doc = dataset.articles[0]
     print(f"  candidates of {doc.title!r}:")
-    for pair in samples[0]:
-        label = "LINK" if pair.label else "no link (hard negative)"
-        print(f"    -> {dataset.articles[pair.target].title:20}  "
-              f"matched {pair.anchors}  [{label}]")
+    for target, anchors in candidates[0].items():
+        label = "LINK" if net.has_edge(0, target) else "no link (hard negative)"
+        print(f"    -> {dataset.articles[target].title:20}  "
+              f"matched {anchors}  [{label}]")
 
     print("\n=== Dataset statistics in the style of the published tables ===")
-    stats = network_stats(net, dataset.articles, samples)
+    stats = network_stats(net, dataset.articles, candidates)
     print(f"  n_V={stats.n_docs}  n_E={stats.n_links} ({stats.density_pct:.2f}%)  "
           f"n_W={stats.n_vocab}")
     print(f"  doc length {stats.doc_length_mean:.2f} ({stats.doc_length_std:.2f})")

@@ -52,11 +52,11 @@ def main() -> None:
     from wikilinks.lsa import build_tfidf, fit_lsa, tokenize
     from wikilinks.predictors import fit_atilp
 
-    split = split_transductive(dataset.network, dataset.eval_samples(), 0.1, run_seed=0)
+    split = split_transductive(dataset.network, dataset.anchor_candidates(), 0.1, run_seed=0)
     corpus = [tokenize(a.abstract) for a in dataset.articles]
     matrix, vocab = build_tfidf(corpus)
     lsa_model = fit_lsa(matrix, d=config.lsa_dimension, vocabulary=vocab)
-    model = fit_atilp(split.train_network, lsa_model, dataset.eval_samples(), seed=0)
+    model = fit_atilp(split.train_network, lsa_model, dataset.anchor_candidates(), seed=0)
     c = model.coefficients
     print("\nlearned weights on (anchor-source, anchor-target, source-target):")
     print(f"   c = ({c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f}), intercept {model.intercept:.2f}")

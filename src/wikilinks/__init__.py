@@ -8,7 +8,6 @@ link predictors against string-matched hard negatives.
 
 from .anchors import (
     AnchorMap,
-    CandidatePair,
     build_anchor_map,
     build_eval_samples,
     build_title_map,

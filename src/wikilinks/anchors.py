@@ -219,13 +219,13 @@ class CandidatePair:
 
     ``anchors`` holds the distinct patterns matched in the source's
     abstract that map to ``target``, in first-match order. ``label`` is
-    set once the pair has been checked against a network.
+    whether the network the scan was given has the edge.
     """
 
     source: int
     target: int
     anchors: tuple[str, ...]
-    label: bool | None = None
+    label: bool
 
 
 def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, int]]]:
@@ -277,7 +277,8 @@ def build_eval_samples(
     matched patterns in first-match order; each document's list is
     sorted by target id. Positives are candidates backed by a real edge;
     the remaining candidates are the hard negatives. Every document id
-    appears as a key, possibly with an empty list.
+    appears as a key, possibly with an empty list. The labels stop here:
+    ``Dataset.anchor_candidates`` keeps each target and its anchors.
     """
     if anchor_map.mode != "anchor":
         raise ValueError("evaluation samples require an anchor-mode map")

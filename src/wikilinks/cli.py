@@ -283,10 +283,10 @@ def cmd_dataset_stats(args) -> int:
     if args.samples_out:
         _output_file(args.samples_out)
     dataset = _load_dataset(args.data)
-    samples = dataset.eval_samples()
+    candidates = dataset.anchor_candidates()
     if args.samples_out:
-        write_samples_tsv(args.samples_out, samples)
-    stats = network_stats(dataset.network, dataset.articles, samples)
+        write_samples_tsv(args.samples_out, candidates, dataset.network)
+    stats = network_stats(dataset.network, dataset.articles, candidates)
     print(f"documents: {stats.n_docs}")
     print(f"links: {stats.n_links} ({stats.density_pct:.2f}%)")
     print(f"vocabulary: {stats.n_vocab}")

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .anchors import (
-    CandidatePair,
     build_anchor_map,
     build_eval_samples,
     build_title_map,
@@ -123,14 +122,15 @@ def write_remap_tsv(path, old_to_new: Mapping[int, int]) -> None:
             fh.write(f"{old}\t{new}\n")
 
 
-def write_samples_tsv(path, samples: Mapping[int, Sequence[CandidatePair]]) -> None:
-    """source, target, label(0|1) and the matched strings joined by '|'."""
+def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
+    """Per anchor candidate: source, target, label (1 if ``network`` has
+    the edge, else 0) and the matched strings joined by '|'."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for source in sorted(samples):
-            for pair in samples[source]:
-                matched = "|".join(escape_field(text) for text in pair.anchors)
-                label = 1 if pair.label else 0
-                fh.write(f"{pair.source}\t{pair.target}\t{label}\t{matched}\n")
+        for source in sorted(candidates):
+            for target, anchors in candidates[source].items():
+                matched = "|".join(escape_field(text) for text in anchors)
+                label = 1 if network.has_edge(source, target) else 0
+                fh.write(f"{source}\t{target}\t{label}\t{matched}\n")
 
 
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
@@ -150,19 +150,22 @@ class Dataset:
     name: str
     articles: list[Article]
     network: DocumentNetwork
-    _samples: dict[int, list[CandidatePair]] | None = field(default=None, repr=False)
+    _anchors: dict[int, dict[int, tuple[str, ...]]] | None = field(default=None, repr=False)
     _title_candidates: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.network.node_count != len(self.articles):
             raise ValueError("network node count does not match the article table")
 
-    def eval_samples(self) -> dict[int, list[CandidatePair]]:
-        """Anchor-map candidates per document, labeled against the network."""
-        if self._samples is None:
+    def anchor_candidates(self) -> dict[int, dict[int, tuple[str, ...]]]:
+        """Anchor-map candidates of every document: each target id,
+        ascending, to its distinct matched anchor strings. No label is
+        kept; a candidate is a link when the network has its edge."""
+        if self._anchors is None:
             anchor_map = build_anchor_map(self.network)
-            self._samples = build_eval_samples(self.network, anchor_map, self.articles)
-        return self._samples
+            samples = build_eval_samples(self.network, anchor_map, self.articles)
+            self._anchors = {s: {p.target: p.anchors for p in ps} for s, ps in samples.items()}
+        return self._anchors
 
     def title_candidates(self) -> dict[int, frozenset[int]]:
         """Title-map candidate target ids per document."""

@@ -18,11 +18,10 @@ import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .anchors import CandidatePair
 from .dataset import write_links_tsv
 from .graph import DocumentNetwork
 from .lsa import tokenize
@@ -86,15 +85,15 @@ class EvalSplit:
 
 def split_transductive(
     network: DocumentNetwork,
-    samples: Mapping[int, Sequence[CandidatePair]],
+    candidates: Mapping[int, Collection[int]],
     ratio: float = 0.10,
     run_seed: int = 0,
 ) -> EvalSplit:
     """Hide round(ratio * n_E) edges chosen uniformly without replacement.
 
     Test pairs cover every source that lost an edge: its hidden edges as
-    positives, its candidate non-edges (against the full network) as
-    negatives. No connectivity repair is attempted.
+    positives, its ``candidates`` targets that are non-edges of the full
+    network as negatives. No connectivity repair is attempted.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -106,9 +105,9 @@ def split_transductive(
 
     pairs: set[TestPair] = {(s, t, 1) for s, t in hidden}
     for source in {source for source, _ in hidden}:
-        for pair in samples.get(source, ()):
-            if not network.has_edge(pair.source, pair.target):
-                pairs.add((pair.source, pair.target, 0))
+        for target in candidates.get(source, ()):
+            if not network.has_edge(source, target):
+                pairs.add((source, target, 0))
     return EvalSplit(
         mode="transductive",
         train_network=network.remove_edges(hidden),
@@ -120,7 +119,7 @@ def split_transductive(
 
 def split_inductive(
     network: DocumentNetwork,
-    samples: Mapping[int, Sequence[CandidatePair]],
+    candidates: Mapping[int, Collection[int]],
     ratio: float = 0.10,
     run_seed: int = 0,
 ) -> EvalSplit:
@@ -128,9 +127,9 @@ def split_inductive(
 
     The training network is the induced subgraph on the retained
     documents (ids preserved). Each hidden document contributes its true
-    edges to retained documents as positives and its remaining
-    candidates with retained targets as negatives; only its text reaches
-    the predictors.
+    edges to retained documents as positives and its other
+    ``candidates`` targets among them as negatives; only its text
+    reaches the predictors.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -148,9 +147,9 @@ def split_inductive(
         for target in network.out_neighbors(source):
             if target in retained_set:
                 pairs.add((source, target, 1))
-        for pair in samples.get(source, ()):
-            if pair.target in retained_set and not network.has_edge(pair.source, pair.target):
-                pairs.add((pair.source, pair.target, 0))
+        for target in candidates.get(source, ()):
+            if target in retained_set and not network.has_edge(source, target):
+                pairs.add((source, target, 0))
     return EvalSplit(
         mode="inductive",
         train_network=network.restricted_to(retained),
@@ -438,11 +437,13 @@ def run_eval(
     their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
-    skipped by contract. An empty method list, or one that names a
-    method twice, raises ValueError.
+    skipped by contract. Empty, unknown or repeated methods or modes
+    raise ValueError before ``out_dir`` is touched.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
     config = config or EvalModelConfig()
     resolved = [make_method(m) for m in methods]
     check_method_names([method.name for method in resolved])
@@ -454,7 +455,7 @@ def run_eval(
     failures: list[EvalFailure] = []
     hashers = {mode: hashlib.sha256() for mode in modes}
 
-    samples = dataset.eval_samples()
+    candidates = dataset.anchor_candidates()
     title_candidates = dataset.title_candidates()
     # Tokenized once for every run and mode. Interned, the lists share one
     # string per distinct token instead of holding one string per token.
@@ -464,14 +465,12 @@ def run_eval(
         for mode in modes:
             if mode == "transductive":
                 split = split_transductive(
-                    dataset.network, samples, transductive_ratio, run_seed=seed
-                )
-            elif mode == "inductive":
-                split = split_inductive(
-                    dataset.network, samples, inductive_ratio, run_seed=seed
+                    dataset.network, candidates, transductive_ratio, run_seed=seed
                 )
             else:
-                raise ValueError(f"unknown evaluation mode {mode!r}")
+                split = split_inductive(
+                    dataset.network, candidates, inductive_ratio, run_seed=seed
+                )
 
             pair_bytes = _serialize_test_pairs(split.test_pairs)
             hashers[mode].update(pair_bytes)
@@ -493,7 +492,7 @@ def run_eval(
                 train_network=split.train_network,
                 train_nodes=split.train_nodes,
                 seed=seed,
-                candidates=samples,
+                candidates=candidates,
                 title_candidates=title_candidates,
                 config=config,
             )

@@ -217,12 +217,12 @@ class NetworkStats:
     negatives_per_doc_std: float
 
 
-def network_stats(network: DocumentNetwork, articles, samples) -> NetworkStats:
+def network_stats(network: DocumentNetwork, articles, candidates) -> NetworkStats:
     """Summary statistics of a dataset.
 
-    ``samples`` is the per-document labeled candidate map from
-    :func:`wikilinks.anchors.build_eval_samples`; it feeds the
-    positive/negative per-document averages.
+    ``candidates`` maps each document to its anchor-map candidate target
+    ids (:meth:`wikilinks.dataset.Dataset.anchor_candidates`); those that
+    are edges of ``network`` count as positives, the rest as negatives.
     """
     n = network.node_count
     density = 0.0
@@ -236,11 +236,10 @@ def network_stats(network: DocumentNetwork, articles, samples) -> NetworkStats:
         vocab.update(tokens)
     lengths = np.array(token_counts, dtype=float)
     pos = np.array(
-        [sum(1 for p in samples.get(i, []) if p.label) for i in range(n)], dtype=float
+        [sum(1 for t in candidates.get(i, ()) if network.has_edge(i, t)) for i in range(n)],
+        dtype=float,
     )
-    neg = np.array(
-        [sum(1 for p in samples.get(i, []) if not p.label) for i in range(n)], dtype=float
-    )
+    neg = np.array([len(candidates.get(i, ())) for i in range(n)], dtype=float) - pos
     return NetworkStats(
         n_docs=n,
         n_links=network.edge_count,

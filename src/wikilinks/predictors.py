@@ -6,6 +6,7 @@ rescores the anchor-map candidates with a least squares fit over three
 cosine features: anchor-source, anchor-target and source-target
 similarity. Every model exposes a scorer over (source, target) pairs
 producing scores in [0, 1]; binary models emit exactly 0 or 1.
+Candidates carry no label: a link is an edge of the training network.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .anchors import CandidatePair
 from .dataset import read_predictions_tsv
 from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
 
 Scorer = Callable[[Sequence[tuple[int, int]]], np.ndarray]
+Candidates = Mapping[int, Mapping[int, Sequence[str]]]  # source -> target -> anchors
+Candidate = tuple[int, int, Sequence[str]]  # (source, target, anchors)
 
 
 def ols_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
@@ -47,9 +49,9 @@ class AtilpModel:
     n_positive: int = 0
     n_negative: int = 0
 
-    def predict(self, doc_matrix: np.ndarray, pairs: Sequence[CandidatePair]) -> np.ndarray:
-        """Linear prediction of each pair, maximized over its matched
-        anchors and clamped to [0, 1]."""
+    def predict(self, doc_matrix: np.ndarray, pairs: Sequence[Candidate]) -> np.ndarray:
+        """Linear prediction of each (source, target, anchors) candidate,
+        maximized over its matched anchors and clamped to [0, 1]."""
         if len(pairs) == 0:
             return np.zeros(0)
         features, counts = atilp_features(doc_matrix, self.anchor_vectors, pairs)
@@ -61,23 +63,23 @@ class AtilpModel:
 def atilp_features(
     doc_matrix: np.ndarray,
     anchor_vectors: Mapping[str, np.ndarray],
-    pairs: Sequence[CandidatePair],
+    pairs: Sequence[Candidate],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(s1, s2, s3) rows, one per distinct matched anchor string of each
-    pair, and the number of rows of each pair.
+    (source, target, anchors) candidate, and the number of rows of each.
 
     s1 = cos(anchor, source), s2 = cos(anchor, target),
-    s3 = cos(source, target). Rows follow the pairs in order, and each
-    pair's anchors in :attr:`CandidatePair.anchors` order.
-    ``doc_matrix`` rows are indexed by document id, and
-    ``anchor_vectors`` holds the fold-in of every matched anchor string.
+    s3 = cos(source, target). Rows follow the candidates in order, and
+    each one's anchors in their given order. ``doc_matrix`` rows are
+    indexed by document id, and ``anchor_vectors`` holds the fold-in of
+    every matched anchor string.
     """
-    counts = np.array([len(pair.anchors) for pair in pairs], dtype=np.intp)
+    counts = np.array([len(anchors) for _, _, anchors in pairs], dtype=np.intp)
     anchor_rows = np.array(
-        [anchor_vectors[text] for pair in pairs for text in pair.anchors]
+        [anchor_vectors[text] for _, _, anchors in pairs for text in anchors]
     ).reshape(-1, doc_matrix.shape[1])
-    sources = doc_matrix[[pair.source for pair in pairs]]
-    targets = doc_matrix[[pair.target for pair in pairs]]
+    sources = doc_matrix[[source for source, _, _ in pairs]]
+    targets = doc_matrix[[target for _, target, _ in pairs]]
     s3 = row_cosines(sources, targets)
     sources, targets, s3 = (np.repeat(x, counts, axis=0) for x in (sources, targets, s3))
     features = np.column_stack(
@@ -89,7 +91,7 @@ def atilp_features(
 def fit_atilp(
     network: DocumentNetwork,
     lsa: LsaModel,
-    candidates_by_source: Mapping[int, Sequence[CandidatePair]],
+    candidates_by_source: Candidates,
     seed: int = 0,
     n_positive: int = 1000,
     n_negative: int = 1000,
@@ -98,25 +100,27 @@ def fit_atilp(
 ) -> AtilpModel:
     """Least squares fit of the anchor-informed link model.
 
-    Positives are sampled uniformly from training edges that appear
-    among the anchor-map candidates, negatives from candidate non-edges;
-    when fewer than requested exist, all are taken and the shortfall is
-    visible in ``n_positive``/``n_negative`` of the returned model. Each
-    sampled pair contributes one design row per distinct matched anchor
-    string. ``nodes`` restricts the training pairs to those with both
-    ends among the given documents (the harness passes the training
-    documents, so hidden documents never reach the fit); ``None`` keeps
-    every candidate. ``doc_matrix`` defaults to the model's training
-    embeddings, indexed by document id. The model folds in every
-    distinct anchor string of the candidates, in one batch.
+    ``candidates_by_source`` maps each source to its candidate targets
+    and their matched anchor strings. Positives are sampled uniformly
+    from the candidates that are edges of ``network``, negatives from
+    the others; when fewer than requested exist, all are taken and the
+    shortfall is visible in ``n_positive``/``n_negative`` of the
+    returned model. Each sampled pair contributes one design row per
+    distinct matched anchor string. ``nodes`` restricts the training
+    pairs to those with both ends among the given documents (the harness
+    passes the training documents, so hidden documents never reach the
+    fit); ``None`` keeps every candidate. ``doc_matrix`` defaults to the
+    model's training embeddings, indexed by document id. The model folds
+    in every distinct anchor string of the candidates, in one batch.
     """
-    candidates = [pair for source in sorted(candidates_by_source)
-                  for pair in candidates_by_source[source]]
-    positives: list[CandidatePair] = []
-    negatives: list[CandidatePair] = []
+    candidates = [(source, target, anchors) for source in sorted(candidates_by_source)
+                  for target, anchors in candidates_by_source[source].items()]
+    positives: list[Candidate] = []
+    negatives: list[Candidate] = []
     for pair in candidates:
-        if nodes is None or (pair.source in nodes and pair.target in nodes):
-            if network.has_edge(pair.source, pair.target):
+        source, target, _ = pair
+        if nodes is None or (source in nodes and target in nodes):
+            if network.has_edge(source, target):
                 positives.append(pair)
             else:
                 negatives.append(pair)
@@ -127,7 +131,7 @@ def fit_atilp(
         )
     rng = np.random.default_rng(seed)
 
-    def sample(pairs: list[CandidatePair], count: int) -> list[CandidatePair]:
+    def sample(pairs: list[Candidate], count: int) -> list[Candidate]:
         if len(pairs) <= count:
             return pairs
         chosen = rng.permutation(len(pairs))[:count]
@@ -136,7 +140,7 @@ def fit_atilp(
     sampled_pos = sample(positives, n_positive)
     sampled_neg = sample(negatives, n_negative)
 
-    texts = list(dict.fromkeys(text for pair in candidates for text in pair.anchors))
+    texts = list(dict.fromkeys(text for _, _, anchors in candidates for text in anchors))
     anchor_vectors = dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
     features, counts = atilp_features(
         lsa.doc_embeddings if doc_matrix is None else doc_matrix,
@@ -182,7 +186,7 @@ class RunContext:
         train_network: DocumentNetwork,
         train_nodes: Sequence[int],
         seed: int,
-        candidates: Mapping[int, Sequence[CandidatePair]],
+        candidates: Candidates,
         title_candidates: Mapping[int, frozenset[int]],
         config: EvalModelConfig,
     ) -> None:
@@ -269,7 +273,7 @@ class AtAnchorMethod(_AtMethod):
     name = "at_anchor"
 
     def targets(self, ctx: RunContext) -> Mapping[int, Collection[int]]:
-        return {source: {pair.target for pair in pairs} for source, pairs in ctx.candidates.items()}
+        return ctx.candidates
 
 
 class LsaMethod(Method):
@@ -309,15 +313,10 @@ class AtilpMethod(Method):
             nodes=ctx.train_nodes,
             doc_matrix=vectors,
         )
-        by_pair = {
-            (pair.source, pair.target): pair
-            for pairs in ctx.candidates.values()
-            for pair in pairs
-        }
 
         def scorer(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-            found = [by_pair.get((s, t)) for s, t in pairs]
-            hits = [i for i, pair in enumerate(found) if pair is not None]
+            found = [(s, t, ctx.candidates.get(s, {}).get(t)) for s, t in pairs]
+            hits = [i for i, (_, _, anchors) in enumerate(found) if anchors is not None]
             scores = np.zeros(len(pairs))  # non-candidates stay unlinked
             scores[hits] = model.predict(vectors, [found[i] for i in hits])
             return scores

@@ -71,13 +71,13 @@ def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]
     return found
 
 
-def assert_anchors_have_spans(anchor_map: AnchorMap, text: str, pair: CandidatePair) -> None:
-    """Every anchor of ``pair`` has a :func:`scan_text` hit in ``text``,
-    and each of its hits' substrings normalizes to it."""
+def assert_anchors_have_spans(anchor_map: AnchorMap, text: str, anchors: tuple[str, ...]) -> None:
+    """Every one of a candidate's ``anchors`` has a :func:`scan_text` hit
+    in ``text``, and each of its hits' substrings normalizes to it."""
     hits: dict[str, list[tuple[int, int]]] = {}
     for pattern, span in scan_text(anchor_map, text):
         hits.setdefault(pattern, []).append(span)
-    for anchor in pair.anchors:
+    for anchor in anchors:
         assert hits.get(anchor), f"{anchor!r} has no hit"
         for start, end in hits[anchor]:
             assert normalize_pattern(text[start:end]) == anchor
@@ -389,7 +389,7 @@ class TestScanCandidates:
         article = _article(0, "The Federal  Government acted swiftly.")
         (pair,) = _candidates(anchor_map, [article])[0]
         assert pair.anchors == ("federal government",)
-        assert_anchors_have_spans(anchor_map, article.abstract, pair)
+        assert_anchors_have_spans(anchor_map, article.abstract, pair.anchors)
 
     @given(
         text=st.text(alphabet=DOTTED_ALPHABET, max_size=40),
@@ -492,20 +492,18 @@ class TestBuildEvalSamples:
                 assert label == net.has_edge(doc, target)
 
     def test_recall_one_on_pipeline_dataset(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
+        candidates = fixture_dataset.anchor_candidates()
         for source, target in fixture_dataset.network.edges():
-            assert any(
-                p.target == target and p.label for p in samples[source]
-            ), f"edge ({source}, {target}) missing from candidates"
+            assert target in candidates[source], f"edge ({source}, {target}) missing from candidates"
 
     def test_hard_negatives_occur_in_source_abstract(self, fixture_dataset):
-        anchor_map = build_anchor_map(fixture_dataset.network)
-        samples = fixture_dataset.eval_samples()
-        for source, pairs in samples.items():
+        network = fixture_dataset.network
+        anchor_map = build_anchor_map(network)
+        for source, targets in fixture_dataset.anchor_candidates().items():
             abstract = fixture_dataset.articles[source].abstract
-            for pair in pairs:
-                if not pair.label:
-                    assert_anchors_have_spans(anchor_map, abstract, pair)
+            for target, anchors in targets.items():
+                if not network.has_edge(source, target):
+                    assert_anchors_have_spans(anchor_map, abstract, anchors)
 
 
 # A smaller corpus shaped like the eval-text benchmark's: noisy text,
@@ -565,11 +563,12 @@ class TestCandidateAnchors:
 
     def test_candidates_retain_few_bytes_each(self):
         # The eval-text benchmark's corpus at seed 0: 7,194 anchor
-        # candidates and 7,429 title-map targets. Anchor candidates that
-        # keep one tuple of the maps' own strings, and title targets held
-        # as id sets, retain about 96 bytes each; title candidates held as
-        # full records retained about 136, and per-hit spans and copied
-        # match strings about 362.
+        # candidates and 7,429 title-map targets. Anchor candidates held
+        # as one target-to-anchors map, each keeping one tuple of the
+        # map's own strings, and title targets held as id sets retain
+        # about 80 bytes each; anchor candidates held as labeled records
+        # retained about 96, title candidates held as full records about
+        # 136, and per-hit spans and copied match strings about 362.
         params = PlantedCorpusParams(
             topics=25, docs_per_topic=20, topic_vocab=10, filler_vocab=20, body_tokens=30,
             links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=25, seed=0,
@@ -578,12 +577,12 @@ class TestCandidateAnchors:
         gc.collect()
         tracemalloc.start()
         try:
-            samples = dataset.eval_samples()
+            candidates = dataset.anchor_candidates()
             titles = dataset.title_candidates()
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        count = sum(map(len, samples.values())) + sum(map(len, titles.values()))
+        count = sum(map(len, candidates.values())) + sum(map(len, titles.values()))
         assert count > 10_000
         assert retained / count < 200

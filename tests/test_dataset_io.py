@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wikilinks.anchors import CandidatePair
 from wikilinks.dataset import (
     Dataset,
     escape_field,
@@ -113,15 +112,10 @@ class TestRemapTsv:
 
 class TestSamplesTsv:
     def test_round_trip_labels_and_strings(self, tmp_path):
-        samples = {
-            0: [
-                CandidatePair(0, 1, ("alpha beta",), label=True),
-                CandidatePair(0, 2, ("x", "y\tz"), label=False),
-            ],
-            1: [],
-        }
+        candidates = {0: {1: ("alpha beta",), 2: ("x", "y\tz")}, 1: {}}
+        network = DocumentNetwork.from_links(3, [(0, 1, "alpha beta")])
         path = tmp_path / "samples.tsv"
-        write_samples_tsv(path, samples)
+        write_samples_tsv(path, candidates, network)
         assert path.read_text(encoding="utf-8") == "0\t1\t1\talpha beta\n0\t2\t0\tx|y\\tz\n"
 
 

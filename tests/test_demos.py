@@ -12,19 +12,32 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["01_ingest_walkthrough.py", "02_pagerank_and_candidates.py"]
-)
-def test_demo_exits_zero(demo):
+def _run(demo: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_ingest_walkthrough.py", "02_pagerank_and_candidates.py"]
+)
+def test_demo_exits_zero(demo):
+    result = _run(demo)
     assert result.returncode == 0, result.stderr
+
+
+def test_candidate_demo_prints_pinned_output():
+    # The candidate and statistics sections must print the same lines
+    # whatever shape the candidates take inside the package.
+    result = _run("02_pagerank_and_candidates.py")
+    assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "data" / "02_pagerank_and_candidates.stdout"
+    assert result.stdout == golden.read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wikilinks import lsa
-from wikilinks.anchors import build_anchor_map, build_eval_samples
+from wikilinks.anchors import CandidatePair
+from wikilinks.dataset import Dataset
 from wikilinks.evaluation import (
     UndefinedMetricError,
     _ranking_order,
@@ -192,19 +194,38 @@ class TestRankingMatchesReference:
             ) == reference_binary_precision_recall(scores, labels)
 
 
+def _reachable(root):
+    """Every object reachable from ``root`` through container items,
+    mapping keys and values, instance dicts and slots; scalars and
+    arrays end a path."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (str, bytes, int, float, np.ndarray)) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, Mapping):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, range)):
+            stack.extend(obj)
+        elif obj is not None:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+
+
 def _labeled_network(n: int, edges: list[tuple[int, int]]):
     net = DocumentNetwork.from_links(n, [(s, t, f"a{t}") for s, t in edges])
     return net
 
 
 class TestSplitTransductive:
-    def _samples(self, net, abstracts=None):
-        articles = [
-            Article(id=i, title=f"T{i}", abstract=abstracts[i] if abstracts else "")
-            for i in range(net.node_count)
-        ]
-        return build_eval_samples(net, build_anchor_map(net), articles)
-
     def test_ten_edge_fixture_hides_one(self):
         edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, (i + 2) % 5) for i in range(5)]
         net = _labeled_network(5, edges)
@@ -229,21 +250,21 @@ class TestSplitTransductive:
         assert list(split.hidden) == expected
 
     def test_negatives_come_from_full_network_candidates(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
-        split = split_transductive(fixture_dataset.network, samples, 0.1, run_seed=1)
+        candidates = fixture_dataset.anchor_candidates()
+        split = split_transductive(fixture_dataset.network, candidates, 0.1, run_seed=1)
         sources_with_hidden = {s for s, _ in split.hidden}
         for source, target, label in split.test_pairs:
             assert source in sources_with_hidden
             if label == 0:
                 # candidate, and a non-edge of the FULL network
                 assert not fixture_dataset.network.has_edge(source, target)
-                assert any(p.target == target for p in samples[source])
+                assert target in candidates[source]
             else:
                 assert (source, target) in set(split.hidden)
 
     def test_retained_edges_are_not_test_pairs(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
-        split = split_transductive(fixture_dataset.network, samples, 0.1, run_seed=2)
+        candidates = fixture_dataset.anchor_candidates()
+        split = split_transductive(fixture_dataset.network, candidates, 0.1, run_seed=2)
         hidden = set(split.hidden)
         for source, target, label in split.test_pairs:
             if fixture_dataset.network.has_edge(source, target):
@@ -262,19 +283,19 @@ class TestSplitInductive:
         # Node 3 is isolated and matches nothing; when hidden it adds no pairs.
         net = _labeled_network(4, [(0, 1), (1, 2), (2, 0)])
         articles = [Article(id=i, title=f"T{i}", abstract="") for i in range(4)]
-        samples = build_eval_samples(net, build_anchor_map(net), articles)
+        candidates = Dataset("four", articles, net).anchor_candidates()
         found = False
         for seed in range(40):
-            split = split_inductive(net, samples, ratio=0.26, run_seed=seed)
+            split = split_inductive(net, candidates, ratio=0.26, run_seed=seed)
             if 3 in split.hidden:
                 found = True
                 assert all(s != 3 for s, _, _ in split.test_pairs)
         assert found
 
     def test_ten_node_fixture_matches_enumeration_oracle(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
+        candidates = fixture_dataset.anchor_candidates()
         net = fixture_dataset.network
-        split = split_inductive(net, samples, ratio=0.1, run_seed=5)
+        split = split_inductive(net, candidates, ratio=0.1, run_seed=5)
         hidden = set(split.hidden)
         retained = set(split.train_nodes)
         expected = set()
@@ -282,14 +303,14 @@ class TestSplitInductive:
             for target in net.out_neighbors(source):
                 if target in retained:
                     expected.add((source, target, 1))
-            for pair in samples[source]:
-                if pair.target in retained and not net.has_edge(source, pair.target):
-                    expected.add((source, pair.target, 0))
+            for target in candidates[source]:
+                if target in retained and not net.has_edge(source, target):
+                    expected.add((source, target, 0))
         assert set(split.test_pairs) == expected
 
     def test_train_network_excludes_hidden_documents(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
-        split = split_inductive(fixture_dataset.network, samples, 0.1, run_seed=3)
+        candidates = fixture_dataset.anchor_candidates()
+        split = split_inductive(fixture_dataset.network, candidates, 0.1, run_seed=3)
         hidden = set(split.hidden)
         for source, target in split.train_network.edges():
             assert source not in hidden and target not in hidden
@@ -393,11 +414,11 @@ class TestRunEval:
                 assert precision == recall
 
     def test_neg_to_pos_ratio_higher_transductively(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
+        candidates = fixture_dataset.anchor_candidates()
         net = fixture_dataset.network
         for seed in range(3):
-            trans = split_transductive(net, samples, 0.1, run_seed=seed)
-            ind = split_inductive(net, samples, 0.1, run_seed=seed)
+            trans = split_transductive(net, candidates, 0.1, run_seed=seed)
+            ind = split_inductive(net, candidates, 0.1, run_seed=seed)
 
             def ratio(split):
                 pos = sum(l for _, _, l in split.test_pairs)
@@ -409,3 +430,59 @@ class TestRunEval:
     def test_invalid_mode_rejected(self, fixture_dataset):
         with pytest.raises(ValueError):
             run_eval(fixture_dataset, ["random"], runs=1, modes=("sideways",))
+
+    @pytest.mark.parametrize(
+        "modes",
+        [(), ("transductive", "transductive"), ("inductive", "bogus")],
+        ids=["empty", "repeated", "unknown"],
+    )
+    def test_mode_list_rejected_before_output_is_touched(self, fixture_dataset, tmp_path, modes):
+        # A repeated mode would pool both listings' runs under one name, and
+        # every rejected list must leave the earlier splits and report alone.
+        run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG, out_dir=tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert any(p.parent.name == "inductive" for p in before)
+        with pytest.raises(ValueError, match="mode"):
+            run_eval(
+                fixture_dataset, ["random"], runs=2, modes=modes, config=BENCH_CONFIG,
+                out_dir=tmp_path,
+            )
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_run_context_holds_no_label(self, fixture_dataset):
+        # A predictor sees candidates without labels, and a training network
+        # without the hidden edges (transductive) or documents (inductive).
+        seen = []
+
+        class Recorder(Method):
+            name = "recorder"
+
+            def make_scorer(self, ctx):
+                def scorer(pairs):
+                    seen.append((ctx, list(pairs)))
+                    return np.zeros(len(pairs))
+
+                return scorer
+
+        report = run_eval(fixture_dataset, [Recorder()], runs=2, config=BENCH_CONFIG)
+        assert not report.failures and len(seen) == 4
+        network = fixture_dataset.network
+        modes = Counter()
+        for ctx, pairs in seen:
+            roots = (ctx.train_network, ctx.candidates, ctx.title_candidates, ctx.config,
+                     ctx.tokens, ctx.train_nodes)
+            for obj in _reachable(roots):
+                assert not isinstance(obj, CandidatePair), obj
+                assert not hasattr(obj, "label"), obj
+            hidden = set(range(network.node_count)) - ctx.train_nodes
+            if not hidden:
+                modes["transductive"] += 1
+                positives = [pair for pair in pairs if network.has_edge(*pair)]
+                assert positives
+                assert not any(ctx.train_network.has_edge(*pair) for pair in positives)
+            else:
+                modes["inductive"] += 1
+                assert all(s in hidden for s, _ in pairs)
+                for edge in ctx.train_network.edges():
+                    assert not hidden & set(edge), edge
+        assert modes == Counter(transductive=2, inductive=2)

@@ -264,9 +264,10 @@ class TestNetworkStats:
         assert stats.doc_length_std == pytest.approx(0.5)
 
     def test_sample_counts(self, fixture_dataset):
-        samples = fixture_dataset.eval_samples()
-        stats = network_stats(fixture_dataset.network, fixture_dataset.articles, samples)
-        total_pos = sum(1 for ps in samples.values() for p in ps if p.label)
+        network = fixture_dataset.network
+        candidates = fixture_dataset.anchor_candidates()
+        stats = network_stats(network, fixture_dataset.articles, candidates)
+        total_pos = sum(network.has_edge(s, t) for s, ts in candidates.items() for t in ts)
         assert stats.positives_per_doc_mean == pytest.approx(
             total_pos / fixture_dataset.network.node_count
         )

@@ -392,8 +392,8 @@ class TestEmbedText:
         matrix, vocab = build_tfidf([tokenize(text) for text in abstracts[:80]])
         model = fit_lsa(matrix, d=16, vocabulary=vocab)
         anchors = sorted({
-            text for pairs in planted.eval_samples().values() for pair in pairs
-            for text in pair.anchors
+            text for targets in planted.anchor_candidates().values()
+            for anchors in targets.values() for text in anchors
         })
         titles = [article.title for article in planted.articles]
         texts = abstracts[80:] + anchors + titles + ["zzz qqq unseen", "", anchors[0]]

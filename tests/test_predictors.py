@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 import wikilinks.predictors as predictors
-from wikilinks.anchors import (
-    AnchorMap,
-    CandidatePair,
-    build_anchor_map,
-    build_eval_samples,
-    title_targets,
-)
+from wikilinks.anchors import AnchorMap, build_eval_samples, title_targets
+from wikilinks.dataset import Dataset
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
 from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
@@ -66,18 +61,31 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
     )
 
 
+def _candidates(network, anchor_map, articles) -> dict[int, dict[int, tuple[str, ...]]]:
+    """The candidates of ``articles`` under ``anchor_map``, in the shape of
+    ``Dataset.anchor_candidates``: source -> target -> anchors."""
+    samples = build_eval_samples(network, anchor_map, articles)
+    return {s: {p.target: p.anchors for p in ps} for s, ps in samples.items()}
+
+
+def _triples(candidates) -> list[tuple[int, int, tuple[str, ...]]]:
+    """(source, target, anchors) of every candidate, by source then target."""
+    return [(s, t, anchors) for s in sorted(candidates) for t, anchors in candidates[s].items()]
+
+
 def _anchor_vectors(lsa, pairs) -> dict[str, np.ndarray]:
     """Batched fold-in of every distinct anchor string of ``pairs``."""
-    texts = sorted({text for pair in pairs for text in pair.anchors})
+    texts = sorted({text for _, _, anchors in pairs for text in anchors})
     return dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
 
 
-def _triples_per_pair(lsa, doc_matrix, pair: CandidatePair) -> np.ndarray:
+def _triples_per_pair(lsa, doc_matrix, pair: tuple[int, int, tuple[str, ...]]) -> np.ndarray:
     """Loop reference for the batch features: one pair, one anchor at a time."""
-    source, target = doc_matrix[pair.source], doc_matrix[pair.target]
+    source_id, target_id, anchors = pair
+    source, target = doc_matrix[source_id], doc_matrix[target_id]
     s3 = cosine_oracle(source, target)
     rows = []
-    for text in pair.anchors:
+    for text in anchors:
         anchor = reference_embed_text(lsa, text)
         rows.append((cosine_oracle(anchor, source), cosine_oracle(anchor, target), s3))
     return np.array(rows)
@@ -111,14 +119,14 @@ def _at_scores(method: str, ctx, pairs) -> list[float]:
 
 class TestPredictAt:
     def test_true_edge_is_predicted_with_anchor_map(self, fixture_dataset):
-        ctx = SimpleNamespace(candidates=fixture_dataset.eval_samples())
+        ctx = SimpleNamespace(candidates=fixture_dataset.anchor_candidates())
         edges = list(fixture_dataset.network.edges())[:20]
         assert _at_scores("at_anchor", ctx, edges) == [1.0] * len(edges)
 
     def test_absent_patterns_predict_zero(self):
         anchor_map = _map({"missing phrase": {1}}, 2)
         ctx = SimpleNamespace(
-            candidates=build_eval_samples(
+            candidates=_candidates(
                 DocumentNetwork.from_links(2, []), anchor_map, [_article(0, "unrelated text")]
             )
         )
@@ -132,7 +140,7 @@ class TestPredictAt:
         title_map = _map({"politics": {1}}, 2, mode="title")
         anchor_map = _map({"political": {1}}, 2, mode="anchor")
         ctx = SimpleNamespace(
-            candidates=build_eval_samples(DocumentNetwork.from_links(2, []), anchor_map, [article]),
+            candidates=_candidates(DocumentNetwork.from_links(2, []), anchor_map, [article]),
             title_candidates=title_targets(title_map, [article]),
         )
         assert _at_scores("at_title", ctx, [(0, 1)]) == [0.0]
@@ -203,7 +211,7 @@ class TestComputeAtilpScores:
     def test_anchor_equal_to_source_abstract(self):
         texts = ["lincoln led the union", "economy of trade", "battles of the war"]
         model, _ = _lsa_over(texts)
-        pair = CandidatePair(source=0, target=1, anchors=(texts[0],))
+        pair = (0, 1, (texts[0],))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -211,7 +219,7 @@ class TestComputeAtilpScores:
 
     def test_all_oov_anchor(self):
         model, _ = _lsa_over(["alpha beta", "beta gamma", "gamma delta"])
-        pair = CandidatePair(source=0, target=1, anchors=("zzz qqq",))
+        pair = (0, 1, ("zzz qqq",))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -224,7 +232,7 @@ class TestComputeAtilpScores:
         u, s, vt = dense_svd_oracle(matrix.toarray())
         doc_vecs = u[:, :2] * s[:2]
         anchor = "army battle"
-        pair = CandidatePair(source=0, target=2, anchors=(anchor,))
+        pair = (0, 2, (anchor,))
         (triple,), _ = atilp_features(
             model.doc_embeddings, _anchor_vectors(model, [pair]), [pair]
         )
@@ -241,9 +249,9 @@ class TestComputeAtilpScores:
         assert triple[2] == pytest.approx(cosine_oracle(doc_vecs[0], doc_vecs[2]), abs=1e-12)
 
     def test_rows_follow_pairs_and_anchor_order(self):
-        _, _, _, samples, model = _candidate_fixture()
-        two_anchors = CandidatePair(source=4, target=1, anchors=("red apples", "apples"))
-        pairs = [p for ps in samples.values() for p in ps] + [two_anchors]
+        _, _, candidates, model = _candidate_fixture()
+        two_anchors = (4, 1, ("red apples", "apples"))
+        pairs = _triples(candidates) + [two_anchors]
         # Read-only inputs: computing the features mutates neither.
         vectors = MappingProxyType(_anchor_vectors(model, pairs))
         docs = model.doc_embeddings.copy()
@@ -307,57 +315,55 @@ def _candidate_fixture():
             (1, 0, "red apples"),
         ],
     )
-    anchor_map = build_anchor_map(net)
-    from wikilinks.anchors import build_eval_samples
-
-    samples = build_eval_samples(net, anchor_map, articles)
+    dataset = Dataset("fruit", articles, net)
     model, _ = _lsa_over(texts, d=3)
-    return articles, net, anchor_map, samples, model
+    return articles, net, dataset.anchor_candidates(), model
 
 
 class TestFitScoreAtilp:
     def test_fit_and_score_in_unit_interval(self):
-        _, net, _, samples, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, samples, seed=0)
-        pairs = [p for ps in samples.values() for p in ps]
+        _, net, candidates, model = _candidate_fixture()
+        atilp = fit_atilp(net, model, candidates, seed=0)
+        pairs = _triples(candidates)
         scores = atilp.predict(model.doc_embeddings, pairs)
         assert len(scores) == len(pairs)
         assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_fit_matches_per_pair_design(self):
-        _, net, _, samples, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, samples, seed=0)
+        _, net, candidates, model = _candidate_fixture()
+        atilp = fit_atilp(net, model, candidates, seed=0)
         # Every candidate is sampled: positives first, then negatives.
-        pairs = [p for s in sorted(samples) for p in samples[s]]
-        ordered = [p for p in pairs if p.label] + [p for p in pairs if not p.label]
+        pairs = _triples(candidates)
+        ordered = sorted(pairs, key=lambda p: not net.has_edge(p[0], p[1]))  # stable
         rows = [_triples_per_pair(model, model.doc_embeddings, p) for p in ordered]
-        labels = [float(p.label) for p, r in zip(ordered, rows) for _ in r]
+        labels = [float(net.has_edge(s, t)) for (s, t, _), r in zip(ordered, rows) for _ in r]
         coefficients, intercept = ols_fit(np.vstack(rows), np.array(labels))
         np.testing.assert_allclose(atilp.coefficients, coefficients, rtol=0, atol=1e-9)
         assert atilp.intercept == pytest.approx(intercept, abs=1e-9)
 
     def test_anchor_table_holds_every_candidate_anchor(self):
-        _, net, _, samples, model = _candidate_fixture()
+        _, net, candidates, model = _candidate_fixture()
         # Restricted to documents 0, 1 and 4, the fit still folds in the
         # anchors of every candidate, so that it can score all of them.
-        atilp = fit_atilp(net, model, samples, seed=0, nodes=[0, 1, 4])
-        anchors = {t for ps in samples.values() for p in ps for t in p.anchors}
+        atilp = fit_atilp(net, model, candidates, seed=0, nodes=[0, 1, 4])
+        anchors = {text for _, _, texts in _triples(candidates) for text in texts}
         assert set(atilp.anchor_vectors) == anchors
         for text, vector in atilp.anchor_vectors.items():
             assert np.array_equal(vector, reference_embed_text(model, text)), text
 
     def test_shortfall_recorded(self):
-        _, net, _, samples, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, samples, seed=0, n_positive=1000, n_negative=1000)
-        total_pos = sum(1 for ps in samples.values() for p in ps if p.label)
-        total_neg = sum(1 for ps in samples.values() for p in ps if not p.label)
+        _, net, candidates, model = _candidate_fixture()
+        atilp = fit_atilp(net, model, candidates, seed=0, n_positive=1000, n_negative=1000)
+        total_pos = sum(1 for s, t, _ in _triples(candidates) if net.has_edge(s, t))
+        total_neg = sum(1 for s, t, _ in _triples(candidates) if not net.has_edge(s, t))
         assert atilp.n_positive == total_pos < 1000
         assert atilp.n_negative == total_neg < 1000
 
     def test_fit_requires_both_labels(self):
-        _, net, _, samples, model = _candidate_fixture()
+        _, net, candidates, model = _candidate_fixture()
         positives_only = {
-            s: [p for p in ps if p.label] for s, ps in samples.items()
+            s: {t: anchors for t, anchors in ts.items() if net.has_edge(s, t)}
+            for s, ts in candidates.items()
         }
         with pytest.raises(ValueError):
             fit_atilp(net, model, positives_only, seed=0)
@@ -372,8 +378,8 @@ class TestFitScoreAtilp:
         assert np.all(np.isfinite(coef)) and np.isfinite(intercept)
 
     def test_pure_s3_model_orders_like_lsa(self):
-        _, net, _, samples, model = _candidate_fixture()
-        pairs = [p for ps in samples.values() for p in ps]
+        _, net, candidates, model = _candidate_fixture()
+        pairs = _triples(candidates)
         pure_s3 = AtilpModel(
             coefficients=np.array([0.0, 0.0, 1.0]), intercept=0.0,
             anchor_vectors=_anchor_vectors(model, pairs),
@@ -381,7 +387,7 @@ class TestFitScoreAtilp:
         docs = model.doc_embeddings
         atilp_scores = pure_s3.predict(docs, pairs)
         lsa_scores = (
-            1 + row_cosines(docs[[p.source for p in pairs]], docs[[p.target for p in pairs]])
+            1 + row_cosines(docs[[s for s, _, _ in pairs]], docs[[t for _, t, _ in pairs]])
         ) / 2
         # All fixture cosines are non-negative, so clamping keeps order.
         assert min(s for s in atilp_scores) >= 0.0
@@ -393,7 +399,7 @@ class TestFitScoreAtilp:
         texts = ["alpha beta gamma", "gamma delta", "epsilon zeta"]
         model, _ = _lsa_over(texts)
         docs = model.doc_embeddings
-        pair = CandidatePair(source=0, target=1, anchors=("alpha", "gamma"))
+        pair = (0, 1, ("alpha", "gamma"))
         atilp = AtilpModel(
             coefficients=np.array([2.0, 2.0, 2.0]), intercept=0.5,
             anchor_vectors=_anchor_vectors(model, [pair]),
@@ -405,15 +411,12 @@ class TestFitScoreAtilp:
         assert score == 1.0  # clamped
 
         # Unclamped, a batch of pairs: each score is its own anchors' maximum.
-        _, _, _, samples, model = _candidate_fixture()
+        _, _, candidates, model = _candidate_fixture()
         docs = model.doc_embeddings
         # One pair per anchor order, so the maximum sits first in one of them.
         anchors = ("blue rivers", "rivers")
-        two_anchors = [
-            CandidatePair(source=4, target=3, anchors=anchors),
-            CandidatePair(source=4, target=3, anchors=anchors[::-1]),
-        ]
-        pairs = [p for ps in samples.values() for p in ps] + two_anchors
+        two_anchors = [(4, 3, anchors), (4, 3, anchors[::-1])]
+        pairs = _triples(candidates) + two_anchors
         atilp = AtilpModel(
             coefficients=np.array([0.3, -0.2, 0.1]), intercept=0.2,
             anchor_vectors=_anchor_vectors(model, pairs),
@@ -432,14 +435,14 @@ class TestFitScoreAtilp:
     def test_atilp_method_embeds_each_anchor_once(self, monkeypatch, fixture_dataset):
         from wikilinks.evaluation import split_inductive
 
-        samples = fixture_dataset.eval_samples()
-        split = split_inductive(fixture_dataset.network, samples, 0.2, run_seed=0)
+        candidates = fixture_dataset.anchor_candidates()
+        split = split_inductive(fixture_dataset.network, candidates, 0.2, run_seed=0)
         ctx = RunContext(
             tokens=[tokenize(a.abstract) for a in fixture_dataset.articles],
             train_network=split.train_network,
             train_nodes=split.train_nodes,
             seed=0,
-            candidates=samples,
+            candidates=candidates,
             title_candidates={},
             config=BENCH_CONFIG,
         )
@@ -460,7 +463,7 @@ class TestFitScoreAtilp:
         assert len(scores) == len(split.test_pairs)
         # Each distinct anchor string folds in once, in one batch after the
         # one of the hidden documents; scoring folds in nothing more.
-        anchors = {t for ps in samples.values() for p in ps for t in p.anchors}
+        anchors = {text for _, _, texts in _triples(candidates) for text in texts}
         assert sorted(tokenized) == sorted(anchors)
         hidden = fixture_dataset.network.node_count - len(split.train_nodes)
         assert batches == [hidden, len(anchors)]
@@ -541,21 +544,17 @@ class TestAtilpTrainingRestriction:
     def test_target_restriction_excludes_hidden_documents(self):
         # The only negative candidate targets doc 2; restricting targets to
         # the retained docs {0, 1} must leave the fit without negatives.
-        articles, net, _, samples, model = (None,) * 5
         texts = ["alpha beta", "alpha words here", "beta words there"]
         articles = [_article(i, t) for i, t in enumerate(texts)]
         net = DocumentNetwork.from_links(3, [(0, 1, "alpha"), (1, 2, "beta")])
-        anchor_map = build_anchor_map(net)
-        from wikilinks.anchors import build_eval_samples
-
-        samples = build_eval_samples(net, anchor_map, articles)
+        candidates = Dataset("three", articles, net).anchor_candidates()
         model, _ = _lsa_over(texts, d=2)
         # doc 0 contains "beta" but has no edge to 2: the sole negative.
-        negatives = [p for ps in samples.values() for p in ps if not p.label]
-        assert [(p.source, p.target) for p in negatives] == [(0, 2)]
-        fit_atilp(net, model, samples, seed=0)  # unrestricted: fits fine
+        negatives = [(s, t) for s, t, _ in _triples(candidates) if not net.has_edge(s, t)]
+        assert negatives == [(0, 2)]
+        fit_atilp(net, model, candidates, seed=0)  # unrestricted: fits fine
         with pytest.raises(ValueError):
-            fit_atilp(net, model, samples, seed=0, nodes=[0, 1])
+            fit_atilp(net, model, candidates, seed=0, nodes=[0, 1])
 
     def test_source_restriction_excludes_hidden_documents(self):
         # The only negative candidate leaves doc 0; restricting to docs
@@ -563,10 +562,8 @@ class TestAtilpTrainingRestriction:
         texts = ["alpha beta", "alpha words here", "beta words there"]
         articles = [_article(i, t) for i, t in enumerate(texts)]
         net = DocumentNetwork.from_links(3, [(0, 1, "alpha"), (1, 2, "beta")])
-        from wikilinks.anchors import build_eval_samples
-
-        samples = build_eval_samples(net, build_anchor_map(net), articles)
+        candidates = Dataset("three", articles, net).anchor_candidates()
         model, _ = _lsa_over(texts, d=2)
-        assert fit_atilp(net, model, samples, seed=0, nodes=[0, 1, 2]).n_negative == 1
+        assert fit_atilp(net, model, candidates, seed=0, nodes=[0, 1, 2]).n_negative == 1
         with pytest.raises(ValueError):
-            fit_atilp(net, model, samples, seed=0, nodes=[1, 2])
+            fit_atilp(net, model, candidates, seed=0, nodes=[1, 2])
