@@ -240,16 +240,16 @@ def _resolve_seed_article(dataset: Dataset, title: str) -> int:
 
 def cmd_subgraph(args) -> int:
     out = _output_directory(args.out)
-    dataset = _load_dataset(args.data)
-    seed = _resolve_seed_article(dataset, args.seed_article)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
+    if not 0.0 < args.damping < 1.0:
+        raise InputError(f"--damping must lie strictly between 0 and 1, got {args.damping}")
+    dataset = _load_dataset(args.data)
+    seed = _resolve_seed_article(dataset, args.seed_article)
     if args.k > dataset.network.node_count:
         raise InputError(
             f"k={args.k} exceeds the {dataset.network.node_count} articles in the dataset"
         )
-    if not 0.0 < args.damping < 1.0:
-        raise InputError(f"--damping must lie strictly between 0 and 1, got {args.damping}")
     scores = personalized_pagerank(dataset.network, seed, damping=args.damping)
     if not scores.converged:
         print("warning: PageRank did not converge", file=sys.stderr)

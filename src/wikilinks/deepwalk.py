@@ -122,11 +122,15 @@ def generate_walks(
 ) -> list[list[int]]:
     """Uniform random walks: ``walks_per_node`` starts from every node,
     each up to ``walk_length`` steps, ending early at nodes without
-    neighbors. Node order is reshuffled every pass."""
-    if params.undirected:
-        adjacency = {node: network.undirected_neighbors(node) for node in nodes}
-    else:
-        adjacency = {node: network.out_neighbors(node) for node in nodes}
+    neighbors. Node order is reshuffled every pass. A node's neighbors,
+    ascending, are its out-link targets, and its in-link sources too when
+    ``params.undirected``; a walk ends at a node outside ``nodes``."""
+    neighbors: dict[int, set[int]] = {}
+    for source, target in network.edges():
+        neighbors.setdefault(source, set()).add(target)
+        if params.undirected:
+            neighbors.setdefault(target, set()).add(source)
+    adjacency = {node: tuple(sorted(neighbors.get(node, ()))) for node in nodes}
     walks: list[list[int]] = []
     nodes_arr = np.asarray(nodes)
     for _ in range(params.walks_per_node):

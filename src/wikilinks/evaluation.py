@@ -127,9 +127,9 @@ def split_inductive(
 
     The training network is the induced subgraph on the retained
     documents (ids preserved). Each hidden document contributes its true
-    edges to retained documents as positives and its other
-    ``candidates`` targets among them as negatives; only its text
-    reaches the predictors.
+    edges to retained documents as positives, taken in one pass over
+    ``network.edges()``, and its other ``candidates`` targets among them
+    as negatives; only its text reaches the predictors.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -143,10 +143,10 @@ def split_inductive(
     retained_set = set(retained)
 
     pairs: set[TestPair] = set()
+    for source, target in network.edges():
+        if source in hidden_set and target in retained_set:
+            pairs.add((source, target, 1))
     for source in hidden_nodes:
-        for target in network.out_neighbors(source):
-            if target in retained_set:
-                pairs.add((source, target, 1))
         for target in candidates.get(source, ()):
             if target in retained_set and not network.has_edge(source, target):
                 pairs.add((source, target, 0))

@@ -1,4 +1,4 @@
-"""Directed hyperlink networks: PageRank with restarts, top-k extraction, stats."""
+"""Directed hyperlink networks, each link stored once: PageRank with restarts, top-k, stats."""
 
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ class DocumentNetwork:
     Parallel links between the same pair of documents are merged into a
     single edge carrying the multiset of anchor strings that realize it.
     Self-loops are rejected; every edge must carry at least one anchor.
+    One map, in ascending (source, target) order, holds each edge's sorted
+    anchor tuple; readers derive neighbor lists from :meth:`edges`.
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("node_count", "_edges", "_out", "_in")
+    __slots__ = ("node_count", "_edges")
 
     def __init__(
         self, node_count: int, edge_anchors: Mapping[tuple[int, int], Sequence[str]]
@@ -30,8 +32,6 @@ class DocumentNetwork:
             raise ValueError("node_count must be non-negative")
         self.node_count = node_count
         edges: dict[tuple[int, int], tuple[str, ...]] = {}
-        out: dict[int, list[int]] = {}
-        inc: dict[int, list[int]] = {}
         for (source, target), anchors in edge_anchors.items():
             if source == target:
                 raise ValueError(f"self-loop at node {source}")
@@ -41,11 +41,7 @@ class DocumentNetwork:
             if not anchors:
                 raise ValueError(f"edge ({source}, {target}) carries no anchor string")
             edges[(source, target)] = anchors
-            out.setdefault(source, []).append(target)
-            inc.setdefault(target, []).append(source)
         self._edges = dict(sorted(edges.items()))
-        self._out = {node: tuple(sorted(nbrs)) for node, nbrs in out.items()}
-        self._in = {node: tuple(sorted(nbrs)) for node, nbrs in inc.items()}
 
     @classmethod
     def from_links(
@@ -72,12 +68,6 @@ class DocumentNetwork:
 
     def edge_items(self) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
         return iter(self._edges.items())
-
-    def out_neighbors(self, node: int) -> tuple[int, ...]:
-        return self._out.get(node, ())
-
-    def undirected_neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self._out.get(node, ())) | set(self._in.get(node, ()))))
 
     def remove_edges(self, edges: Iterable[tuple[int, int]]) -> "DocumentNetwork":
         removed = set(edges)

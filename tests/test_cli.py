@@ -195,6 +195,29 @@ class TestSubgraphCommand:
         assert needle in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--k", "0", "--k must be at least 1"),
+            ("--damping", "1.5", "--damping must lie strictly between 0 and 1"),
+        ],
+        ids=["k-zero", "damping-above-1"],
+    )
+    def test_bad_flag_reported_before_dataset_is_read(
+        self, tmp_path, tiny_data_dir, capsys, flag, value, needle
+    ):
+        # A corrupt dataset and an unknown seed article: the flag error
+        # comes first, so neither is read.
+        (tiny_data_dir / "articles.jsonl").write_text("{not json\n", encoding="utf-8")
+        out = tmp_path / "sub"
+        argv = ["subgraph", "--data", str(tiny_data_dir), "--seed-article", "No Such Article",
+                "--out", str(out), flag, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
 
 class TestDatasetStatsCommand:
     def test_prints_table_statistics(self, tiny_data_dir, capsys):

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wikilinks.deepwalk import (
     _BLOCK_WALKS,
@@ -273,7 +275,65 @@ class TestBlockedEpochMatchesReference:
         assert network.node_count * params.walks_per_node > 2 * _BLOCK_WALKS
 
 
+def has_edge_walks(network, nodes, params, seed):
+    """Walks drawn from ``default_rng(seed)`` as ``generate_walks`` draws
+    them, over neighbor lists found by asking ``has_edge`` of every
+    ordered pair: a node outside ``nodes`` has no neighbors."""
+    adjacency = {
+        u: [
+            v
+            for v in range(network.node_count)
+            if network.has_edge(u, v) or (params.undirected and network.has_edge(v, u))
+        ]
+        for u in nodes
+    }
+    rng = np.random.default_rng(seed)
+    walks = []
+    for _ in range(params.walks_per_node):
+        for start in rng.permutation(np.asarray(nodes)):
+            walk = [int(start)]
+            while len(walk) < params.walk_length and adjacency.get(walk[-1]):
+                neighbors = adjacency[walk[-1]]
+                walk.append(neighbors[rng.integers(len(neighbors))])
+            walks.append(walk)
+    return walks
+
+
+@st.composite
+def _walk_graphs(draw):
+    """(node_count, edges, nodes): up to 7 nodes, so isolated nodes, sinks
+    and 2-cycles are common; ``nodes`` is an ordered subset."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=16))
+    nodes = draw(st.one_of(st.just(list(range(n))), st.lists(node, unique=True)))
+    return n, sorted(edges), nodes
+
+
 class TestWalks:
+    @given(
+        _walk_graphs(),
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    # A 2-cycle, a sink (2) and a node outside ``nodes`` (3, reached from 2).
+    @example((4, [(0, 1), (1, 0), (1, 2), (2, 3)], [2, 0, 1]), False, 3, 5, 0)
+    @example((4, [(0, 1), (1, 0), (1, 2), (2, 3)], [2, 0, 1]), True, 3, 5, 0)
+    # An isolated node (3) and in-links only (2 has no out-links).
+    @example((4, [(0, 2), (1, 2)], [0, 1, 2, 3]), False, 2, 4, 7)
+    @example((4, [(0, 2), (1, 2)], [0, 1, 2, 3]), True, 2, 4, 7)
+    @settings(max_examples=200, deadline=None)
+    def test_walks_match_has_edge_oracle(self, graph, undirected, per_node, length, seed):
+        n, edges, nodes = graph
+        network = DocumentNetwork.from_links(n, [(u, v, "a") for u, v in edges])
+        params = DeepWalkParams(
+            walks_per_node=per_node, walk_length=length, undirected=undirected
+        )
+        walks = generate_walks(network, nodes, params, np.random.default_rng(seed))
+        assert walks == has_edge_walks(network, nodes, params, seed)
+
     def test_walk_counts_and_lengths(self):
         net = _two_cliques_with_bridge()
         rng = np.random.default_rng(0)

@@ -300,8 +300,8 @@ class TestSplitInductive:
         retained = set(split.train_nodes)
         expected = set()
         for source in hidden:
-            for target in net.out_neighbors(source):
-                if target in retained:
+            for target in range(net.node_count):
+                if target in retained and net.has_edge(source, target):
                     expected.add((source, target, 1))
             for target in candidates[source]:
                 if target in retained and not net.has_edge(source, target):

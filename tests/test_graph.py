@@ -3,17 +3,23 @@ scipy CSR iteration it replaced, top-k, stats."""
 
 from __future__ import annotations
 
+import gc
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wikilinks.deepwalk import DeepWalkParams, generate_walks
 from wikilinks.graph import (
     DocumentNetwork,
     network_stats,
     personalized_pagerank,
     topk_subgraph,
 )
-from wikilinks.ingest import Article
+from wikilinks.ingest import Article, build_corpus, parse_dump
+from wikilinks.synthetic import PlantedCorpusParams, planted_dump_xml
 
 
 def dense_ppr_oracle(
@@ -108,10 +114,37 @@ class TestDocumentNetwork:
             DocumentNetwork(2, {(0, 1): ()})
 
     def test_neighbors(self):
+        # A walk's first steps from each start; 3 links only into 0, so
+        # only undirected walks step from 0 to 3.
         net = _net(4, [(0, 1), (0, 2), (3, 0)])
-        assert net.out_neighbors(0) == (1, 2)
-        assert net.undirected_neighbors(0) == (1, 2, 3)  # 3 links only into 0
-        assert net.undirected_neighbors(3) == (0,)
+
+        def first_steps(undirected: bool, start: int) -> set[int]:
+            params = DeepWalkParams(walks_per_node=50, walk_length=2, undirected=undirected)
+            walks = generate_walks(net, range(4), params, np.random.default_rng(0))
+            return {walk[1] for walk in walks if walk[0] == start and len(walk) == 2}
+
+        assert first_steps(False, 0) == {1, 2}
+        assert first_steps(True, 0) == {1, 2, 3}
+        assert first_steps(True, 3) == {0}
+
+    def test_network_retains_few_bytes_per_edge(self):
+        # The build benchmark's corpus at seed 0: 1,000 documents, 4,000
+        # edges. One edge map, a key tuple and an anchor tuple per edge,
+        # retains about 141 bytes per edge; with sorted out- and in-
+        # neighbor tuples per node beside it, about 195.
+        params = PlantedCorpusParams(topics=10, docs_per_topic=100, aliases=50, seed=0)
+        xml = planted_dump_xml(params).encode("utf-8")
+        articles, links = build_corpus(parse_dump(io.BytesIO(xml)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            network = DocumentNetwork.from_links(len(articles), links)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert network.edge_count == 4000
+        assert retained / network.edge_count < 170
 
     def test_remove_edges_rejects_absent(self):
         net = _net(3, [(0, 1)])
