@@ -132,6 +132,14 @@ class _Matcher:
             match = search(text, start + 1)
 
 
+def _literal(text: str) -> str:
+    """``re.escape`` with spaces left bare: it escapes them for
+    ``re.VERBOSE``, which the matcher regex is not compiled with. Every
+    backslash it writes starts an escape, so each "\\ " is an escaped
+    space."""
+    return re.escape(text).replace("\\ ", " ")
+
+
 def _trie_regex(node: dict, nesting: int) -> str:
     """Regex matching the suffixes below a trie node, longer ones first."""
     if nesting == _MAX_NESTING:
@@ -143,7 +151,7 @@ def _trie_regex(node: dict, nesting: int) -> str:
             if "" in below:
                 suffixes.append(above)
         suffixes.sort(key=len, reverse=True)
-        return "(?:" + "|".join(map(re.escape, suffixes)) + ")"
+        return "(?:" + "|".join(map(_literal, suffixes)) + ")"
     branches = []
     for ch, child in node.items():
         if not ch:
@@ -152,7 +160,7 @@ def _trie_regex(node: dict, nesting: int) -> str:
         while len(child) == 1 and "" not in child:
             ((ch, child),) = child.items()
             literal.append(ch)
-        branch = re.escape("".join(literal))
+        branch = _literal("".join(literal))
         if len(child) > 1:
             branch += _trie_regex(child, nesting + 1)
         branches.append(branch)

@@ -74,7 +74,6 @@ class _CountingReader:
 
 
 _REDIRECT_TEXT_RE = re.compile(r"^\s*#REDIRECT\s*:?\s*\[\[([^\]|]+)", re.IGNORECASE)
-_WS_RE = re.compile(r"\s+")
 
 
 def _local_name(tag: str) -> str:
@@ -168,8 +167,13 @@ def _parse_page(elem: ET.Element, counters: Counter) -> RawPage | None:
 
 def normalize_title(title: str) -> str:
     """MediaWiki title normalization: underscores to spaces, collapsed
-    whitespace, first character uppercased."""
-    text = _WS_RE.sub(" ", title.replace("_", " ")).strip()
+    whitespace, first character uppercased.
+
+    Whitespace is what ``str.split()`` splits on, the same characters
+    as ``re``'s ``\\s`` in a str pattern: each run becomes one space
+    and the ends are stripped.
+    """
+    text = " ".join(title.replace("_", " ").split())
     if not text:
         return text
     return text[0].upper() + text[1:]
@@ -181,7 +185,9 @@ _REF_RE = re.compile(
     re.DOTALL | re.IGNORECASE,
 )
 _EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:\s+([^\]]*))?\]", re.IGNORECASE)
-_BOLD_ITALIC_RE = re.compile(r"'{2,}")
+# Runs of two or more apostrophes; the literal prefix lets ``re`` skip
+# from one "''" to the next.
+_BOLD_ITALIC_RE = re.compile(r"''+")
 _FILE_LINK_RE = re.compile(r"\[\[\s*(?:file|image)\s*:", re.IGNORECASE)
 _TEMPLATE_TOKEN_RE = re.compile(r"\{\{|\}\}")
 _LINK_TOKEN_RE = re.compile(r"\[\[|\]\]")
@@ -244,7 +250,8 @@ def extract_abstract(wikitext: str, counters: Counter | None = None) -> str:
     (nested), HTML comments, <ref> tags, file/image links, external
     bracket links and bold/italic quote markup are removed; internal
     wikilinks are retained so their anchors can be extracted afterwards.
-    Whitespace is collapsed to single spaces.
+    Whitespace, as ``str.split()`` defines it, is collapsed to single
+    spaces and stripped from both ends.
     """
     counters = counters if counters is not None else Counter()
     text = _COMMENT_RE.sub("", wikitext)
@@ -256,7 +263,7 @@ def extract_abstract(wikitext: str, counters: Counter | None = None) -> str:
     if cut != -1:
         text = text[:cut]
     text = _BOLD_ITALIC_RE.sub("", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 # English linktrail: lowercase letters directly after "]]" join the anchor,

@@ -37,6 +37,24 @@ def tiny_data_dir(tmp_path, tiny_dump_file):
     return out
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", ["tiny_dump", "unicode_dump"])
+def test_ingest_and_stats_outputs_are_pinned(tmp_path, tiny_dump_file, capsys, name):
+    # Every byte ingest and dataset-stats print and write is pinned.
+    # unicode_dump holds the non-ASCII whitespace, letters and dashes
+    # that no benchmark workload has.
+    dump = tiny_dump_file if name == "tiny_dump" else DATA / name / "dump.xml"
+    out, samples = tmp_path / "out", tmp_path / "samples.tsv"
+    assert main(["ingest", "--dump", str(dump), "--out", str(out)]) == EXIT_OK
+    assert main(["dataset-stats", "--data", str(out), "--samples-out", str(samples)]) == EXIT_OK
+    golden = DATA / name
+    assert capsys.readouterr().out == (golden / "stdout").read_text(encoding="utf-8")
+    for written in (out / "articles.jsonl", out / "links.tsv", samples):
+        assert written.read_bytes() == (golden / written.name).read_bytes(), written.name
+
+
 class TestIngestCommand:
     def test_writes_dataset_and_prints_counts(self, tmp_path, tiny_dump_file, capsys):
         out = tmp_path / "ds"

@@ -34,6 +34,15 @@ def test_demo_exits_zero(demo):
     assert result.returncode == 0, result.stderr
 
 
+def test_ingest_demo_prints_pinned_output():
+    # Every abstract, anchor, alias and link the walkthrough prints is
+    # pinned, so a change to ingest that moves one fails here.
+    result = _run("01_ingest_walkthrough.py")
+    assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "data" / "01_ingest_walkthrough.stdout"
+    assert result.stdout == golden.read_text(encoding="utf-8")
+
+
 def test_candidate_demo_prints_pinned_output():
     # The candidate and statistics sections must print the same lines
     # whatever shape the candidates take inside the package.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wikilinks import lsa
+from wikilinks import evaluation, graph, lsa, predictors
 from wikilinks.anchors import CandidatePair
 from wikilinks.dataset import Dataset
 from wikilinks.evaluation import (
@@ -333,19 +333,19 @@ class TestRunEval:
 
     def test_each_abstract_tokenized_once(self, fixture_dataset, monkeypatch):
         # The LSA fits and the inductive fold-ins of both runs share one
-        # tokenization, so nothing else tokenizes an abstract.
+        # tokenization, so nothing else tokenizes an abstract. Every
+        # tokenize call goes through a module's imported name.
         tokenized = Counter()
-        pattern = lsa._TOKEN_RE
 
-        class CountingPattern:
-            def findall(self, text):
-                tokenized[text] += 1
-                return pattern.findall(text)
+        def counting_tokenize(text):
+            tokenized[text] += 1
+            return lsa.tokenize(text)
 
-        monkeypatch.setattr(lsa, "_TOKEN_RE", CountingPattern())
+        for module in (evaluation, predictors, graph):
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
         report = run_eval(fixture_dataset, ["lsa"], runs=2, config=BENCH_CONFIG)
         assert report.modes() == ["inductive", "transductive"] and not report.failures
-        assert tokenized == Counter(a.abstract.lower() for a in fixture_dataset.articles)
+        assert tokenized == Counter(a.abstract for a in fixture_dataset.articles)
 
     @pytest.mark.parametrize(
         "methods, message",

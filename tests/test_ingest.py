@@ -1,9 +1,13 @@
-"""Dump parsing, abstract extraction, wikilink extraction, redirects, and
-the markup strippers against their per-character reference loops."""
+"""Dump parsing, abstract extraction, wikilink extraction, redirects, the
+markup strippers against their per-character reference loops, and
+abstract extraction and title normalization against their regex
+references."""
 
 from __future__ import annotations
 
 import io
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -11,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikilinks.ingest import (
+    _COMMENT_RE,
+    _EXT_LINK_RE,
     _FILE_LINK_RE,
+    _REF_RE,
     DumpParseError,
     RawPage,
     _strip_file_links,
@@ -166,6 +173,52 @@ MARKUP_TOKENS = [
 markup_text = st.lists(st.sampled_from(MARKUP_TOKENS), max_size=40).map("".join)
 
 
+_REFERENCE_WS_RE = re.compile(r"\s+")
+_REFERENCE_BOLD_ITALIC_RE = re.compile(r"'{2,}")
+
+
+def reference_normalize_title(title: str) -> str:
+    """``normalize_title`` before its whitespace collapse moved from a
+    regex substitution to ``str.split``."""
+    text = _REFERENCE_WS_RE.sub(" ", title.replace("_", " ")).strip()
+    if not text:
+        return text
+    return text[0].upper() + text[1:]
+
+
+def reference_extract_abstract(wikitext: str, counters: Counter | None = None) -> str:
+    """``extract_abstract`` before its whitespace collapse moved to
+    ``str.split`` and its quote pattern from ``'{2,}`` to ``''+``."""
+    counters = counters if counters is not None else Counter()
+    text = _COMMENT_RE.sub("", wikitext)
+    text = _strip_templates(text, counters)
+    text = _REF_RE.sub("", text)
+    text = _strip_file_links(text, counters)
+    text = _EXT_LINK_RE.sub(lambda m: m.group(1) or "", text)
+    cut = text.find("==")
+    if cut != -1:
+        text = text[:cut]
+    text = _REFERENCE_BOLD_ITALIC_RE.sub("", text)
+    return _REFERENCE_WS_RE.sub(" ", text).strip()
+
+
+# The markup tokens plus the quote, heading, comment, <ref>, external
+# link and underscore markup that abstract extraction and title
+# normalization handle.
+ABSTRACT_TOKENS = MARKUP_TOKENS + [
+    "'", "''", "'''", "==", "<!--", "-->", "<ref>", "</ref>", "_", "[http://x.org", "\u2003",
+]
+abstract_text = st.lists(st.sampled_from(ABSTRACT_TOKENS), max_size=40).map("".join)
+
+
+def test_str_whitespace_is_regex_whitespace():
+    # ``str.split()`` and ``strip()`` split on the characters for which
+    # ``isspace()`` holds; the references collapse ``re``'s ``\s``.
+    space = re.compile(r"\s")
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if c.isspace() != bool(space.fullmatch(c))] == []
+
+
 class TestStrippersMatchReference:
     @given(markup_text)
     @settings(max_examples=500, deadline=None)
@@ -180,6 +233,18 @@ class TestStrippersMatchReference:
         got, expected = Counter(), Counter()
         assert _strip_file_links(text, got) == reference_strip_file_links(text, expected)
         assert got == expected
+
+    @given(abstract_text)
+    @settings(max_examples=500, deadline=None)
+    def test_extract_abstract(self, text):
+        got, expected = Counter(), Counter()
+        assert extract_abstract(text, got) == reference_extract_abstract(text, expected)
+        assert got == expected
+
+    @given(abstract_text)
+    @settings(max_examples=500, deadline=None)
+    def test_normalize_title(self, text):
+        assert normalize_title(text) == reference_normalize_title(text)
 
     @pytest.mark.parametrize(
         "text",

@@ -1,4 +1,4 @@
-"""Tokenizer, TF-IDF, truncated SVD vs a dense oracle, fold-in, cosine,
+"""Tokenizer against its regex, TF-IDF, truncated SVD vs a dense oracle, fold-in, cosine,
 the CSR transpose, and the blocked Gram-matrix fit, vectorized TF-IDF
 and batched fold-in against the SVD, per-token scipy loops and per-text
 loop they replaced."""
@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wikilinks import lsa
 from wikilinks.lsa import (
@@ -140,6 +142,19 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("snake_case") == ["snake", "case"]
+
+    def test_each_ascii_character_matches_regex(self):
+        # All-ASCII text takes the str.translate path; the regex is the
+        # reference.
+        texts = [text for char in map(chr, range(128))
+                 for text in (f"ab{char}cd", f"{char}Ab{char}{char}9{char}", char)]
+        assert [t for t in texts if tokenize(t) != lsa._TOKEN_RE.findall(t.lower())] == []
+
+    @given(st.lists(st.sampled_from(["a", "Z", "7", " ", ".", "-", "_", "\t", "İ", "ß", "Σ", "é",
+                                     "—", "\u212a", "\xa0"]), max_size=30).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_mixed_text_matches_regex(self, text):
+        assert tokenize(text) == lsa._TOKEN_RE.findall(text.lower())
 
 
 class TestBuildTfidf:
