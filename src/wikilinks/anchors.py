@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import DocumentNetwork
 from .ingest import Article
@@ -36,14 +36,18 @@ def normalize_text_with_map(text: str) -> tuple[str, Sequence[int], Sequence[int
     keeps the length and the text holds no capital sigma, whose
     lowercase alone depends on context. Such text that is already
     collapsed and stripped maps onto itself; any other text takes the
-    per-character loop.
+    per-character loop. No whitespace character but U+0020 is printable,
+    so printable text is collapsed and stripped exactly when it holds no
+    double space and neither starts nor ends with a space; only text
+    that is not printable takes the split-and-join test.
     """
     lowered = text.lower()
-    if (
-        len(lowered) != len(text)
-        or "\u03a3" in text
-        or " ".join(text.split()) != text
-    ):
+    if len(lowered) != len(text) or "\u03a3" in text:
+        return _normalize_chars(text)
+    if text.isprintable():
+        if "  " in text or text.startswith(" ") or text.endswith(" "):
+            return _normalize_chars(text)
+    elif " ".join(text.split()) != text:
         return _normalize_chars(text)
     return lowered, range(len(text)), range(1, len(text) + 1)
 
@@ -87,18 +91,25 @@ class _Matcher:
     accepts) closes it. ``search`` therefore finds, in C, the leftmost
     start at which some pattern ends on a token boundary, and matches
     the longest such pattern there. Every shorter pattern at the same
-    start is a prefix of that one, so the pattern chains hold the rest.
-    A subtree deeper than ``_MAX_NESTING`` groups is written as a flat
-    alternation of its suffixes, longest first.
+    start is a prefix of that one. A subtree deeper than
+    ``_MAX_NESTING`` groups is written as a flat alternation of its
+    suffixes, longest first.
+
+    The hit tuple of a pattern P, made once here, holds the patterns
+    matched at a start where P is the longest match: each pattern p that
+    is a prefix of P with ``P[len(p)]`` not alphanumeric, shortest
+    first, then P. The text at such a start reads P, so ``P[len(p)]`` is
+    the character after p's occurrence, and the tuple is exactly what a
+    token-boundary test per hit would keep.
     """
 
     def __init__(self, patterns: Iterable[str]) -> None:
         trie: dict = {}  # the key "" marks the end of a pattern
         # In sorted order a pattern's prefixes come before it, and every
         # pattern sorted between a prefix and the pattern starts with that
-        # prefix, so ``chain`` (the previous pattern and its prefixes)
-        # holds them all. A pattern's chain is itself, then its prefixes.
-        self._chains: dict[str, tuple[str, ...]] = {}
+        # prefix, so ``chain`` (the previous pattern and its prefixes,
+        # shortest first) holds them all.
+        self._hits: dict[str, tuple[str, ...]] = {}
         chain: list[str] = []
         for pattern in sorted(patterns):
             node = trie
@@ -107,28 +118,27 @@ class _Matcher:
             node[""] = None
             while chain and not pattern.startswith(chain[-1]):
                 chain.pop()
+            self._hits[pattern] = (
+                *(p for p in chain if not pattern[len(p)].isalnum()), pattern)
             chain.append(pattern)
-            self._chains[pattern] = tuple(chain[::-1])
         # With no pattern the trie regex would match the empty string;
         # ``(?!)`` matches nothing.
         source = _trie_regex(trie, 0) + r"(?![^\W_])" if trie else "(?!)"
         self._regex = re.compile(source)
 
-    def find_all(self, text: str) -> Iterator[tuple[int, int, str]]:
-        """Yield (start, end, pattern) for every occurrence in ``text``
-        with no alphanumeric character on either side; each ``pattern``
-        is the string object the matcher was built from."""
+    def find_all(self, text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+        """Yield (start, hit tuple) for every start in ``text`` at which
+        some pattern occurs with no alphanumeric character on either
+        side, starts ascending. The tuple holds every such pattern at
+        that start, shortest first, so the hits come in (start, end)
+        order; each is the string object the matcher was built from."""
+        hits = self._hits
         search = self._regex.search
         match = search(text)
         while match is not None:
-            start, end = match.span()
+            start = match.start()
             if start == 0 or not text[start - 1].isalnum():
-                longest, *prefixes = self._chains[match.group()]
-                yield start, end, longest
-                for prefix in prefixes:
-                    stop = start + len(prefix)
-                    if not text[stop].isalnum():
-                        yield start, stop, prefix
+                yield start, hits[match.group()]
             match = search(text, start + 1)
 
 
@@ -194,12 +204,11 @@ class AnchorMap:
         return self._automaton
 
 
-def _build_map(mode: str, names: Iterable[tuple[str, int]], article_count: int) -> AnchorMap:
-    """The map of each normalized non-empty string to the ids paired
+def _build_map(mode: str, pairs: Iterable[tuple[str, int]], article_count: int) -> AnchorMap:
+    """The map of each non-empty normalized string to the ids paired
     with it, patterns in first-seen order."""
     patterns: dict[str, set[int]] = {}
-    for name, target in names:
-        pattern = normalize_pattern(name)
+    for pattern, target in pairs:
         if pattern:
             patterns.setdefault(pattern, set()).add(target)
     return AnchorMap(mode, {p: frozenset(ids) for p, ids in patterns.items()}, article_count)
@@ -207,27 +216,36 @@ def _build_map(mode: str, names: Iterable[tuple[str, int]], article_count: int) 
 
 def build_title_map(articles: Sequence[Article]) -> AnchorMap:
     """Map each article's canonical title and redirect aliases to its id."""
-    names = ((name, a.id) for a in articles for name in (a.title, *a.aliases))
-    return _build_map("title", names, len(articles))
+    pairs = ((normalize_pattern(name), a.id) for a in articles for name in (a.title, *a.aliases))
+    return _build_map("title", pairs, len(articles))
 
 
 def build_anchor_map(network: DocumentNetwork) -> AnchorMap:
     """Map every anchor text observed on an edge to that edge's target.
 
     Built on the full pre-split network so that candidate generation can
-    reach every link of the dataset.
+    reach every link of the dataset. Anchor texts repeat across edges,
+    so each distinct one is normalized once.
     """
-    names = ((anchor, t) for (_, t), anchors in network.edge_items() for anchor in anchors)
-    return _build_map("anchor", names, network.node_count)
+    normalized: dict[str, str] = {}
+    pairs = []
+    for (_, target), anchors in network.edge_items():
+        for anchor in anchors:
+            pattern = normalized.get(anchor)
+            if pattern is None:
+                pattern = normalized[anchor] = normalize_pattern(anchor)
+            pairs.append((pattern, target))
+    return _build_map("anchor", pairs, network.node_count)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """A string-matched candidate link from ``source`` to ``target``.
 
     ``anchors`` holds the distinct patterns matched in the source's
     abstract that map to ``target``, in first-match order. ``label`` is
-    whether the network the scan was given has the edge.
+    whether the network the scan was given has the edge. A named tuple:
+    immutable, with no per-instance ``__dict__``, equal to and hashing
+    like the plain tuple of its fields.
     """
 
     source: int
@@ -237,13 +255,18 @@ class CandidatePair:
 
 
 def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, int]]]:
-    """All token-boundary-aligned pattern matches in ``text``.
+    """All token-boundary-aligned pattern matches in ``text``, each with
+    its span into the original text, sorted by span, then pattern.
 
-    Spans index the original text; overlapping matches are all reported.
+    Overlapping matches are all reported: each hit tuple of
+    :meth:`_Matcher.find_all` expands into one span per pattern.
     """
     norm, starts, ends = normalize_text_with_map(text)
-    hits = anchor_map.automaton().find_all(norm)
-    matches = [(pattern, (starts[a], ends[b - 1])) for a, b, pattern in hits]
+    matches = [
+        (pattern, (starts[a], ends[a + len(pattern) - 1]))
+        for a, hits in anchor_map.automaton().find_all(norm)
+        for pattern in hits
+    ]
     matches.sort(key=lambda m: (m[1], m[0]))
     return matches
 
@@ -254,16 +277,20 @@ def _matched_targets(
     """The distinct patterns matched in an article's abstract, grouped by
     each target they map to, self-pairs removed.
 
-    Hits are taken by normalized (start, end), the order of their
-    original spans: the one lowercase expansion to several characters
-    (U+0130 to "i" + U+0307) starts with an alphanumeric character, so
-    no match starts inside it.
+    The matcher yields hits in normalized (start, end) order, which is
+    the order of their original spans: the one lowercase expansion to
+    several characters (U+0130 to "i" + U+0307) starts with an
+    alphanumeric character, so no match starts inside it. Each target's
+    patterns therefore keep their first-match order with no sort.
     """
+    patterns = anchor_map.patterns
+    source = article.id
     by_target: dict[int, dict[str, None]] = {}
-    for _, _, pattern in sorted(matcher.find_all(normalize_text_with_map(article.abstract)[0])):
-        for target in anchor_map.patterns[pattern]:
-            if target != article.id:
-                by_target.setdefault(target, {})[pattern] = None
+    for _, hits in matcher.find_all(normalize_text_with_map(article.abstract)[0]):
+        for pattern in hits:
+            for target in patterns[pattern]:
+                if target != source:
+                    by_target.setdefault(target, {})[pattern] = None
     return by_target
 
 

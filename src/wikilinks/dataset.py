@@ -5,7 +5,8 @@ line) and ``links.tsv`` (one source/target/anchor triple per line, with
 tab, newline and backslash escaped inside anchor texts). Subgraph
 exports add a ``remap.tsv`` id table; evaluation artifacts use
 ``samples.tsv``, ``predictions.tsv`` and split files in the same
-escaping conventions.
+escaping conventions; ``samples.tsv`` also escapes '|' inside an anchor,
+since it joins anchors by '|'.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -47,19 +49,17 @@ def unescape_field(text: str) -> str:
 
 
 def write_articles_jsonl(path, articles: Sequence[Article]) -> None:
+    """One JSON object per article and line: ``id``, ``title``,
+    ``abstract`` and the sorted ``aliases``. Each line is formatted with
+    ``json.encoder.encode_basestring``, the string encoder that
+    ``json.dumps(..., ensure_ascii=False)`` calls, and the default
+    separators, so it is byte for byte the line ``json.dumps`` writes."""
     with open(path, "w", encoding="utf-8") as fh:
         for article in articles:
+            aliases = ", ".join(map(encode_basestring, sorted(article.aliases)))
             fh.write(
-                json.dumps(
-                    {
-                        "id": article.id,
-                        "title": article.title,
-                        "abstract": article.abstract,
-                        "aliases": sorted(article.aliases),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+                f'{{"id": {article.id}, "title": {encode_basestring(article.title)}, '
+                f'"abstract": {encode_basestring(article.abstract)}, "aliases": [{aliases}]}}\n'
             )
 
 
@@ -124,11 +124,19 @@ def write_remap_tsv(path, old_to_new: Mapping[int, int]) -> None:
 
 def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
     """Per anchor candidate: source, target, label (1 if ``network`` has
-    the edge, else 0) and the matched strings joined by '|'."""
+    the edge, else 0) and the matched strings joined by '|'. Each string
+    is escaped by :func:`escape_field`, and a '|' inside it as '\\|': a
+    rendered anchor may hold one. Backslashes are escaped first, so every
+    '|' that no backslash escapes separates two anchors. Equal anchor
+    tuples recur across candidates, so each distinct one is escaped once."""
+    joined: dict[tuple[str, ...], str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for source in sorted(candidates):
             for target, anchors in candidates[source].items():
-                matched = "|".join(escape_field(text) for text in anchors)
+                matched = joined.get(anchors)
+                if matched is None:
+                    matched = joined[anchors] = "|".join(
+                        escape_field(text).replace("|", "\\|") for text in anchors)
                 label = 1 if network.has_edge(source, target) else 0
                 fh.write(f"{source}\t{target}\t{label}\t{matched}\n")
 

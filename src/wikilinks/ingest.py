@@ -408,13 +408,19 @@ def build_corpus(
     for alias, target in aliases.items():
         articles[title_to_id[target]].aliases.add(alias)
 
+    # Link targets repeat across pages, so each distinct raw target is
+    # resolved once; every link is still counted.
+    resolved: dict[str, int | None] = {}
     links: list[tuple[int, int, str]] = []
     for article, (_, abstract_wikitext) in zip(articles, kept):
         article.abstract, page_links = render_abstract(abstract_wikitext, counters)
         for raw_target, anchor_text in page_links:
-            target_title = normalize_title(raw_target)
-            target_title = aliases.get(target_title, target_title)
-            target_id = title_to_id.get(target_title)
+            if raw_target in resolved:
+                target_id = resolved[raw_target]
+            else:
+                target_title = normalize_title(raw_target)
+                target_id = resolved[raw_target] = title_to_id.get(
+                    aliases.get(target_title, target_title))
             if target_id is None:
                 counters["links_unknown_target"] += 1
                 continue

@@ -4,6 +4,7 @@ scanning vs a naive oracle, anchor maps, eval samples."""
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from wikilinks.anchors import (
     AnchorMap,
     CandidatePair,
+    _matched_targets,
+    _trie_regex,
     build_anchor_map,
     build_eval_samples,
     build_title_map,
@@ -117,6 +120,79 @@ def reference_candidate_pairs(
     ]
 
 
+class ReferenceMatcher:
+    """The matcher before per-start hit tuples: pattern chains, longest
+    first, and a token-boundary test per hit."""
+
+    def __init__(self, patterns) -> None:
+        trie: dict = {}  # the key "" marks the end of a pattern
+        # In sorted order a pattern's prefixes come before it, and every
+        # pattern sorted between a prefix and the pattern starts with that
+        # prefix, so ``chain`` (the previous pattern and its prefixes)
+        # holds them all. A pattern's chain is itself, then its prefixes.
+        self._chains: dict[str, tuple[str, ...]] = {}
+        chain: list[str] = []
+        for pattern in sorted(patterns):
+            node = trie
+            for ch in pattern:
+                node = node.setdefault(ch, {})
+            node[""] = None
+            while chain and not pattern.startswith(chain[-1]):
+                chain.pop()
+            chain.append(pattern)
+            self._chains[pattern] = tuple(chain[::-1])
+        # With no pattern the trie regex would match the empty string;
+        # ``(?!)`` matches nothing.
+        source = _trie_regex(trie, 0) + r"(?![^\W_])" if trie else "(?!)"
+        self._regex = re.compile(source)
+
+    def find_all(self, text: str):
+        """Yield (start, end, pattern) for every occurrence in ``text``
+        with no alphanumeric character on either side; each ``pattern``
+        is the string object the matcher was built from."""
+        search = self._regex.search
+        match = search(text)
+        while match is not None:
+            start, end = match.span()
+            if start == 0 or not text[start - 1].isalnum():
+                longest, *prefixes = self._chains[match.group()]
+                yield start, end, longest
+                for prefix in prefixes:
+                    stop = start + len(prefix)
+                    if not text[stop].isalnum():
+                        yield start, stop, prefix
+            match = search(text, start + 1)
+
+
+def reference_matched_targets(
+    anchor_map: AnchorMap, matcher: ReferenceMatcher, article: Article
+) -> dict[int, dict[str, None]]:
+    """``_matched_targets`` before per-start hit tuples: every hit, sorted."""
+    by_target: dict[int, dict[str, None]] = {}
+    for _, _, pattern in sorted(matcher.find_all(normalize_text_with_map(article.abstract)[0])):
+        for target in anchor_map.patterns[pattern]:
+            if target != article.id:
+                by_target.setdefault(target, {})[pattern] = None
+    return by_target
+
+
+def reference_title_targets(title_map: AnchorMap, articles) -> dict[int, frozenset[int]]:
+    matcher = ReferenceMatcher(title_map.patterns)
+    return {a.id: frozenset(reference_matched_targets(title_map, matcher, a)) for a in articles}
+
+
+def reference_build_eval_samples(network, anchor_map, articles) -> dict[int, list[CandidatePair]]:
+    matcher = ReferenceMatcher(anchor_map.patterns)
+    return {
+        article.id: [
+            CandidatePair(article.id, target, tuple(anchors), network.has_edge(article.id, target))
+            for target, anchors in sorted(
+                reference_matched_targets(anchor_map, matcher, article).items())
+        ]
+        for article in articles
+    }
+
+
 class TestNormalization:
     def test_case_and_whitespace(self):
         assert normalize_pattern("  Federal   Government ") == "federal government"
@@ -147,10 +223,29 @@ class TestNormalizationMatchesReference:
 
     @pytest.mark.parametrize(
         "text", ["", " ", "a", "Ab Cd", " lead", "trail ", "a  b", "a\tb", "\xa0a\u3000\u3000b ",
-                 "İstanbul", "Straße", "a\x1cb\x85", " \t ", "\x1f"],
+                 "İstanbul", "Straße", "a\x1cb\x85", " \t ", "\x1f",
+                 "a\u00adb", "\u200ea b", "a b\ufeff", "a  \u00adb", " \u200e", "\ufeff ",
+                 "a\u00ad  b", "a\u2028", "a \u00ad b"],
     )
     def test_named_cases(self, text):
         assert_normalizes_like_reference(text)
+
+    @given(st.text(alphabet="aB \t\u00ad\u200e\ufeff\xa0\u2028", max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_format_characters_and_spaces(self, text):
+        # Soft hyphen, left-to-right mark and byte order mark make text
+        # not printable without being whitespace; tab, no-break space and
+        # line separator are whitespace; and double, leading and trailing
+        # spaces keep printable text from mapping onto itself.
+        assert_normalizes_like_reference(text)
+
+    def test_no_whitespace_but_space_is_printable(self):
+        # Printable text is collapsed and stripped when it holds no
+        # double, leading or trailing space only because of this.
+        for code_point in range(0x110000):
+            ch = chr(code_point)
+            if ch.isspace() and ch != " ":
+                assert not ch.isprintable(), hex(code_point)
 
     def test_word_final_capital_sigma_lowers_per_character(self):
         # Whole-string lower() gives the final form "ς"; the reference
@@ -282,6 +377,67 @@ class TestMatcher:
         patterns = {long_pattern, words[0], " ".join(words[:3]), long_pattern[:-1]}
         text = f"{long_pattern}. {long_pattern[:-1]}x ({long_pattern.upper()})"
         assert_scan_matches_oracle(patterns, text)
+
+
+# Patterns one of which is a prefix of another and is followed there by
+# a space, a hyphen, a dot or a letter, plus the dotted capital I, whose
+# lowercase is "i" + U+0307, and the capital sigma.
+PREFIX_PATTERNS = ["new", "new york", "new-york", "newyork", "a", "a.b", "a.", "york",
+                   "\u0130", "i", "\u03a3", "\u03a3a"]
+PREFIX_WORDS = [*PREFIX_PATTERNS, "New York", "YORK", "yorker", "-", ".", " ", "b", "\u03a3A"]
+
+
+def _ordered(by_target: dict[int, dict[str, None]]) -> list[tuple[int, tuple[str, ...]]]:
+    """A target grouping with its order: targets in first-hit order, each
+    with its patterns in first-match order."""
+    return [(target, tuple(patterns)) for target, patterns in by_target.items()]
+
+
+class TestHitTuples:
+    @given(
+        words=st.lists(st.sampled_from(PREFIX_WORDS), max_size=24),
+        chosen=st.lists(
+            st.tuples(st.sampled_from(PREFIX_PATTERNS), st.integers(0, 3)), min_size=1, max_size=10
+        ),
+        drawn=st.lists(
+            st.tuples(st.text(alphabet="newyork .-a\u0130\u03a3", min_size=1, max_size=6),
+                      st.integers(0, 3)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_grouping_matches_sorted_reference(self, words, chosen, drawn):
+        patterns: dict[str, set[int]] = {}
+        for raw, target in [*chosen, *drawn]:
+            pattern = normalize_pattern(raw)
+            if pattern:
+                patterns.setdefault(pattern, set()).add(target)
+        text = "".join(words)
+        articles = [_article(0, text), _article(1, "".join(reversed(words))), _article(2, "")]
+        anchor_map = _map(patterns, 4)
+        matcher, reference = anchor_map.automaton(), ReferenceMatcher(anchor_map.patterns)
+
+        norm = normalize_text_with_map(text)[0]
+        hits = [(start, start + len(p), p) for start, tuple_ in matcher.find_all(norm) for p in tuple_]
+        assert hits == sorted(reference.find_all(norm))
+        for article in articles:
+            assert _ordered(_matched_targets(anchor_map, matcher, article)) == _ordered(
+                reference_matched_targets(anchor_map, reference, article)
+            )
+
+        network = DocumentNetwork.from_links(4, [(0, 1, "a"), (0, 3, "b"), (1, 2, "c")])
+        assert build_eval_samples(network, anchor_map, articles) == reference_build_eval_samples(
+            network, anchor_map, articles
+        )
+        title_map = _map(patterns, 4, mode="title")
+        assert title_targets(title_map, articles) == reference_title_targets(title_map, articles)
+
+    def test_prefix_followed_by_letter_is_no_hit(self):
+        anchor_map = _map({p: {1} for p in ["new", "new york", "new-york", "newyork"]}, 2)
+        ((start, hits),) = anchor_map.automaton().find_all("newyork")
+        assert (start, hits) == (0, ("newyork",))
+        ((start, hits),) = anchor_map.automaton().find_all("x new-york")
+        assert (start, hits) == (2, ("new", "new-york"))
 
 
 class TestScanText:

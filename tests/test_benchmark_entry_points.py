@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from wikilinks.cli import EXIT_OK, main
+from wikilinks.dataset import Dataset
 from wikilinks.synthetic import PlantedCorpusParams, planted_dump_xml
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,3 +65,14 @@ def test_traced_pipeline_counts_every_layer(tmp_path):
     for counter in ("anchors.candidates", "anchors.positives", "graph.ppr_iterations",
                     "predictors.atilp.n_positive", "deepwalk.positions"):
         assert tracer.counts[counter] > 0, counter
+    # dataset-stats scans the full dataset and eval the subgraph, once
+    # each: the scan counters are the (source, target) entries of their
+    # label-free candidate maps, and the entries that are edges.
+    candidates = positives = 0
+    for directory in (full, sub):
+        dataset = Dataset.load(directory)
+        for source, targets in dataset.anchor_candidates().items():
+            candidates += len(targets)
+            positives += sum(dataset.network.has_edge(source, target) for target in targets)
+    assert tracer.counts["anchors.candidates"] == candidates
+    assert tracer.counts["anchors.positives"] == positives

@@ -40,11 +40,13 @@ def tiny_data_dir(tmp_path, tiny_dump_file):
 DATA = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("name", ["tiny_dump", "unicode_dump"])
+@pytest.mark.parametrize("name", ["tiny_dump", "unicode_dump", "format_dump"])
 def test_ingest_and_stats_outputs_are_pinned(tmp_path, tiny_dump_file, capsys, name):
     # Every byte ingest and dataset-stats print and write is pinned.
     # unicode_dump holds the non-ASCII whitespace, letters and dashes
-    # that no benchmark workload has.
+    # that no benchmark workload has; format_dump holds soft hyphens,
+    # left-to-right marks, zero-width joiners and byte order marks, the
+    # format characters that make ingested text not printable.
     dump = tiny_dump_file if name == "tiny_dump" else DATA / name / "dump.xml"
     out, samples = tmp_path / "out", tmp_path / "samples.tsv"
     assert main(["ingest", "--dump", str(dump), "--out", str(out)]) == EXIT_OK
@@ -53,6 +55,8 @@ def test_ingest_and_stats_outputs_are_pinned(tmp_path, tiny_dump_file, capsys, n
     assert capsys.readouterr().out == (golden / "stdout").read_text(encoding="utf-8")
     for written in (out / "articles.jsonl", out / "links.tsv", samples):
         assert written.read_bytes() == (golden / written.name).read_bytes(), written.name
+    if name == "format_dump":
+        assert all(not a.abstract.isprintable() for a in Dataset.load(out).articles)
 
 
 class TestIngestCommand:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikilinks.dataset import (
@@ -19,7 +22,7 @@ from wikilinks.dataset import (
     write_samples_tsv,
 )
 from wikilinks.graph import DocumentNetwork
-from wikilinks.ingest import Article
+from wikilinks.ingest import Article, render_abstract
 
 from conftest import write_predictions
 
@@ -72,6 +75,15 @@ class TestEscaping:
         assert "\t" not in escaped and "\n" not in escaped
 
 
+# Quotes, backslashes, control characters, the line and paragraph
+# separators, a non-BMP character, letters and spaces. Lone surrogates
+# are left out: UTF-8 cannot encode them.
+json_text = st.text(
+    alphabet=st.sampled_from('"\\\x00\x01\x1f\x7f\t\n\r\b\f\u2028\u2029\U0001f600aé /<>'),
+    max_size=12,
+)
+
+
 class TestArticlesJsonl:
     def test_round_trip(self, tmp_path):
         articles = [
@@ -80,6 +92,30 @@ class TestArticlesJsonl:
         ]
         path = tmp_path / "articles.jsonl"
         write_articles_jsonl(path, articles)
+        assert read_articles_jsonl(path) == articles
+
+    @given(
+        articles=st.lists(
+            st.tuples(json_text, json_text, st.sets(json_text, max_size=4)), max_size=4
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lines_equal_json_dumps(self, tmp_path_factory, articles):
+        articles = [
+            Article(id=i, title=title, abstract=abstract, aliases=aliases)
+            for i, (title, abstract, aliases) in enumerate(articles)
+        ]
+        path = tmp_path_factory.mktemp("jsonl") / "articles.jsonl"
+        write_articles_jsonl(path, articles)
+        expected = "".join(
+            json.dumps(
+                {"id": a.id, "title": a.title, "abstract": a.abstract, "aliases": sorted(a.aliases)},
+                ensure_ascii=False,
+            )
+            + "\n"
+            for a in articles
+        )
+        assert path.read_text(encoding="utf-8") == expected
         assert read_articles_jsonl(path) == articles
 
     def test_non_contiguous_ids_rejected(self, tmp_path):
@@ -117,6 +153,50 @@ class TestSamplesTsv:
         path = tmp_path / "samples.tsv"
         write_samples_tsv(path, candidates, network)
         assert path.read_text(encoding="utf-8") == "0\t1\t1\talpha beta\n0\t2\t0\tx|y\\tz\n"
+
+
+def split_sample_anchors(field: str) -> list[str]:
+    """The anchors of a ``samples.tsv`` anchors column: split at each '|'
+    that no backslash escapes, then undo the escapes."""
+    unescapes = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\|": "|"}
+    anchors, current = [], []
+    for token in re.findall(r"\\[\\tn|]|\||[^\\|]+", field):
+        if token == "|":
+            anchors.append("".join(current))
+            current = []
+        else:
+            current.append(unescapes.get(token, token))
+    anchors.append("".join(current))
+    return anchors
+
+
+class TestSampleAnchors:
+    def test_piped_anchor_differs_from_two_anchors(self, tmp_path):
+        # MediaWiki renders "[[Alpha|beta|gamma]]" as "beta|gamma".
+        _, links = render_abstract("see [[Alpha|beta|gamma]]")
+        assert links == [("Alpha", "beta|gamma")]
+        network = DocumentNetwork.from_links(3, [])
+        path = tmp_path / "samples.tsv"
+        write_samples_tsv(path, {0: {1: ("beta|gamma",), 2: ("beta", "gamma")}}, network)
+        assert path.read_text(encoding="utf-8") == "0\t1\t0\tbeta\\|gamma\n0\t2\t0\tbeta|gamma\n"
+
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="ab|\\\t\ntn ", max_size=6), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_written_field_splits_back(self, tmp_path_factory, anchor_lists):
+        candidates = {0: {t: tuple(anchors) for t, anchors in enumerate(anchor_lists)}}
+        network = DocumentNetwork.from_links(len(anchor_lists), [])
+        path = tmp_path_factory.mktemp("samples") / "samples.tsv"
+        write_samples_tsv(path, candidates, network)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        fields = [line.split("\t")[3] for line in lines]
+        assert [split_sample_anchors(field) for field in fields] == anchor_lists
 
 
 class TestPredictionsTsv:

@@ -450,6 +450,21 @@ class TestBuildCorpus:
         assert [(s, t) for s, t, _ in links] == [(0, 1)]
         assert counters["links_unknown_target"] == 1
 
+    def test_repeated_targets_count_every_link(self):
+        # Each distinct raw target is resolved once; every link still counts.
+        counters: Counter = Counter()
+        pages = [
+            RawPage("A", 0, "[[Ghost]] [[Ghost]] [[ghost]] [[A]] [[A|me]] [[Self]] [[B]] [[b]]"),
+            RawPage("B", 0, "[[Ghost]] [[A]] [[a]] [[B]] [[Self]] [[Self]]"),
+            RawPage("Self", 0, "", redirect_target="A"),
+        ]
+        articles, links = build_corpus(pages, counters)
+        assert links == [(0, 1, "B"), (0, 1, "b"), (1, 0, "A"), (1, 0, "a"), (1, 0, "Self"),
+                         (1, 0, "Self")]
+        assert counters["links_unknown_target"] == 4
+        assert counters["links_self"] == 4
+        assert counters["links_kept"] == 6
+
     def test_deterministic_output(self):
         first = build_corpus(parse_dump(tiny_dump_stream()))
         second = build_corpus(parse_dump(tiny_dump_stream()))
