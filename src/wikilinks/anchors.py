@@ -9,7 +9,8 @@ map's pattern trie; matches must align on token boundaries so that
 map and labeling the hits against the network yields the evaluation
 samples: positives are real links, the rest are string-matched hard
 negatives. Scanning it against the title map yields, per document, the
-set of articles it names. Neither scan keeps match spans.
+set of articles it names. Neither scan keeps where a match lies: hits
+come in the order of the normalized text.
 """
 
 from __future__ import annotations
@@ -22,58 +23,18 @@ from .graph import DocumentNetwork
 from .ingest import Article
 
 
-def normalize_text_with_map(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
-    """Lowercase and collapse whitespace, keeping a map back to the original.
-
-    Returns the normalized string plus, per normalized character, the
-    start and end offsets of the original character that produced it
-    (multi-character lowercase expansions share their source offsets).
-    A normalized slice [a, b) therefore covers the original slice
-    [starts[a], ends[b-1]). The maps are ranges when the text maps onto
-    itself, lists otherwise.
-
-    Whole-string ``lower()`` equals the per-character lowercase when it
-    keeps the length and the text holds no capital sigma, whose
-    lowercase alone depends on context. Such text that is already
-    collapsed and stripped maps onto itself; any other text takes the
-    per-character loop. No whitespace character but U+0020 is printable,
-    so printable text is collapsed and stripped exactly when it holds no
-    double space and neither starts nor ends with a space; only text
-    that is not printable takes the split-and-join test.
-    """
-    lowered = text.lower()
-    if len(lowered) != len(text) or "\u03a3" in text:
-        return _normalize_chars(text)
-    if text.isprintable():
-        if "  " in text or text.startswith(" ") or text.endswith(" "):
-            return _normalize_chars(text)
-    elif " ".join(text.split()) != text:
-        return _normalize_chars(text)
-    return lowered, range(len(text)), range(1, len(text) + 1)
-
-
-def _normalize_chars(text: str) -> tuple[str, list[int], list[int]]:
-    """:func:`normalize_text_with_map` one character at a time."""
-    norm: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            if norm and norm[-1] != " ":
-                norm.append(" ")
-                starts.append(i)
-                ends.append(i + 1)
-            continue
-        for low in ch.lower():
-            norm.append(low)
-            starts.append(i)
-            ends.append(i + 1)
-    return "".join(norm), starts, ends
-
-
 def normalize_pattern(text: str) -> str:
-    """Matching normalization: lowercase plus whitespace collapse and strip."""
-    return normalize_text_with_map(text)[0].strip()
+    """Matching normalization: lowercase, whitespace collapsed to single
+    spaces and stripped. Used for patterns and for the scanned text.
+
+    Capital sigma is lowered to "σ" first: whole-string ``lower()`` gives
+    the final form "ς" at the end of a word, and no other character
+    lowers differently in context. Lowering turns no whitespace character
+    into anything but whitespace and no other character into whitespace,
+    so the result is the text lowered one character at a time with its
+    whitespace runs collapsed and stripped.
+    """
+    return " ".join(text.replace("\u03a3", "\u03c3").lower().split())
 
 
 # Deepest group nesting the matcher regex gets: ``re`` parses and compiles
@@ -254,39 +215,20 @@ class CandidatePair(NamedTuple):
     label: bool
 
 
-def scan_text(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, int]]]:
-    """All token-boundary-aligned pattern matches in ``text``, each with
-    its span into the original text, sorted by span, then pattern.
-
-    Overlapping matches are all reported: each hit tuple of
-    :meth:`_Matcher.find_all` expands into one span per pattern.
-    """
-    norm, starts, ends = normalize_text_with_map(text)
-    matches = [
-        (pattern, (starts[a], ends[a + len(pattern) - 1]))
-        for a, hits in anchor_map.automaton().find_all(norm)
-        for pattern in hits
-    ]
-    matches.sort(key=lambda m: (m[1], m[0]))
-    return matches
-
-
 def _matched_targets(
     anchor_map: AnchorMap, matcher: _Matcher, article: Article
 ) -> dict[int, dict[str, None]]:
     """The distinct patterns matched in an article's abstract, grouped by
     each target they map to, self-pairs removed.
 
-    The matcher yields hits in normalized (start, end) order, which is
-    the order of their original spans: the one lowercase expansion to
-    several characters (U+0130 to "i" + U+0307) starts with an
-    alphanumeric character, so no match starts inside it. Each target's
-    patterns therefore keep their first-match order with no sort.
+    The matcher yields hits in (start, end) order of the normalized
+    abstract, so each target's patterns keep their first-match order
+    with no sort.
     """
     patterns = anchor_map.patterns
     source = article.id
     by_target: dict[int, dict[str, None]] = {}
-    for _, hits in matcher.find_all(normalize_text_with_map(article.abstract)[0]):
+    for _, hits in matcher.find_all(normalize_pattern(article.abstract)):
         for pattern in hits:
             for target in patterns[pattern]:
                 if target != source:

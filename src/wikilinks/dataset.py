@@ -67,13 +67,17 @@ def read_articles_jsonl(path) -> list[Article]:
     """Articles of a JSON-lines file, one object per line with an integer
     ``id``, string ``title`` and ``abstract`` and an optional list of
     string ``aliases``; ids must run 0, 1, 2, ... Raises ValueError
-    naming the first line that breaks this."""
+    naming the file and the first line that breaks this."""
+    name = Path(path).name
     articles: list[Article] = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{name} line {number}: {exc.msg}: column {exc.colno}") from exc
             aliases = obj.get("aliases", []) if isinstance(obj, dict) else None
             if not (
                 isinstance(aliases, list)
@@ -83,9 +87,12 @@ def read_articles_jsonl(path) -> list[Article]:
                 and isinstance(obj.get("abstract"), str)
             ):
                 raise ValueError(
-                    f"{Path(path).name} line {number} is not an article record with an "
+                    f"{name} line {number} is not an article record with an "
                     f"integer id, string title and abstract and a list of string aliases"
                 )
+            if obj["id"] != len(articles):
+                raise ValueError(f"{name} line {number}: article id {obj['id']} where "
+                                 f"{len(articles)} was expected; ids run 0, 1, 2, ...")
             articles.append(
                 Article(
                     id=obj["id"],
@@ -94,9 +101,6 @@ def read_articles_jsonl(path) -> list[Article]:
                     aliases=set(aliases),
                 )
             )
-    for expected, article in enumerate(articles):
-        if article.id != expected:
-            raise ValueError(f"article ids are not contiguous at line {expected}")
     return articles
 
 
@@ -107,13 +111,19 @@ def write_links_tsv(path, links: Iterable[tuple[int, int, str]]) -> None:
 
 
 def read_links_tsv(path) -> Iterator[tuple[int, int, str]]:
+    """(source, target, anchor) per non-empty line; raises ValueError
+    naming the file and line of one that is not two integers and an
+    anchor, tab-separated."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            source, target, anchor = line.split("\t", 2)
-            yield int(source), int(target), unescape_field(anchor)
+            try:
+                source, target, anchor = line.split("\t", 2)
+                yield int(source), int(target), unescape_field(anchor)
+            except ValueError as exc:
+                raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
 
 
 def write_remap_tsv(path, old_to_new: Mapping[int, int]) -> None:
@@ -142,13 +152,19 @@ def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
 
 
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
+    """(source, target, score) per non-empty line; raises ValueError
+    naming the file and line of one that is not two integers and a
+    number, tab-separated."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            source, target, score = line.split("\t")
-            yield int(source), int(target), float(score)
+            try:
+                source, target, score = line.split("\t")
+                yield int(source), int(target), float(score)
+            except ValueError as exc:
+                raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
 
 
 @dataclass

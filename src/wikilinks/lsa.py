@@ -186,14 +186,13 @@ def _gram_svd(matrix: CsrMatrix, d: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return recovered, s, vectors.T
 
 
-def fit_lsa(
-    matrix: CsrMatrix | np.ndarray, d: int = 512, vocabulary: Vocabulary | None = None
-) -> LsaModel:
-    """Rank-d truncated SVD of a document-term matrix, sparse (from
-    :func:`build_tfidf`) or dense (taken into compressed sparse rows),
-    exact through the Gram matrix of its smaller side.
+def fit_lsa(matrix: CsrMatrix, d: int = 512, vocabulary: Vocabulary | None = None) -> LsaModel:
+    """Rank-d truncated SVD of a document-term matrix in compressed sparse
+    rows, as :func:`build_tfidf` returns it, exact through the Gram matrix
+    of its smaller side.
 
-    Raises ValueError when the smaller side exceeds ``_GRAM_SIDE_LIMIT``.
+    Raises TypeError for any other matrix type, ValueError when the
+    smaller side exceeds ``_GRAM_SIDE_LIMIT``.
     When d exceeds the number of available singular values, the extra
     dimensions are zero-padded so embeddings keep a fixed width;
     singular values too small to resolve are zero as well.
@@ -201,10 +200,7 @@ def fit_lsa(
     if d < 1:
         raise ValueError("dimension d must be at least 1")
     if not isinstance(matrix, CsrMatrix):
-        dense = np.asarray(matrix, dtype=float)
-        rows, cols = np.nonzero(dense)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(dense)))))
-        matrix = CsrMatrix(dense[rows, cols], cols, indptr, dense.shape)
+        raise TypeError(f"fit_lsa takes a CsrMatrix, not {type(matrix).__name__}")
     n_rows, n_cols = matrix.shape
     if min(n_rows, n_cols) > _GRAM_SIDE_LIMIT:
         raise ValueError(f"LSA takes at most {_GRAM_SIDE_LIMIT} documents or terms, whichever "

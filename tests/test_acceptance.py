@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wikilinks.anchors import AnchorMap, normalize_pattern, scan_text
+from wikilinks.anchors import AnchorMap, normalize_pattern
 from wikilinks.deepwalk import sgns_gradients, sgns_loss
 from wikilinks.evaluation import pr_auc, run_eval, split_inductive, split_transductive
 from wikilinks.graph import DocumentNetwork, personalized_pagerank
@@ -19,9 +19,10 @@ from wikilinks.lsa import fit_lsa
 from wikilinks.predictors import ols_fit
 
 from conftest import BENCH_CONFIG
-from test_anchors import naive_scan
+from test_anchors import naive_scan, scan_spans
 from test_deepwalk import _relative_error, finite_difference
 from test_graph import _net, _random_edges, dense_ppr_oracle
+from test_lsa import as_csr
 
 
 @pytest.mark.criterion(1, "AT(anchor) recall is exactly 100.00 (std 0.00) in both modes")
@@ -95,7 +96,7 @@ def test_c05_svd_dense_oracle():
         cols = int(rng.integers(5, 41))
         matrix = rng.standard_normal((rows, cols))
         d = int(rng.integers(1, min(rows, cols) + 1))
-        model = fit_lsa(matrix, d=d)
+        model = fit_lsa(as_csr(matrix), d=d)
         u_o, s_o, vt_o = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
         assert np.allclose(model.singular_values, s_o[:d], atol=1e-6)
         # Vectors compare up to sign where the spectrum is well separated.
@@ -115,7 +116,7 @@ def test_c05_svd_dense_oracle():
     matrix = np.random.default_rng(100).standard_normal((18, 14))
     errors = []
     for d in range(1, 15):
-        model = fit_lsa(matrix, d=d)
+        model = fit_lsa(as_csr(matrix), d=d)
         approx = model.doc_embeddings @ model.projection.T
         errors.append(float(np.linalg.norm(approx - matrix)))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
@@ -178,7 +179,7 @@ def test_c08_scanner_equivalence():
             patterns={p: frozenset({0}) for p in patterns},
             article_count=1,
         )
-        assert set(scan_text(anchor_map, text)) == naive_scan(sorted(patterns), text)
+        assert set(scan_spans(anchor_map, text)) == naive_scan(sorted(patterns), text)
 
 
 @pytest.mark.criterion(9, "split sizes: 7,817 edges hide 782; 1,000 documents hide 100")

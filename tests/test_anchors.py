@@ -21,8 +21,6 @@ from wikilinks.anchors import (
     build_eval_samples,
     build_title_map,
     normalize_pattern,
-    normalize_text_with_map,
-    scan_text,
     title_targets,
 )
 from wikilinks.graph import DocumentNetwork
@@ -33,8 +31,12 @@ from test_ingest import markup_text
 
 
 def reference_normalize_text_with_map(text: str) -> tuple[str, list[int], list[int]]:
-    """The per-character loop that ``normalize_text_with_map`` keeps only
-    as its fallback."""
+    """The matching normalization one character at a time, with a map
+    back to the original: per normalized character, the start and end
+    offsets of the original character that produced it (lowercase
+    expansions share their source offsets). A normalized slice [a, b)
+    covers the original slice [starts[a], ends[b-1]). Its text is
+    :func:`normalize_pattern`'s but for one possible trailing space."""
     norm: list[str] = []
     starts: list[int] = []
     ends: list[int] = []
@@ -53,14 +55,32 @@ def reference_normalize_text_with_map(text: str) -> tuple[str, list[int], list[i
 
 
 def assert_normalizes_like_reference(text: str) -> None:
-    norm, starts, ends = normalize_text_with_map(text)
-    assert (norm, list(starts), list(ends)) == reference_normalize_text_with_map(text)
+    assert normalize_pattern(text) == reference_normalize_text_with_map(text)[0].strip()
+
+
+def scan_spans(anchor_map: AnchorMap, text: str) -> list[tuple[str, tuple[int, int]]]:
+    """Every hit of the map's matcher in ``normalize_pattern(text)``,
+    each with its span into ``text`` through the reference's offset
+    maps, sorted by span, then pattern. The normalized text is the
+    reference's with no trailing space, so its offsets are the
+    reference's; no pattern ends in a space, so no hit reaches past it."""
+    norm, starts, ends = reference_normalize_text_with_map(text)
+    normalized = normalize_pattern(text)
+    assert norm.strip() == normalized
+    matches = [
+        (pattern, (starts[a], ends[a + len(pattern) - 1]))
+        for a, hits in anchor_map.automaton().find_all(normalized)
+        for pattern in hits
+    ]
+    matches.sort(key=lambda m: (m[1], m[0]))
+    return matches
 
 
 def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]]]:
-    """Per-pattern substring scan with the same normalization and
-    token-boundary rule; the independent reference for the matcher."""
-    norm, starts, ends = normalize_text_with_map(text)
+    """Per-pattern substring scan over the reference normalization with
+    the same token-boundary rule; the independent reference for the
+    matcher."""
+    norm, starts, ends = reference_normalize_text_with_map(text)
     found: set[tuple[str, tuple[int, int]]] = set()
     for pattern in patterns:
         begin = norm.find(pattern)
@@ -75,10 +95,10 @@ def naive_scan(patterns: list[str], text: str) -> set[tuple[str, tuple[int, int]
 
 
 def assert_anchors_have_spans(anchor_map: AnchorMap, text: str, anchors: tuple[str, ...]) -> None:
-    """Every one of a candidate's ``anchors`` has a :func:`scan_text` hit
+    """Every one of a candidate's ``anchors`` has a :func:`scan_spans` hit
     in ``text``, and each of its hits' substrings normalizes to it."""
     hits: dict[str, list[tuple[int, int]]] = {}
-    for pattern, span in scan_text(anchor_map, text):
+    for pattern, span in scan_spans(anchor_map, text):
         hits.setdefault(pattern, []).append(span)
     for anchor in anchors:
         assert hits.get(anchor), f"{anchor!r} has no hit"
@@ -110,7 +130,7 @@ def reference_candidate_pairs(
     """The candidate builder that ``build_eval_samples`` replaced: hits
     in the order of their original spans, then pattern."""
     by_target: dict[int, dict[str, None]] = {}
-    for pattern, _ in scan_text(anchor_map, article.abstract):
+    for pattern, _ in scan_spans(anchor_map, article.abstract):
         for target in anchor_map.patterns[pattern]:
             if target != article.id:
                 by_target.setdefault(target, {})[pattern] = None
@@ -169,7 +189,8 @@ def reference_matched_targets(
 ) -> dict[int, dict[str, None]]:
     """``_matched_targets`` before per-start hit tuples: every hit, sorted."""
     by_target: dict[int, dict[str, None]] = {}
-    for _, _, pattern in sorted(matcher.find_all(normalize_text_with_map(article.abstract)[0])):
+    norm = reference_normalize_text_with_map(article.abstract)[0]
+    for _, _, pattern in sorted(matcher.find_all(norm)):
         for target in anchor_map.patterns[pattern]:
             if target != article.id:
                 by_target.setdefault(target, {})[pattern] = None
@@ -193,20 +214,30 @@ def reference_build_eval_samples(network, anchor_map, articles) -> dict[int, lis
     }
 
 
+# Capital and final sigma, the dotted capital I (lowered to two
+# characters), format characters that are neither whitespace nor
+# alphanumeric (soft hyphen, left-to-right mark, zero-width joiner, byte
+# order mark), whitespace other than U+0020 (tab, no-break space, line
+# separator) and runs of spaces to collapse, lead and trail.
+SIGMA_FORMAT_SPACE_PIECES = ["\u03a3", "\u03c2", "\u0130", "\u00ad", "\u200e", "\u200d",
+                             "\ufeff", "\t", "\xa0", "\u2028", " ", "  ", "   ", "a", "B"]
+
+
 class TestNormalization:
     def test_case_and_whitespace(self):
         assert normalize_pattern("  Federal   Government ") == "federal government"
 
     def test_map_round_trip(self):
+        # The reference's offset maps give the spans that scan_spans reports.
         text = "The  BIG\tcat"
-        norm, starts, ends = normalize_text_with_map(text)
-        assert norm == "the big cat"
+        norm, starts, ends = reference_normalize_text_with_map(text)
+        assert norm == normalize_pattern(text) == "the big cat"
         assert text[starts[4] : ends[6]] == "BIG"
 
     @given(st.text(max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_span_normalizes_to_pattern(self, text):
-        norm, starts, ends = normalize_text_with_map(text)
+        norm, starts, ends = reference_normalize_text_with_map(text)
         # Any normalized slice that is stripped-of-spaces maps back to an
         # original slice whose normalization equals it.
         if len(norm) >= 3 and norm[0] != " " and norm[2] != " ":
@@ -230,22 +261,10 @@ class TestNormalizationMatchesReference:
     def test_named_cases(self, text):
         assert_normalizes_like_reference(text)
 
-    @given(st.text(alphabet="aB \t\u00ad\u200e\ufeff\xa0\u2028", max_size=30))
+    @given(st.lists(st.sampled_from(SIGMA_FORMAT_SPACE_PIECES), max_size=30).map("".join))
     @settings(max_examples=500, deadline=None)
     def test_format_characters_and_spaces(self, text):
-        # Soft hyphen, left-to-right mark and byte order mark make text
-        # not printable without being whitespace; tab, no-break space and
-        # line separator are whitespace; and double, leading and trailing
-        # spaces keep printable text from mapping onto itself.
         assert_normalizes_like_reference(text)
-
-    def test_no_whitespace_but_space_is_printable(self):
-        # Printable text is collapsed and stripped when it holds no
-        # double, leading or trailing space only because of this.
-        for code_point in range(0x110000):
-            ch = chr(code_point)
-            if ch.isspace() and ch != " ":
-                assert not ch.isprintable(), hex(code_point)
 
     def test_word_final_capital_sigma_lowers_per_character(self):
         # Whole-string lower() gives the final form "ς"; the reference
@@ -253,12 +272,31 @@ class TestNormalizationMatchesReference:
         text = "ΟΔΟΣ ΟΔΟΣ"
         assert text.lower() == "οδος οδος"
         assert_normalizes_like_reference(text)
-        assert normalize_text_with_map(text)[0] == "οδοσ οδοσ"
+        assert normalize_pattern(text) == "οδοσ οδοσ"
+
+    def test_whole_string_lower_is_per_character_but_for_capital_sigma(self):
+        # The first fact normalize_pattern rests on, over every code point
+        # but U+03A3, next to letters, spaces and every other code point.
+        others = "".join(chr(c) for c in range(0x110000) if c != 0x3A3)
+        for text in (others, "A".join(others), " ".join(others)):
+            assert text.lower() == "".join(ch.lower() for ch in text)
+
+    def test_lowering_neither_creates_nor_removes_whitespace(self):
+        # The second fact, over every code point: a whitespace character
+        # lowers to itself, any other to no whitespace, and ``split``
+        # splits exactly at what ``isspace`` accepts.
+        for code_point in range(0x110000):
+            ch = chr(code_point)
+            if ch.isspace():
+                assert ch.lower() == ch and f"a{ch}b".split() == ["a", "b"], hex(code_point)
+            else:
+                assert not any(c.isspace() for c in ch.lower()), hex(code_point)
+                assert f"a{ch}b".split() == [f"a{ch}b"], hex(code_point)
 
     def test_every_code_point(self):
-        # Code points whose lowercase keeps the length share long texts,
-        # which take the whole-string lowercase; every other code point
-        # (expansions, capital sigma) is checked in a text of its own.
+        # Code points whose lowercase keeps the length share long texts;
+        # every other code point (expansions, capital sigma) is checked in
+        # a text of its own.
         alone = []
         batch = []
         for code_point in range(0x110000):
@@ -288,13 +326,13 @@ ORACLE_ALPHABET = "ab_ .*()[]\\?|+'\u0663\u00e9\u03a3"
 def assert_scan_matches_oracle(patterns: set[str], text: str) -> None:
     anchor_map = _map({p: {0} for p in patterns}, article_count=1)
     expected = sorted(naive_scan(sorted(patterns), text), key=lambda m: (m[1], m[0]))
-    assert scan_text(anchor_map, text) == expected
+    assert scan_spans(anchor_map, text) == expected
 
 
 class TestMatcher:
     def test_overlapping_patterns_all_reported(self):
         anchor_map = _map({p: {0} for p in ["american", "american civil war", "civil"]}, 1)
-        assert set(scan_text(anchor_map, "american civil war")) == {
+        assert set(scan_spans(anchor_map, "american civil war")) == {
             ("american", (0, 8)),
             ("american civil war", (0, 18)),
             ("civil", (9, 14)),
@@ -302,7 +340,7 @@ class TestMatcher:
 
     def test_suffix_pattern_found_inside_longer_match(self):
         anchor_map = _map({p: {0} for p in ["new york city", "york city", "city"]}, 1)
-        assert scan_text(anchor_map, "new york city") == [
+        assert scan_spans(anchor_map, "new york city") == [
             ("new york city", (0, 13)),
             ("york city", (4, 13)),
             ("city", (9, 13)),
@@ -310,7 +348,7 @@ class TestMatcher:
         # Inside a word a suffix pattern is no token: "he" neither in "she"
         # nor in "hers".
         anchor_map = _map({p: {0} for p in ["she", "he", "hers"]}, 1)
-        assert scan_text(anchor_map, "she-he hers") == [
+        assert scan_spans(anchor_map, "she-he hers") == [
             ("she", (0, 3)),
             ("he", (4, 6)),
             ("hers", (7, 11)),
@@ -325,7 +363,7 @@ class TestMatcher:
     def test_empty_map_matches_nothing(self):
         anchor_map = _map({}, 1)
         for text in ["", "a.", "a", " ", "."]:
-            assert scan_text(anchor_map, text) == []
+            assert scan_spans(anchor_map, text) == []
 
     def test_agrees_with_naive_oracle_on_random_inputs(self):
         rng = np.random.default_rng(8)
@@ -342,7 +380,7 @@ class TestMatcher:
                 continue
             text = "".join(alphabet[i] for i in rng.integers(3, size=rng.integers(0, 60)))
             anchor_map = _map({p: {0} for p in patterns}, article_count=1)
-            got = set(scan_text(anchor_map, text))
+            got = set(scan_spans(anchor_map, text))
             assert got == naive_scan(sorted(patterns), text)
 
     @given(
@@ -354,7 +392,7 @@ class TestMatcher:
     def test_agrees_with_naive_oracle_on_fuzzed_inputs(self, text, drawn, cuts):
         # Slices of the normalized text make hits common; the fixed
         # patterns start with punctuation.
-        norm = normalize_text_with_map(text)[0]
+        norm = normalize_pattern(text)
         raw = [*drawn, "(a", "'b", ".", "_a"] + [norm[i : i + n] for i, n in cuts]
         patterns = {normalize_pattern(p) for p in raw} - {""}
         assert_scan_matches_oracle(patterns, text)
@@ -417,7 +455,7 @@ class TestHitTuples:
         anchor_map = _map(patterns, 4)
         matcher, reference = anchor_map.automaton(), ReferenceMatcher(anchor_map.patterns)
 
-        norm = normalize_text_with_map(text)[0]
+        norm = normalize_pattern(text)
         hits = [(start, start + len(p), p) for start, tuple_ in matcher.find_all(norm) for p in tuple_]
         assert hits == sorted(reference.find_all(norm))
         for article in articles:
@@ -443,11 +481,11 @@ class TestHitTuples:
 class TestScanText:
     def test_token_boundary_blocks_midword_match(self):
         anchor_map = _map({"art": {0}}, 1)
-        assert scan_text(anchor_map, "the party was art.") == [("art", (14, 17))]
+        assert scan_spans(anchor_map, "the party was art.") == [("art", (14, 17))]
 
     def test_case_insensitive_match(self):
         anchor_map = _map({"federal government": {0}}, 1)
-        assert scan_text(anchor_map, "The Federal  Government acted.") == [
+        assert scan_spans(anchor_map, "The Federal  Government acted.") == [
             ("federal government", (4, 23))
         ]
 
@@ -562,7 +600,7 @@ class TestScanCandidates:
         # "İ" lowercases to "i" + U+0307, the one expansion to several
         # characters, where normalized and original offsets part. Slices
         # of the normalized text make hits common.
-        norm = normalize_text_with_map(text)[0]
+        norm = normalize_pattern(text)
         patterns: dict[str, set[int]] = {}
         for raw, target in [*drawn, *((norm[i : i + n], t) for i, n, t in cuts)]:
             pattern = normalize_pattern(raw)
@@ -685,12 +723,12 @@ def scanned_dataset(request, fixture_dataset):
 
 class TestCandidateAnchors:
     def test_anchors_are_the_scan_patterns_of_the_target(self, scanned_dataset):
-        # Oracle: the distinct scan_text patterns, in scan order, that map
+        # Oracle: the distinct scan_spans patterns, in scan order, that map
         # to the pair's target.
         anchor_map, candidates = _anchor_candidates(scanned_dataset)
         assert any(candidates.values())
         for source, pairs in candidates.items():
-            hits = scan_text(anchor_map, scanned_dataset.articles[source].abstract)
+            hits = scan_spans(anchor_map, scanned_dataset.articles[source].abstract)
             for pair in pairs:
                 expected = dict.fromkeys(
                     pattern for pattern, _ in hits
@@ -699,14 +737,14 @@ class TestCandidateAnchors:
                 assert pair.anchors == tuple(expected)
 
     def test_title_targets_are_the_scan_targets(self, scanned_dataset):
-        # Oracle: every target of every scan_text pattern, but the source.
+        # Oracle: every target of every scan_spans pattern, but the source.
         title_map = build_title_map(scanned_dataset.articles)
         targets = scanned_dataset.title_candidates()
         assert targets == title_targets(title_map, scanned_dataset.articles)
         assert sorted(targets) == list(range(len(scanned_dataset.articles)))
         assert any(targets.values())
         for source, got in targets.items():
-            hits = scan_text(title_map, scanned_dataset.articles[source].abstract)
+            hits = scan_spans(title_map, scanned_dataset.articles[source].abstract)
             expected = {t for pattern, _ in hits for t in title_map.patterns[pattern]} - {source}
             assert got == expected
 

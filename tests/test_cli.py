@@ -42,7 +42,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("name", ["tiny_dump", "unicode_dump", "format_dump"])
 def test_ingest_and_stats_outputs_are_pinned(tmp_path, tiny_dump_file, capsys, name):
-    # Every byte ingest and dataset-stats print and write is pinned.
+    # Every byte ingest and dataset-stats print and write is pinned, and
+    # so are the title-map candidates, which no command writes.
     # unicode_dump holds the non-ASCII whitespace, letters and dashes
     # that no benchmark workload has; format_dump holds soft hyphens,
     # left-to-right marks, zero-width joiners and byte order marks, the
@@ -55,8 +56,13 @@ def test_ingest_and_stats_outputs_are_pinned(tmp_path, tiny_dump_file, capsys, n
     assert capsys.readouterr().out == (golden / "stdout").read_text(encoding="utf-8")
     for written in (out / "articles.jsonl", out / "links.tsv", samples):
         assert written.read_bytes() == (golden / written.name).read_bytes(), written.name
+    # The title-map candidates: per source, its sorted target ids.
+    dataset = Dataset.load(out)
+    targets = dataset.title_candidates()
+    lines = [f"{s}\t{' '.join(map(str, sorted(targets[s])))}\n" for s in sorted(targets)]
+    assert "".join(lines) == (golden / "title_candidates.tsv").read_text(encoding="utf-8")
     if name == "format_dump":
-        assert all(not a.abstract.isprintable() for a in Dataset.load(out).articles)
+        assert all(not a.abstract.isprintable() for a in dataset.articles)
 
 
 class TestIngestCommand:
@@ -384,7 +390,7 @@ class TestEvalCommand:
         assert main(["eval", "--config", config]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"cannot read predictions for 'offline' from {scores_path}" in err
+        assert f"cannot read predictions for 'offline' from {scores_path}: bad.tsv line 1: " in err
 
     def test_invalid_config_rejected(self, tmp_path, planted_data_dir, capsys):
         config = _eval_config(tmp_path, planted_data_dir, runs=0)
@@ -514,6 +520,29 @@ def test_malformed_article_record_exits_2_with_one_line(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "articles.jsonl line 2 is not an article record" in err
+
+
+@pytest.mark.parametrize(
+    "articles, links, needle",
+    [
+        ('{"id": 1, "title": "B", "abstract": "te', "",
+         "articles.jsonl line 2: Unterminated string starting at: column 37"),
+        ('{"id": 1, "title": "B", "abstract": "text", "aliases": []}', "0\t1\ta\n0\n",
+         "links.tsv line 2: not enough values to unpack (expected 3, got 1)"),
+    ],
+    ids=["truncated-article", "one-field-link"],
+)
+def test_malformed_dataset_line_exits_2_naming_file_and_line(
+    tmp_path, capsys, articles, links, needle
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    valid = '{"id": 0, "title": "A", "abstract": "text", "aliases": []}'
+    (data / "articles.jsonl").write_text(f"{valid}\n{articles}", encoding="utf-8")
+    (data / "links.tsv").write_text(links, encoding="utf-8")
+    assert main(["dataset-stats", "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load dataset from {data}: {needle}\n"
 
 
 @pytest.mark.parametrize(

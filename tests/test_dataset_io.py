@@ -124,7 +124,21 @@ class TestArticlesJsonl:
             '{"id": 0, "title": "A", "abstract": "", "aliases": []}\n'
             '{"id": 2, "title": "B", "abstract": "", "aliases": []}\n'
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^articles\.jsonl line 2: article id 2 where 1 was"):
+            read_articles_jsonl(path)
+
+    def test_invalid_json_names_the_file_and_line(self, tmp_path):
+        # A record cut inside its abstract: json reads the line's newline
+        # as a raw control character in the string.
+        path = tmp_path / "articles.jsonl"
+        path.write_text(
+            '{"id": 0, "title": "A", "abstract": "", "aliases": []}\n\n'
+            '{"id": 1, "title": "B", "abstract": "cut\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ValueError, match=r"^articles\.jsonl line 3: Invalid control character at: column 41$"
+        ):
             read_articles_jsonl(path)
 
 
@@ -137,6 +151,18 @@ class TestLinksTsv:
         assert sorted(got) == sorted(links)
         net = DocumentNetwork.from_links(3, got)
         assert dict(net.edge_items())[(0, 1)] == ("one", "one", "two\twith tab")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1\t2", r"not enough values to unpack \(expected 3, got 2\)"),
+         ("1\tx\tthree", r"invalid literal for int\(\) with base 10: 'x'")],
+        ids=["two-fields", "non-integer-target"],
+    )
+    def test_malformed_line_names_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "links.tsv"
+        path.write_text(f"0\t1\tone\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^links\.tsv line 3: {message}$"):
+            list(read_links_tsv(path))
 
 
 class TestRemapTsv:
@@ -205,6 +231,14 @@ class TestPredictionsTsv:
         path = tmp_path / "predictions.tsv"
         write_predictions(path, predictions)
         assert list(read_predictions_tsv(path)) == predictions
+
+    def test_malformed_line_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("0\t1\t0.5\n0\t2\tabc\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=r"^predictions\.tsv line 2: could not convert string to float: 'abc'$"
+        ):
+            list(read_predictions_tsv(path))
 
 
 class TestDataset:

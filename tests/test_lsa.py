@@ -185,20 +185,20 @@ class TestBuildTfidf:
 class TestFitLsa:
     def test_full_rank_reconstruction(self):
         matrix = np.diag([3.0, 2.0, 1.0])
-        model = fit_lsa(matrix, d=3)
+        model = fit_lsa(as_csr(matrix), d=3)
         approx = model.doc_embeddings @ model.projection.T
         assert np.linalg.norm(approx - matrix) < 1e-6
 
     def test_rank_one_singular_value(self):
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 4.0])
-        model = fit_lsa(np.outer(u, v), d=1)
+        model = fit_lsa(as_csr(np.outer(u, v)), d=1)
         assert abs(model.singular_values[0] - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-8
 
     def test_top_values_match_dense_oracle(self):
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal((20, 30))
-        model = fit_lsa(matrix, d=5)
+        model = fit_lsa(as_csr(matrix), d=5)
         _, s_oracle, _ = dense_svd_oracle(matrix)
         assert np.allclose(model.singular_values, s_oracle[:5], atol=1e-6)
 
@@ -207,32 +207,36 @@ class TestFitLsa:
         matrix = rng.standard_normal((12, 9))
         errors = []
         for d in range(1, 10):
-            model = fit_lsa(matrix, d=d)
+            model = fit_lsa(as_csr(matrix), d=d)
             approx = model.doc_embeddings @ model.projection.T
             errors.append(np.linalg.norm(approx - matrix))
         assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 
     def test_zero_padding_beyond_rank(self):
         matrix = np.outer([1.0, 1.0], [1.0, 2.0, 3.0])
-        model = fit_lsa(matrix, d=5)
+        model = fit_lsa(as_csr(matrix), d=5)
         assert model.doc_embeddings.shape == (2, 5)
         assert np.allclose(model.doc_embeddings[:, 2:], 0.0)
         assert np.allclose(model.singular_values[2:], 0.0)
 
     def test_d_below_one_errors(self):
         with pytest.raises(ValueError):
-            fit_lsa(np.eye(2), d=0)
+            fit_lsa(as_csr(np.eye(2)), d=0)
+
+    def test_dense_array_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"takes a CsrMatrix, not ndarray$"):
+            fit_lsa(np.eye(2), d=1)
 
     def test_smaller_side_within_the_gram_bound(self, monkeypatch):
         monkeypatch.setattr(lsa, "_GRAM_SIDE_LIMIT", 3)
         rng = np.random.default_rng(11)
         for shape in ((3, 40), (40, 3)):
             matrix = rng.standard_normal(shape)
-            model = fit_lsa(matrix, d=2)
+            model = fit_lsa(as_csr(matrix), d=2)
             expected = reference_fit_lsa(matrix, 2)
             np.testing.assert_allclose(model.singular_values, expected.singular_values)
         with pytest.raises(ValueError, match=r"at most 3\b.* 4 x 5$"):
-            fit_lsa(rng.standard_normal((4, 5)), d=2)
+            fit_lsa(as_csr(rng.standard_normal((4, 5))), d=2)
 
 
 class TestAgainstReplacedPaths:
@@ -297,7 +301,7 @@ class TestAgainstReplacedPaths:
     def test_tall_matrix(self):
         rng = np.random.default_rng(8)
         matrix = rng.standard_normal((40, 12)) * (rng.random((40, 12)) < 0.5)
-        model = fit_lsa(matrix, d=6)
+        model = fit_lsa(as_csr(matrix), d=6)
         self._agree_up_to_sign(model, reference_fit_lsa(matrix, 6), 6)
         assert model.doc_embeddings.shape == (40, 6)
         assert model.projection.shape == (12, 6)
@@ -306,7 +310,7 @@ class TestAgainstReplacedPaths:
         rng = np.random.default_rng(9)
         for shape in ((10, 25), (25, 10)):
             matrix = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
-            model = fit_lsa(matrix, d=8)
+            model = fit_lsa(as_csr(matrix), d=8)
             self._agree_up_to_sign(model, reference_fit_lsa(matrix, 3), 3)
             assert np.all(model.singular_values[:3] > 0)
             assert np.all(model.singular_values[3:] == 0.0)
@@ -316,27 +320,26 @@ class TestAgainstReplacedPaths:
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1)], ids=["one-row", "one-column"])
     def test_single_row_or_column(self, shape):
         matrix = np.arange(1.0, 8.0).reshape(shape)
-        model = fit_lsa(matrix, d=3)
+        model = fit_lsa(as_csr(matrix), d=3)
         self._agree_up_to_sign(model, reference_fit_lsa(matrix, 3), 1)
         assert model.singular_values[0] == pytest.approx(math.sqrt(140.0), rel=1e-12)
         assert np.all(model.singular_values[1:] == 0.0)
         approx = model.doc_embeddings @ model.projection.T
         np.testing.assert_allclose(approx, matrix, atol=1e-12)
 
-    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
-    @pytest.mark.parametrize("shape", [(20, 90), (90, 20)], ids=["wide", "tall"])
-    def test_gram_summed_over_blocks(self, monkeypatch, shape, sparse):
+    @pytest.mark.parametrize("shape", [(20, 90), (90, 20)], ids=["wide-csr", "tall-csr"])
+    def test_gram_summed_over_blocks(self, monkeypatch, shape):
         rng = np.random.default_rng(10)
         dense = rng.random(shape) * (rng.random(shape) < 0.4)
         expected = reference_fit_lsa(dense, 8)
         monkeypatch.setattr(lsa, "_DENSE_CELL_LIMIT", 7 * min(shape))
         long_side = dense if shape[0] > shape[1] else dense.T
         assert len(list(lsa._dense_row_blocks(as_csr(long_side)))) == 13
-        model = fit_lsa(as_csr(dense) if sparse else dense, d=8)
+        model = fit_lsa(as_csr(dense), d=8)
         self._agree_up_to_sign(model, expected, 8)
 
     def test_zero_matrix_embeds_to_zero(self):
-        model = fit_lsa(np.zeros((3, 5)), d=2)
+        model = fit_lsa(as_csr(np.zeros((3, 5))), d=2)
         assert np.all(model.singular_values == 0.0)
         assert np.all(model.doc_embeddings == 0.0)
         assert np.all(model.projection == 0.0)
@@ -395,7 +398,7 @@ class TestEmbedText:
         assert target_cos > random_cos
 
     def test_model_without_vocabulary_rejects_text(self):
-        model = fit_lsa(np.eye(3), d=2)
+        model = fit_lsa(as_csr(np.eye(3)), d=2)
         with pytest.raises(ValueError):
             embed_text(model, [["anything"]])
 
