@@ -337,7 +337,7 @@ def cmd_eval(args) -> int:
         config=config.model_config(),
         out_dir=config.out,
     )
-    print(report.to_markdown(report.modes()))
+    print(report.to_markdown())
     if report.failures:
         for failure in report.failures:
             print(
@@ -354,7 +354,7 @@ def cmd_report(args) -> int:
         raise InputError(f"report not found: {path}")
     try:
         report = MetricsReport.from_records(json.loads(path.read_text(encoding="utf-8")))
-        table = report.to_markdown(report.modes())
+        table = report.to_markdown()
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"malformed report {path}: {exc}") from exc
     sys.stdout.write(table)

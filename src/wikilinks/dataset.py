@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from .anchors import (
     build_anchor_map,
@@ -48,6 +49,25 @@ def unescape_field(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m.group()], text)
 
 
+@contextmanager
+def _open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
+    ValueError naming the file and its line: text mode decodes blocks
+    ahead of the line read, so the file's bytes are decoded again line by
+    line, and no newline byte occurs inside a UTF-8 sequence."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
+        raise
+
+
 def write_articles_jsonl(path, articles: Sequence[Article]) -> None:
     """One JSON object per article and line: ``id``, ``title``,
     ``abstract`` and the sorted ``aliases``. Each line is formatted with
@@ -67,10 +87,10 @@ def read_articles_jsonl(path) -> list[Article]:
     """Articles of a JSON-lines file, one object per line with an integer
     ``id``, string ``title`` and ``abstract`` and an optional list of
     string ``aliases``; ids must run 0, 1, 2, ... Raises ValueError
-    naming the file and the first line that breaks this."""
+    naming the file and the first line that breaks this or is not UTF-8."""
     name = Path(path).name
     articles: list[Article] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -104,17 +124,20 @@ def read_articles_jsonl(path) -> list[Article]:
     return articles
 
 
-def write_links_tsv(path, links: Iterable[tuple[int, int, str]]) -> None:
+def write_links_tsv(path, network: DocumentNetwork) -> None:
+    """One line per link of ``network``, in edge order and each edge's
+    anchor order: source, target and the escaped anchor."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for source, target, anchor in links:
-            fh.write(f"{source}\t{target}\t{escape_field(anchor)}\n")
+        for (source, target), anchors in network.edge_items():
+            for anchor in anchors:
+                fh.write(f"{source}\t{target}\t{escape_field(anchor)}\n")
 
 
 def read_links_tsv(path) -> Iterator[tuple[int, int, str]]:
     """(source, target, anchor) per non-empty line; raises ValueError
-    naming the file and line of one that is not two integers and an
-    anchor, tab-separated."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    naming the file and line of one that is not UTF-8 or not two
+    integers and an anchor, tab-separated."""
+    with _open_utf8(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -153,9 +176,9 @@ def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
 
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
     """(source, target, score) per non-empty line; raises ValueError
-    naming the file and line of one that is not two integers and a
-    number, tab-separated."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    naming the file and line of one that is not UTF-8 or not two
+    integers and a number, tab-separated."""
+    with _open_utf8(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -213,14 +236,7 @@ class Dataset:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         write_articles_jsonl(directory / ARTICLES_FILE, self.articles)
-        write_links_tsv(
-            directory / LINKS_FILE,
-            (
-                (s, t, anchor)
-                for (s, t), anchors in self.network.edge_items()
-                for anchor in anchors
-            ),
-        )
+        write_links_tsv(directory / LINKS_FILE, self.network)
 
     @classmethod
     def load(cls, directory) -> "Dataset":

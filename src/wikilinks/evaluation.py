@@ -29,6 +29,8 @@ from .predictors import EvalModelConfig, Method, RunContext, make_method
 
 TestPair = tuple[int, int, int]  # (source, target, label)
 MODES = ("inductive", "transductive")
+# The aggregate keys of a report.json record, each a MethodMetrics field.
+_AGGREGATE_KEYS = ("auc_mean", "auc_std", "p_mean", "p_std", "r_mean", "r_std", "runs")
 
 
 class UndefinedMetricError(ValueError):
@@ -231,18 +233,18 @@ def binary_precision_recall(
 
 @dataclass
 class MethodMetrics:
-    """Aggregated metrics of one method in one mode."""
+    """Aggregated metrics of one method in one mode, named as the keys
+    of its ``report.json`` record."""
 
     method: str
     mode: str
-    binary: bool
     runs: int
     auc_mean: float
     auc_std: float
-    precision_mean: float
-    precision_std: float
-    recall_mean: float
-    recall_std: float
+    p_mean: float
+    p_std: float
+    r_mean: float
+    r_std: float
     per_run: list[tuple[float, float, float]] = field(default_factory=list)
 
 
@@ -267,9 +269,9 @@ class MetricsReport:
     def from_records(cls, records) -> "MetricsReport":
         """Rebuild a report from the output of :meth:`to_records`.
 
-        Per-run values and the binary flag are not recorded, so entries
-        come back without them. Malformed records, such as one whose mode
-        is neither "inductive" nor "transductive", raise ValueError.
+        Per-run values are not recorded, so entries come back without
+        them. Malformed records, such as one whose mode is neither
+        "inductive" nor "transductive", raise ValueError.
         """
         if not isinstance(records, list) or not records or not all(
             isinstance(record, dict) for record in records
@@ -285,20 +287,9 @@ class MetricsReport:
                 if "error" in r:
                     failures.append(EvalFailure(r["method"], r["mode"], r["run"], r["error"]))
                     continue
-                entries.append(
-                    MethodMetrics(
-                        method=r["method"],
-                        mode=r["mode"],
-                        binary=False,
-                        runs=r["runs"],
-                        auc_mean=r["auc_mean"],
-                        auc_std=r["auc_std"],
-                        precision_mean=r["p_mean"],
-                        precision_std=r["p_std"],
-                        recall_mean=r["r_mean"],
-                        recall_std=r["r_std"],
-                    )
-                )
+                entries.append(MethodMetrics(
+                    method=r["method"], mode=r["mode"], **{key: r[key] for key in _AGGREGATE_KEYS}
+                ))
                 split_hashes[r["mode"]] = r["split_hash"]
             dataset = records[0]["dataset"]
         except KeyError as exc:
@@ -317,23 +308,12 @@ class MetricsReport:
         return None
 
     def to_records(self) -> list[dict]:
-        records = []
-        for item in self.entries:
-            records.append(
-                {
-                    "dataset": self.dataset,
-                    "mode": item.mode,
-                    "method": item.method,
-                    "auc_mean": item.auc_mean,
-                    "auc_std": item.auc_std,
-                    "p_mean": item.precision_mean,
-                    "p_std": item.precision_std,
-                    "r_mean": item.recall_mean,
-                    "r_std": item.recall_std,
-                    "runs": item.runs,
-                    "split_hash": self.split_hashes.get(item.mode, ""),
-                }
-            )
+        records = [
+            {"dataset": self.dataset, "mode": item.mode, "method": item.method,
+             "split_hash": self.split_hashes[item.mode],
+             **{key: getattr(item, key) for key in _AGGREGATE_KEYS}}
+            for item in self.entries
+        ]
         for failure in self.failures:
             records.append(
                 {
@@ -349,16 +329,15 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
-    def modes(self) -> list[str]:
-        """The modes that have at least one record, in table order."""
-        # The only modes, "inductive" and "transductive", sort into table order.
-        return sorted({e.mode for e in self.entries} | {f.mode for f in self.failures})
-
-    def to_markdown(self, modes: Sequence[str] = MODES) -> str:
+    def to_markdown(self) -> str:
         """Results table: one row per method, AUC/P/R blocks per mode.
 
-        Methods that skip a mode show an em dash.
+        A mode has a block when it holds at least one entry or failure,
+        so a report rebuilt by :meth:`from_records` renders the same
+        table. Methods that skip a mode show an em dash.
         """
+        recorded = {e.mode for e in self.entries} | {f.mode for f in self.failures}
+        modes = [mode for mode in MODES if mode in recorded]
         methods: list[str] = []
         for item in self.entries:
             if item.method not in methods:
@@ -386,8 +365,8 @@ class MetricsReport:
                 else:
                     row += [
                         f"{item.auc_mean:.2f} ( {item.auc_std:.2f})",
-                        f"{item.precision_mean:.2f} ( {item.precision_std:.2f})",
-                        f"{item.recall_mean:.2f} ( {item.recall_std:.2f})",
+                        f"{item.p_mean:.2f} ( {item.p_std:.2f})",
+                        f"{item.r_mean:.2f} ( {item.r_std:.2f})",
                     ]
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
@@ -397,11 +376,14 @@ def _serialize_test_pairs(pairs: Sequence[TestPair]) -> bytes:
     return "".join(f"{s}\t{t}\t{label}\n" for s, t, label in pairs).encode("utf-8")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return mean, std
+def _mean_std(per_run: list[tuple[float, float, float]]) -> tuple[list[float], list[float]]:
+    """Mean and sample standard deviation (0.0 for one run) of each
+    column of ``per_run``. Each column is copied into a contiguous row,
+    which numpy sums as it sums a 1-D array; a reduction down the columns
+    would add the runs in another order."""
+    columns = np.ascontiguousarray(np.asarray(per_run, dtype=float).T)
+    stds = columns.std(axis=1, ddof=1) if len(per_run) > 1 else np.zeros(len(columns))
+    return columns.mean(axis=1).tolist(), stds.tolist()
 
 
 def check_method_names(names: Sequence[str]) -> None:
@@ -437,13 +419,17 @@ def run_eval(
     their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
-    skipped by contract. Empty, unknown or repeated methods or modes
-    raise ValueError before ``out_dir`` is touched.
+    skipped by contract. Empty, unknown or repeated methods or modes, and
+    a ratio outside (0, 1), raise ValueError before ``out_dir`` is touched.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
         raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
+    for name, ratio in (("transductive_ratio", transductive_ratio),
+                        ("inductive_ratio", inductive_ratio)):
+        if not 0.0 < ratio < 1.0:
+            raise ValueError(f"{name} must lie strictly between 0 and 1")
     config = config or EvalModelConfig()
     resolved = [make_method(m) for m in methods]
     check_method_names([method.name for method in resolved])
@@ -478,14 +464,7 @@ def run_eval(
                 split_dir = Path(out_dir) / "splits" / f"run_{run}" / mode
                 split_dir.mkdir(parents=True, exist_ok=True)
                 (split_dir / "test_pairs.tsv").write_bytes(pair_bytes)
-                write_links_tsv(
-                    split_dir / "train_links.tsv",
-                    (
-                        (s, t, anchor)
-                        for (s, t), anchors in split.train_network.edge_items()
-                        for anchor in anchors
-                    ),
-                )
+                write_links_tsv(split_dir / "train_links.tsv", split.train_network)
 
             ctx = RunContext(
                 tokens=tokens,
@@ -535,24 +514,12 @@ def run_eval(
             if key in failed or key not in per_method:
                 continue
             values = per_method[key]
-            auc_mean, auc_std = _mean_std([v[0] for v in values])
-            p_mean, p_std = _mean_std([v[1] for v in values])
-            r_mean, r_std = _mean_std([v[2] for v in values])
-            entries.append(
-                MethodMetrics(
-                    method=method.name,
-                    mode=mode,
-                    binary=method.binary,
-                    runs=len(values),
-                    auc_mean=auc_mean,
-                    auc_std=auc_std,
-                    precision_mean=p_mean,
-                    precision_std=p_std,
-                    recall_mean=r_mean,
-                    recall_std=r_std,
-                    per_run=values,
-                )
-            )
+            (auc_mean, p_mean, r_mean), (auc_std, p_std, r_std) = _mean_std(values)
+            entries.append(MethodMetrics(
+                method=method.name, mode=mode, runs=len(values), auc_mean=auc_mean,
+                auc_std=auc_std, p_mean=p_mean, p_std=p_std, r_mean=r_mean, r_std=r_std,
+                per_run=values,
+            ))
 
     report = MetricsReport(
         dataset=dataset.name,
@@ -564,5 +531,5 @@ def run_eval(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out / "report.md").write_text(report.to_markdown(report.modes()), encoding="utf-8")
+        (out / "report.md").write_text(report.to_markdown(), encoding="utf-8")
     return report

@@ -16,7 +16,7 @@ from wikilinks.deepwalk import sgns_gradients, sgns_loss
 from wikilinks.evaluation import pr_auc, run_eval, split_inductive, split_transductive
 from wikilinks.graph import DocumentNetwork, personalized_pagerank
 from wikilinks.lsa import fit_lsa
-from wikilinks.predictors import ols_fit
+from wikilinks.predictors import make_method, ols_fit
 
 from conftest import BENCH_CONFIG
 from test_anchors import naive_scan, scan_spans
@@ -35,8 +35,8 @@ def test_c01_at_anchor_perfect_recall(fixture_dataset):
     for mode in ("inductive", "transductive"):
         entry = report.entry("at_anchor", mode)
         assert entry.runs == 5
-        assert entry.recall_mean == 100.0
-        assert entry.recall_std == 0.0
+        assert entry.r_mean == 100.0
+        assert entry.r_std == 0.0
         for _, _, recall in entry.per_run:
             assert recall == 100.0
 
@@ -53,7 +53,7 @@ def test_c02_prevalence_thresholding_p_equals_r(fixture_dataset):
     assert not report.failures
     checked = 0
     for entry in report.entries:
-        if entry.binary:
+        if make_method(entry.method).binary:
             continue
         for _, precision, recall in entry.per_run:
             assert precision == recall

@@ -17,7 +17,7 @@ import pytest
 
 from wikilinks.cli import EXIT_OK, EXIT_USAGE, main
 from wikilinks.dataset import Dataset
-from wikilinks.graph import personalized_pagerank, topk_subgraph
+from wikilinks.graph import DocumentNetwork, personalized_pagerank, topk_subgraph
 from wikilinks.synthetic import PlantedCorpusParams, planted_dump_xml
 
 from conftest import TINY_DUMP, write_predictions
@@ -545,6 +545,23 @@ def test_malformed_dataset_line_exits_2_naming_file_and_line(
     assert err == f"error: cannot load dataset from {data}: {needle}\n"
 
 
+def test_non_utf8_dataset_byte_exits_2_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "articles.jsonl").write_text(
+        '{"id": 0, "title": "A", "abstract": "text", "aliases": []}\n'
+        '{"id": 1, "title": "B", "abstract": "text", "aliases": []}\n',
+        encoding="utf-8",
+    )
+    (data / "links.tsv").write_bytes(b"0\t1\ta\n1\t0\tab\xffc\n")
+    assert main(["dataset-stats", "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot load dataset from {data}: links.tsv line 2: 'utf-8' codec can't "
+        f"decode byte 0xff in position 6: invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize(
     "key, value", [("dump", '"pages.xml"'), ("seed_articles", '["X"]'), ("k", "1000"),
                    ("damping", "0.85")],
@@ -732,7 +749,9 @@ class TestEvalPartialFailure:
         write_articles_jsonl(data / "articles.jsonl", articles)
         write_links_tsv(
             data / "links.tsv",
-            [(0, 1, "a"), (1, 2, "b"), (2, 3, "c"), (3, 0, "d"), (0, 2, "e")],
+            DocumentNetwork.from_links(
+                4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c"), (3, 0, "d"), (0, 2, "e")]
+            ),
         )
         out = tmp_path / "results"
         config = _eval_config(

@@ -141,12 +141,26 @@ class TestArticlesJsonl:
         ):
             read_articles_jsonl(path)
 
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
+        # A Latin-1 é: the lead byte of a three-byte sequence, then a space.
+        path = tmp_path / "articles.jsonl"
+        path.write_bytes(
+            b'{"id": 0, "title": "A", "abstract": "", "aliases": []}\n'
+            b'{"id": 1, "title": "B", "abstract": "caf\xe9 au lait", "aliases": []}\n'
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^articles\.jsonl line 2: 'utf-8' codec can't decode byte 0xe9 in position 40: "
+                  r"invalid continuation byte$",
+        ):
+            read_articles_jsonl(path)
+
 
 class TestLinksTsv:
     def test_round_trip_preserves_anchor_multiset(self, tmp_path):
         links = [(0, 1, "one"), (0, 1, "one"), (0, 1, "two\twith tab"), (1, 2, "x\ny")]
         path = tmp_path / "links.tsv"
-        write_links_tsv(path, links)
+        write_links_tsv(path, DocumentNetwork.from_links(3, links))
         got = list(read_links_tsv(path))
         assert sorted(got) == sorted(links)
         net = DocumentNetwork.from_links(3, got)
@@ -162,6 +176,18 @@ class TestLinksTsv:
         path = tmp_path / "links.tsv"
         path.write_text(f"0\t1\tone\n\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^links\.tsv line 3: {message}$"):
+            list(read_links_tsv(path))
+
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
+        # Text mode decodes the whole small file at once, so the decoder's
+        # own position would count bytes into the file, not into the line.
+        path = tmp_path / "links.tsv"
+        path.write_bytes("0\t1\tone\n".encode() * 96 + b"0\t1\tab\xffc\n")
+        with pytest.raises(
+            ValueError,
+            match=r"^links\.tsv line 97: 'utf-8' codec can't decode byte 0xff in position 6: "
+                  r"invalid start byte$",
+        ):
             list(read_links_tsv(path))
 
 
@@ -237,6 +263,16 @@ class TestPredictionsTsv:
         path.write_text("0\t1\t0.5\n0\t2\tabc\n", encoding="utf-8")
         with pytest.raises(
             ValueError, match=r"^predictions\.tsv line 2: could not convert string to float: 'abc'$"
+        ):
+            list(read_predictions_tsv(path))
+
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_bytes(b"0\t1\t0.5\n\n0\t2\t0.\xff\n")
+        with pytest.raises(
+            ValueError,
+            match=r"^predictions\.tsv line 3: 'utf-8' codec can't decode byte 0xff in position 6: "
+                  r"invalid start byte$",
         ):
             list(read_predictions_tsv(path))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from collections.abc import Mapping
 
@@ -14,6 +15,8 @@ from wikilinks import evaluation, graph, lsa, predictors
 from wikilinks.anchors import CandidatePair
 from wikilinks.dataset import Dataset
 from wikilinks.evaluation import (
+    MODES,
+    MetricsReport,
     UndefinedMetricError,
     _ranking_order,
     binary_precision_recall,
@@ -25,7 +28,7 @@ from wikilinks.evaluation import (
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
-from wikilinks.predictors import Method
+from wikilinks.predictors import Method, make_method
 
 from conftest import BENCH_CONFIG
 
@@ -329,7 +332,7 @@ class TestRunEval:
                           config=BENCH_CONFIG)
         for entry in report.entries:
             assert entry.auc_std == 0.0
-            assert entry.precision_std == 0.0
+            assert entry.p_std == 0.0
 
     def test_each_abstract_tokenized_once(self, fixture_dataset, monkeypatch):
         # The LSA fits and the inductive fold-ins of both runs share one
@@ -344,7 +347,7 @@ class TestRunEval:
         for module in (evaluation, predictors, graph):
             monkeypatch.setattr(module, "tokenize", counting_tokenize)
         report = run_eval(fixture_dataset, ["lsa"], runs=2, config=BENCH_CONFIG)
-        assert report.modes() == ["inductive", "transductive"] and not report.failures
+        assert [e.mode for e in report.entries] == list(MODES) and not report.failures
         assert tokenized == Counter(a.abstract for a in fixture_dataset.articles)
 
     @pytest.mark.parametrize(
@@ -364,13 +367,35 @@ class TestRunEval:
             run_eval(fixture_dataset, methods, runs=1, config=BENCH_CONFIG)
 
     def test_deepwalk_skipped_inductively_and_dashed(self, fixture_dataset):
-        report = run_eval(fixture_dataset, ["deepwalk"], runs=1, base_seed=0,
+        report = run_eval(fixture_dataset, ["random", "deepwalk"], runs=1, base_seed=0,
                           config=BENCH_CONFIG)
         assert report.entry("deepwalk", "transductive") is not None
         assert report.entry("deepwalk", "inductive") is None
-        table = report.to_markdown()
-        assert "—" in table
+        header, _, _, dw_row = report.to_markdown().splitlines()
+        assert header.split(" | ")[1:4] == ["Inductive AUC", "Inductive P", "Inductive R"]
+        assert dw_row.split(" | ")[1:4] == ["—", "—", "—"]
         assert not report.failures
+
+    @pytest.mark.parametrize(
+        "methods, modes",
+        [
+            (["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"], MODES),
+            (["deepwalk"], MODES),
+            (["random", FailingMethod()], ("transductive",)),
+        ],
+        ids=["all-methods-both-modes", "deepwalk-alone", "transductive-with-failure"],
+    )
+    def test_one_table_for_every_caller(self, fixture_dataset, tmp_path, methods, modes):
+        # The library's table, the report.md that run_eval writes and the
+        # table of the report rebuilt from report.json (the report command)
+        # are one table.
+        report = run_eval(fixture_dataset, methods, runs=2, modes=modes, config=BENCH_CONFIG,
+                          out_dir=tmp_path)
+        rebuilt = MetricsReport.from_records(json.loads(report.to_json()))
+        table = report.to_markdown()
+        assert table == (tmp_path / "report.md").read_text(encoding="utf-8")
+        assert table == rebuilt.to_markdown()
+        assert rebuilt.to_json() == report.to_json()
 
     def test_failing_method_flagged_others_survive(self, fixture_dataset):
         report = run_eval(
@@ -409,7 +434,7 @@ class TestRunEval:
             config=BENCH_CONFIG,
         )
         for entry in report.entries:
-            assert not entry.binary
+            assert not make_method(entry.method).binary
             for _, precision, recall in entry.per_run:
                 assert precision == recall
 
@@ -447,6 +472,22 @@ class TestRunEval:
                 fixture_dataset, ["random"], runs=2, modes=modes, config=BENCH_CONFIG,
                 out_dir=tmp_path,
             )
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [dict(transductive_ratio=1.5), dict(inductive_ratio=0.0)],
+        ids=["transductive-above-one", "inductive-zero"],
+    )
+    def test_ratio_rejected_before_output_is_touched(self, fixture_dataset, tmp_path, ratios):
+        # Both ratios are checked before the earlier splits are deleted, so
+        # the split files keep matching the hashes in the earlier report.
+        run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG, out_dir=tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        name = next(iter(ratios))
+        with pytest.raises(ValueError, match=f"^{name} must lie strictly between 0 and 1$"):
+            run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG,
+                     out_dir=tmp_path, **ratios)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_run_context_holds_no_label(self, fixture_dataset):
