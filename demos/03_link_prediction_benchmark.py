@@ -20,7 +20,7 @@ def main() -> None:
           f"{dataset.network.edge_count} links")
 
     config = EvalModelConfig(
-        lsa_dimension=64,
+        dimension=64,
         deepwalk=DeepWalkParams(
             walks_per_node=10, walk_length=20, window=5, negatives=5, dimension=64
         ),
@@ -55,7 +55,7 @@ def main() -> None:
     split = split_transductive(dataset.network, dataset.anchor_candidates(), 0.1, run_seed=0)
     corpus = [tokenize(a.abstract) for a in dataset.articles]
     matrix, vocab = build_tfidf(corpus)
-    lsa_model = fit_lsa(matrix, d=config.lsa_dimension, vocabulary=vocab)
+    lsa_model = fit_lsa(matrix, d=config.dimension, vocabulary=vocab)
     model = fit_atilp(split.train_network, lsa_model, dataset.anchor_candidates(), seed=0)
     c = model.coefficients
     print("\nlearned weights on (anchor-source, anchor-target, source-target):")

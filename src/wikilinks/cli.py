@@ -13,7 +13,6 @@ import bz2
 import difflib
 import gzip
 import json
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .dataset import Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
-from .evaluation import MODES, MetricsReport, check_method_names, run_eval
+from .evaluation import MODES, MetricsReport, check_run_settings, run_eval
 from .graph import DocumentNetwork, network_stats, personalized_pagerank, topk_subgraph
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
 from .predictors import EvalModelConfig, ExternalFileMethod, make_method
@@ -41,10 +40,10 @@ class PipelineConfig:
 
     data: str | None = None
     out: str | None = None
-    dimension: int = 512
+    dimension: int = EvalModelConfig.dimension
     deepwalk: dict = field(default_factory=dict)
-    atilp_positives: int = 1000
-    atilp_negatives: int = 1000
+    atilp_positives: int = EvalModelConfig.atilp_positives
+    atilp_negatives: int = EvalModelConfig.atilp_negatives
     transductive_ratio: float = 0.10
     inductive_ratio: float = 0.10
     runs: int = 5
@@ -74,36 +73,33 @@ class PipelineConfig:
         return cls(**raw)
 
     def validate(self) -> None:
-        """Check every field's type and range; raise :class:`InputError`
-        naming the first bad field."""
+        """Check the JSON shapes and paths here and every value with the
+        library's own checks; raise :class:`InputError` naming the first
+        bad key."""
         for name in ("data", "out"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise InputError(f"{name} must be a string path")
         if not isinstance(self.methods, list) or not all(isinstance(v, str) for v in self.methods):
             raise InputError("methods must be a list of strings")
-        for name, minimum in (
-            ("dimension", 1), ("atilp_positives", 1), ("atilp_negatives", 1),
-            ("runs", 1), ("base_seed", 0),
-        ):
-            _require_int(name, getattr(self, name), minimum)
-        for name in ("transductive_ratio", "inductive_ratio"):
-            value = getattr(self, name)
-            if not _is_finite_number(value) or not 0.0 < value < 1.0:
-                raise InputError(f"{name} must lie strictly between 0 and 1")
-        if self.mode not in ("transductive", "inductive", "both"):
-            raise InputError("mode must be transductive, inductive or both")
-        for method in self.methods:
-            try:
-                make_method(method)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-        _validate_deepwalk(self.deepwalk)
         if not isinstance(self.external_methods, dict) or not all(
             isinstance(path, str) for path in self.external_methods.values()
         ):
             raise InputError("external_methods must map method names to file paths")
+        if self.mode not in ("transductive", "inductive", "both"):
+            raise InputError("mode must be transductive, inductive or both")
+        if not isinstance(self.deepwalk, dict):
+            raise InputError("deepwalk must be a JSON object")
+        unknown = set(self.deepwalk) - {f.name for f in fields(DeepWalkParams)}
+        if unknown:
+            raise InputError(f"unknown deepwalk keys: {', '.join(sorted(unknown))}")
         try:
-            check_method_names(self.methods + list(self.external_methods))
+            for method in self.methods:
+                make_method(method)
+            check_run_settings(
+                self.methods + list(self.external_methods), self.runs, self.base_seed,
+                self.modes(), self.transductive_ratio, self.inductive_ratio,
+            )
+            self.model_config()
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if self.data and _path_kind(Path(self.data)) is None:
@@ -119,44 +115,16 @@ class PipelineConfig:
             if _path_kind(Path(path)) is None:
                 raise InputError(f"external predictions for {name!r} missing: {path}")
 
+    def modes(self) -> tuple[str, ...]:
+        return MODES if self.mode == "both" else (self.mode,)
+
     def model_config(self) -> EvalModelConfig:
-        return EvalModelConfig(
-            lsa_dimension=self.dimension,
-            deepwalk=DeepWalkParams(**self.deepwalk),
-            atilp_positives=self.atilp_positives,
-            atilp_negatives=self.atilp_negatives,
-        )
-
-
-def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InputError(f"{name} must be at least {minimum}")
-
-
-def _validate_deepwalk(raw) -> None:
-    """The ``deepwalk`` config object: known :class:`DeepWalkParams` keys
-    only; integer fields at least 1, a finite positive learning rate and
-    a boolean ``undirected``."""
-    if not isinstance(raw, dict):
-        raise InputError("deepwalk must be a JSON object")
-    unknown = set(raw) - {f.name for f in fields(DeepWalkParams)}
-    if unknown:
-        raise InputError(f"unknown deepwalk keys: {', '.join(sorted(unknown))}")
-    for name, value in raw.items():
-        if name == "learning_rate":
-            if not _is_finite_number(value) or value <= 0:
-                raise InputError("deepwalk.learning_rate must be a finite number above 0")
-        elif name == "undirected":
-            if not isinstance(value, bool):
-                raise InputError("deepwalk.undirected must be true or false")
-        else:
-            _require_int(f"deepwalk.{name}", value, 1)
+        """The model settings; a bad value raises ValueError naming its key."""
+        try:
+            deepwalk = DeepWalkParams(**self.deepwalk)
+        except ValueError as exc:
+            raise ValueError(f"deepwalk.{exc}") from None
+        return EvalModelConfig(self.dimension, deepwalk, self.atilp_positives, self.atilp_negatives)
 
 
 def _path_kind(path: Path) -> str | None:
@@ -319,7 +287,6 @@ def cmd_eval(args) -> int:
         raise InputError("no dataset directory given (--data or config 'data')")
 
     dataset = _load_dataset(config.data)
-    modes = MODES if config.mode == "both" else (config.mode,)
     methods: list = list(config.methods)
     for name, path in sorted(config.external_methods.items()):
         try:
@@ -331,7 +298,7 @@ def cmd_eval(args) -> int:
         methods,
         runs=config.runs,
         base_seed=config.base_seed,
-        modes=modes,
+        modes=config.modes(),
         transductive_ratio=config.transductive_ratio,
         inductive_ratio=config.inductive_ratio,
         config=config.model_config(),

@@ -2,7 +2,7 @@
 
 A dataset directory holds ``articles.jsonl`` (one article object per
 line) and ``links.tsv`` (one source/target/anchor triple per line, with
-tab, newline and backslash escaped inside anchor texts). Subgraph
+tab, line break and backslash escaped inside anchor texts). Subgraph
 exports add a ``remap.tsv`` id table; evaluation artifacts use
 ``samples.tsv``, ``predictions.tsv`` and split files in the same
 escaping conventions; ``samples.tsv`` also escapes '|' inside an anchor,
@@ -32,13 +32,13 @@ ARTICLES_FILE = "articles.jsonl"
 LINKS_FILE = "links.tsv"
 
 
-_ESCAPE_RE = re.compile(r"\\[tn\\]")
-_UNESCAPES = {"\\t": "\t", "\\n": "\n", "\\\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\[tnr\\]")
+_UNESCAPES = {"\\t": "\t", "\\n": "\n", "\\r": "\r", "\\\\": "\\"}
 
 
 def escape_field(text: str) -> str:
-    """Escape backslash, tab and newline for TSV fields."""
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    """Escape backslash, tab and the line breaks newline and carriage return."""
+    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
 
 def unescape_field(text: str) -> str:

@@ -9,6 +9,8 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -32,8 +34,19 @@ class UnsupportedModeError(RuntimeError):
     """A predictor was asked to score outside its supported mode."""
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer
+    (numpy's too, but not a bool) of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
 @dataclass(frozen=True)
 class DeepWalkParams:
+    """Walk and SGNS settings; a bad value raises ValueError naming it."""
+
     walks_per_node: int = 80
     walk_length: int = 40
     window: int = 10
@@ -41,6 +54,17 @@ class DeepWalkParams:
     dimension: int = 512
     learning_rate: float = 0.025
     undirected: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("walks_per_node", "walk_length", "window", "negatives", "dimension"):
+            check_int(name, getattr(self, name), 1)
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (
+            isinstance(rate, numbers.Real) and math.isfinite(rate) and rate > 0
+        ):
+            raise ValueError("learning_rate must be a finite number above 0")
+        if not isinstance(self.undirected, bool):
+            raise ValueError("undirected must be true or false")
 
 
 @dataclass

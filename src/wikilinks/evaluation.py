@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import shutil
 import sys
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .dataset import write_links_tsv
+from .deepwalk import check_int
 from .graph import DocumentNetwork
 from .lsa import tokenize
 from .predictors import EvalModelConfig, Method, RunContext, make_method
@@ -386,16 +388,30 @@ def _mean_std(per_run: list[tuple[float, float, float]]) -> tuple[list[float], l
     return columns.mean(axis=1).tolist(), stds.tolist()
 
 
-def check_method_names(names: Sequence[str]) -> None:
-    """Raise ValueError unless there is at least one method name and no
-    name repeats: a report pools each method's runs under its name."""
-    if not names:
+def check_run_settings(
+    method_names: Sequence[str],
+    runs: int,
+    base_seed: int,
+    modes: Sequence[str],
+    transductive_ratio: float,
+    inductive_ratio: float,
+) -> None:
+    """Raise ValueError naming the first bad :func:`run_eval` setting. A
+    ratio must be a number strictly between 0 and 1, which NaN is not; a
+    report pools each method's runs under its name, so none may repeat."""
+    check_int("runs", runs, 1)
+    check_int("base_seed", base_seed, 0)
+    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
+    for name, ratio in (("transductive_ratio", transductive_ratio),
+                        ("inductive_ratio", inductive_ratio)):
+        if not (isinstance(ratio, numbers.Real) and 0.0 < ratio < 1.0):
+            raise ValueError(f"{name} must lie strictly between 0 and 1")
+    if not method_names:
         raise ValueError("no methods to evaluate")
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
+    for i, name in enumerate(method_names):
+        if name in method_names[:i]:
             raise ValueError(f"method {name!r} is listed twice")
-        seen.add(name)
 
 
 def run_eval(
@@ -419,20 +435,14 @@ def run_eval(
     their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
-    skipped by contract. Empty, unknown or repeated methods or modes, and
-    a ratio outside (0, 1), raise ValueError before ``out_dir`` is touched.
+    skipped by contract. An unknown method, or a setting that
+    :func:`check_run_settings` rejects, raises ValueError before
+    ``out_dir`` is touched.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
-        raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
-    for name, ratio in (("transductive_ratio", transductive_ratio),
-                        ("inductive_ratio", inductive_ratio)):
-        if not 0.0 < ratio < 1.0:
-            raise ValueError(f"{name} must lie strictly between 0 and 1")
-    config = config or EvalModelConfig()
     resolved = [make_method(m) for m in methods]
-    check_method_names([method.name for method in resolved])
+    check_run_settings([method.name for method in resolved], runs, base_seed, modes,
+                       transductive_ratio, inductive_ratio)
+    config = config or EvalModelConfig()
 
     if out_dir is not None and (Path(out_dir) / "splits").is_dir():
         shutil.rmtree(Path(out_dir) / "splits")

@@ -17,7 +17,7 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .dataset import read_predictions_tsv
-from .deepwalk import DeepWalkParams, fit_deepwalk, score_deepwalk
+from .deepwalk import DeepWalkParams, check_int, fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
 
@@ -160,12 +160,18 @@ def fit_atilp(
 
 @dataclass(frozen=True)
 class EvalModelConfig:
-    """Model hyperparameters used by the evaluation harness."""
+    """Model hyperparameters used by the evaluation harness: the LSA
+    dimension, the DeepWalk settings and ATILP's training sample sizes.
+    A bad count raises ValueError naming its field."""
 
-    lsa_dimension: int = 512
+    dimension: int = 512
     deepwalk: DeepWalkParams = field(default_factory=DeepWalkParams)
     atilp_positives: int = 1000
     atilp_negatives: int = 1000
+
+    def __post_init__(self) -> None:
+        for name in ("dimension", "atilp_positives", "atilp_negatives"):
+            check_int(name, getattr(self, name), 1)
 
 
 class RunContext:
@@ -211,7 +217,7 @@ class RunContext:
             docs = sorted(self.train_nodes)
             try:
                 matrix, vocabulary = build_tfidf([self.tokens[doc] for doc in docs])
-                model = fit_lsa(matrix, self.config.lsa_dimension, vocabulary=vocabulary)
+                model = fit_lsa(matrix, self.config.dimension, vocabulary=vocabulary)
                 del matrix  # free the TF-IDF cells before the fold-in
                 vectors = np.empty((len(self.tokens), model.dimension))
                 vectors[docs] = model.doc_embeddings

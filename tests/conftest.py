@@ -127,7 +127,7 @@ BENCH_PARAMS = PlantedCorpusParams(
 )
 
 BENCH_CONFIG = EvalModelConfig(
-    lsa_dimension=64,
+    dimension=64,
     deepwalk=DeepWalkParams(
         walks_per_node=10, walk_length=20, window=5, negatives=5, dimension=64
     ),

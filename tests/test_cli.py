@@ -475,6 +475,11 @@ class TestReportCommand:
         ("eval", '{"methods": ["random"], "external_methods": {"random": "p.tsv"}}',
          "method 'random' is listed twice"),
         ("eval", '{"methods": []}', "no methods to evaluate"),
+        ("eval", '{"dimension": 0}', "error: dimension must be at least 1"),
+        ("eval", '{"atilp_negatives": true}', "atilp_negatives must be an integer, got True"),
+        ("eval", '{"base_seed": 1.5}', "base_seed must be an integer, got 1.5"),
+        ("eval", '{"transductive_ratio": NaN}',
+         "transductive_ratio must lie strictly between 0 and 1"),
     ],
     ids=[
         "report-invalid-json", "report-list-of-numbers", "report-mode-not-a-string",
@@ -484,6 +489,8 @@ class TestReportCommand:
         "eval-deepwalk-walk-length-string", "eval-deepwalk-window-zero",
         "eval-deepwalk-learning-rate-zero", "eval-deepwalk-undirected-int",
         "eval-method-twice", "eval-external-method-shadows-builtin", "eval-no-methods",
+        "eval-dimension-zero", "eval-atilp-negatives-bool", "eval-fractional-seed",
+        "eval-ratio-nan",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content, needle):
@@ -808,7 +815,7 @@ class TestEvalPartialFailure:
         monkeypatch.setattr(predictors, "build_tfidf", counted_build_tfidf)
         report = run_eval(
             Dataset.load(planted_data_dir), ["random", "lsa", "atilp"], runs=2,
-            config=EvalModelConfig(lsa_dimension=16),
+            config=EvalModelConfig(dimension=16),
         )
         assert len(calls) == 4  # one per run and mode
         errors = {(f.method, f.mode, f.run): f.error for f in report.failures}

@@ -44,6 +44,10 @@ def reference_unescape_field(text: str) -> str:
                 out.append("\n")
                 i += 2
                 continue
+            if nxt == "r":
+                out.append("\r")
+                i += 2
+                continue
             if nxt == "\\":
                 out.append("\\")
                 i += 2
@@ -62,17 +66,22 @@ class TestEscaping:
     def test_round_trip(self, text):
         assert unescape_field(escape_field(text)) == text
 
-    @given(st.text(alphabet="\\tnx\t\n", max_size=40) | st.text(max_size=80))
+    @given(st.text(alphabet="\\tnrx\t\n\r", max_size=40) | st.text(max_size=80))
     def test_unescape_matches_reference(self, text):
         assert unescape_field(text) == reference_unescape_field(text)
 
-    @pytest.mark.parametrize("text", ["", "\\", "a\\", "\\\\\\", "\\x\\t", "\\\\t", "\\\\\\n"])
+    @pytest.mark.parametrize(
+        "text", ["", "\\", "a\\", "\\\\\\", "\\x\\t", "\\\\t", "\\\\\\n", "\\r", "\\\\r"]
+    )
     def test_unescape_named_cases(self, text):
         assert unescape_field(text) == reference_unescape_field(text)
 
     def test_escaped_field_has_no_raw_separators(self):
-        escaped = escape_field("x\ty\nz")
-        assert "\t" not in escaped and "\n" not in escaped
+        # Text mode ends a line at a bare carriage return, so it is escaped
+        # like the newline.
+        escaped = escape_field("x\ty\nz\rw")
+        assert "\t" not in escaped and "\n" not in escaped and "\r" not in escaped
+        assert escaped == "x\\ty\\nz\\rw"
 
 
 # Quotes, backslashes, control characters, the line and paragraph
@@ -158,7 +167,9 @@ class TestArticlesJsonl:
 
 class TestLinksTsv:
     def test_round_trip_preserves_anchor_multiset(self, tmp_path):
-        links = [(0, 1, "one"), (0, 1, "one"), (0, 1, "two\twith tab"), (1, 2, "x\ny")]
+        # Text mode ends a line at a bare carriage return too.
+        links = [(0, 1, "one"), (0, 1, "one"), (0, 1, "two\twith tab"), (1, 2, "x\ny"),
+                 (2, 0, "a\rb")]
         path = tmp_path / "links.tsv"
         write_links_tsv(path, DocumentNetwork.from_links(3, links))
         got = list(read_links_tsv(path))
@@ -200,19 +211,19 @@ class TestRemapTsv:
 
 class TestSamplesTsv:
     def test_round_trip_labels_and_strings(self, tmp_path):
-        candidates = {0: {1: ("alpha beta",), 2: ("x", "y\tz")}, 1: {}}
+        candidates = {0: {1: ("alpha beta",), 2: ("x", "y\tz\r")}, 1: {}}
         network = DocumentNetwork.from_links(3, [(0, 1, "alpha beta")])
         path = tmp_path / "samples.tsv"
         write_samples_tsv(path, candidates, network)
-        assert path.read_text(encoding="utf-8") == "0\t1\t1\talpha beta\n0\t2\t0\tx|y\\tz\n"
+        assert path.read_bytes() == b"0\t1\t1\talpha beta\n0\t2\t0\tx|y\\tz\\r\n"
 
 
 def split_sample_anchors(field: str) -> list[str]:
     """The anchors of a ``samples.tsv`` anchors column: split at each '|'
     that no backslash escapes, then undo the escapes."""
-    unescapes = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\|": "|"}
+    unescapes = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r", "\\|": "|"}
     anchors, current = [], []
-    for token in re.findall(r"\\[\\tn|]|\||[^\\|]+", field):
+    for token in re.findall(r"\\[\\tnr|]|\||[^\\|]+", field):
         if token == "|":
             anchors.append("".join(current))
             current = []
@@ -234,7 +245,7 @@ class TestSampleAnchors:
 
     @given(
         st.lists(
-            st.lists(st.text(alphabet="ab|\\\t\ntn ", max_size=6), min_size=1, max_size=4),
+            st.lists(st.text(alphabet="ab|\\\t\n\rtnr ", max_size=6), min_size=1, max_size=4),
             min_size=1,
             max_size=4,
         )
@@ -284,6 +295,14 @@ class TestDataset:
         assert loaded.articles == tiny_dataset.articles
         assert set(loaded.network.edges()) == set(tiny_dataset.network.edges())
         assert dict(loaded.network.edge_items()) == dict(tiny_dataset.network.edge_items())
+
+    def test_carriage_return_in_anchor_round_trips(self, tmp_path):
+        articles = [Article(id=0, title="A", abstract="a b"), Article(id=1, title="B", abstract="")]
+        dataset = Dataset("cr", articles, DocumentNetwork.from_links(2, [(0, 1, "a\rb")]))
+        dataset.save(tmp_path / "cr")
+        loaded = Dataset.load(tmp_path / "cr")
+        assert dict(loaded.network.edge_items()) == {(0, 1): ("a\rb",)}
+        assert loaded.articles == articles
 
     def test_idempotent_save(self, tmp_path, tiny_dataset):
         tiny_dataset.save(tmp_path / "a")

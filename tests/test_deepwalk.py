@@ -4,6 +4,7 @@ reference loop."""
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -352,6 +353,32 @@ class TestWalks:
         params = DeepWalkParams(walks_per_node=3, walk_length=5, undirected=False)
         walks = generate_walks(net, [0, 1], params, np.random.default_rng(0))
         assert all(w == [1] for w in walks if w[0] == 1)
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("window", 0, "window must be at least 1"),
+            ("negatives", -1, "negatives must be at least 1"),
+            ("walk_length", "20", "walk_length must be an integer, got '20'"),
+            ("dimension", True, "dimension must be an integer, got True"),
+            ("learning_rate", 0, "learning_rate must be a finite number above 0"),
+            ("learning_rate", float("nan"), "learning_rate must be a finite number above 0"),
+            ("undirected", 1, "undirected must be true or false"),
+        ],
+        ids=["window-zero", "negatives-negative", "walk-length-string", "dimension-bool",
+             "learning-rate-zero", "learning-rate-nan", "undirected-int"],
+    )
+    def test_bad_value_raises_naming_the_field(self, name, value, message):
+        # window=0 would make no SGD update and return the random start.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DeepWalkParams(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = dict(walks_per_node=2, walk_length=5, window=2, negatives=1, dimension=4)
+        params = DeepWalkParams(**{name: np.int64(v) for name, v in counts.items()})
+        assert params == DeepWalkParams(**counts)
 
 
 class TestFitDeepwalk:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from collections.abc import Mapping
 
@@ -475,19 +476,28 @@ class TestRunEval:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
-        "ratios",
-        [dict(transductive_ratio=1.5), dict(inductive_ratio=0.0)],
-        ids=["transductive-above-one", "inductive-zero"],
+        "bad, message",
+        [
+            (dict(transductive_ratio=1.5), "transductive_ratio must lie strictly between 0 and 1"),
+            (dict(inductive_ratio=0.0), "inductive_ratio must lie strictly between 0 and 1"),
+            (dict(base_seed=-1), "base_seed must be at least 0"),
+            (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
+            (dict(runs=2.5), "runs must be an integer, got 2.5"),
+        ],
+        ids=["transductive-above-one", "inductive-zero", "negative-seed", "fractional-seed",
+             "fractional-runs"],
     )
-    def test_ratio_rejected_before_output_is_touched(self, fixture_dataset, tmp_path, ratios):
-        # Both ratios are checked before the earlier splits are deleted, so
-        # the split files keep matching the hashes in the earlier report.
+    def test_ratio_rejected_before_output_is_touched(
+        self, fixture_dataset, tmp_path, bad, message
+    ):
+        # Both ratios, the seed and the run count are checked before the
+        # earlier splits are deleted, so the split files keep matching the
+        # hashes in the earlier report.
         run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG, out_dir=tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        name = next(iter(ratios))
-        with pytest.raises(ValueError, match=f"^{name} must lie strictly between 0 and 1$"):
-            run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG,
-                     out_dir=tmp_path, **ratios)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_eval(fixture_dataset, ["random"], config=BENCH_CONFIG, out_dir=tmp_path,
+                     **{"runs": 1, **bad})
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_run_context_holds_no_label(self, fixture_dataset):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -57,7 +58,7 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
         seed=0,
         candidates={},
         title_candidates={},
-        config=EvalModelConfig(lsa_dimension=d),
+        config=EvalModelConfig(dimension=d),
     )
 
 
@@ -538,6 +539,28 @@ class TestMakeMethod:
     def test_builtins_resolve(self):
         for name in ("random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"):
             assert make_method(name).name == name
+
+
+class TestEvalModelConfig:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("dimension", True, "dimension must be an integer, got True"),
+            ("atilp_positives", 0, "atilp_positives must be at least 1"),
+            ("atilp_negatives", 2.0, "atilp_negatives must be an integer, got 2.0"),
+        ],
+        ids=["dimension-bool", "positives-zero", "negatives-float"],
+    )
+    def test_bad_count_raises_naming_the_field(self, name, value, message):
+        # atilp_positives=0 would fit ATILP on negatives only.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EvalModelConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = EvalModelConfig(
+            dimension=np.int64(16), atilp_positives=np.int64(5), atilp_negatives=np.int64(7)
+        )
+        assert config == EvalModelConfig(dimension=16, atilp_positives=5, atilp_negatives=7)
 
 
 class TestAtilpTrainingRestriction:
