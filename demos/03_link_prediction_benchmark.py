@@ -7,7 +7,7 @@ the string matchers, LSA, DeepWalk and the anchor-informed linear model.
 Run with:  python3 demos/03_link_prediction_benchmark.py   (~20 s)
 """
 
-from wikilinks import DeepWalkParams, EvalModelConfig, run_eval
+from wikilinks import DeepWalkParams, EvalConfig, run_eval
 from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 
@@ -19,7 +19,9 @@ def main() -> None:
     print(f"benchmark corpus: {dataset.network.node_count} documents, "
           f"{dataset.network.edge_count} links")
 
-    config = EvalModelConfig(
+    config = EvalConfig(
+        runs=5,
+        base_seed=0,
         dimension=64,
         deepwalk=DeepWalkParams(
             walks_per_node=10, walk_length=20, window=5, negatives=5, dimension=64
@@ -30,9 +32,7 @@ def main() -> None:
     report = run_eval(
         dataset,
         ["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"],
-        runs=5,
-        base_seed=0,
-        config=config,
+        config,
     )
     print()
     print(report.to_markdown())
@@ -52,11 +52,16 @@ def main() -> None:
     from wikilinks.lsa import build_tfidf, fit_lsa, tokenize
     from wikilinks.predictors import fit_atilp
 
-    split = split_transductive(dataset.network, dataset.anchor_candidates(), 0.1, run_seed=0)
+    split = split_transductive(
+        dataset.network, dataset.anchor_candidates(), config.transductive_ratio, run_seed=0
+    )
     corpus = [tokenize(a.abstract) for a in dataset.articles]
     matrix, vocab = build_tfidf(corpus)
     lsa_model = fit_lsa(matrix, d=config.dimension, vocabulary=vocab)
-    model = fit_atilp(split.train_network, lsa_model, dataset.anchor_candidates(), seed=0)
+    model = fit_atilp(
+        split.train_network, lsa_model, dataset.anchor_candidates(),
+        n_positive=config.atilp_positives, n_negative=config.atilp_negatives, seed=0,
+    )
     c = model.coefficients
     print("\nlearned weights on (anchor-source, anchor-target, source-target):")
     print(f"   c = ({c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f}), intercept {model.intercept:.2f}")

@@ -22,6 +22,7 @@ from .deepwalk import (
     score_deepwalk,
 )
 from .evaluation import (
+    EvalConfig,
     EvalSplit,
     MetricsReport,
     UndefinedMetricError,
@@ -58,8 +59,8 @@ from .lsa import (
     tokenize,
 )
 from .predictors import (
+    METHOD_NAMES,
     AtilpModel,
-    EvalModelConfig,
     ExternalFileMethod,
     Method,
     fit_atilp,

@@ -20,10 +20,11 @@ from pathlib import Path
 
 from .dataset import Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
-from .evaluation import MODES, MetricsReport, check_run_settings, run_eval
-from .graph import DocumentNetwork, network_stats, personalized_pagerank, topk_subgraph
+from .evaluation import MODES, EvalConfig, MetricsReport, check_method_names, run_eval
+from .graph import (DocumentNetwork, check_damping, network_stats, personalized_pagerank,
+                    topk_subgraph)
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
-from .predictors import EvalModelConfig, ExternalFileMethod, make_method
+from .predictors import METHOD_NAMES, ExternalFileMethod, make_method
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -36,23 +37,17 @@ class InputError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Declarative experiment configuration (JSON file)."""
+    """Declarative experiment configuration (JSON file). Every other
+    :class:`EvalConfig` field but ``modes``, which ``mode`` sets, is a key
+    of its own, held in ``settings``."""
 
     data: str | None = None
     out: str | None = None
-    dimension: int = EvalModelConfig.dimension
     deepwalk: dict = field(default_factory=dict)
-    atilp_positives: int = EvalModelConfig.atilp_positives
-    atilp_negatives: int = EvalModelConfig.atilp_negatives
-    transductive_ratio: float = 0.10
-    inductive_ratio: float = 0.10
-    runs: int = 5
-    base_seed: int = 0
     mode: str = "both"
-    methods: list[str] = field(
-        default_factory=lambda: ["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"]
-    )
+    methods: list[str] = field(default_factory=lambda: list(METHOD_NAMES))
     external_methods: dict = field(default_factory=dict)
+    settings: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -66,16 +61,17 @@ class PipelineConfig:
             raise InputError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise InputError(f"config {path} must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        own = {f.name for f in fields(cls)} - {"settings"}
+        unknown = set(raw) - own - ({f.name for f in fields(EvalConfig)} - {"modes"})
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**raw)
+        return cls(**{key: raw[key] for key in own & set(raw)},
+                   settings={key: value for key, value in raw.items() if key not in own})
 
-    def validate(self) -> None:
+    def validate(self) -> EvalConfig:
         """Check the JSON shapes and paths here and every value with the
-        library's own checks; raise :class:`InputError` naming the first
-        bad key."""
+        library's own checks; return the evaluation settings, or raise
+        :class:`InputError` naming the first bad key."""
         for name in ("data", "out"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise InputError(f"{name} must be a string path")
@@ -95,11 +91,13 @@ class PipelineConfig:
         try:
             for method in self.methods:
                 make_method(method)
-            check_run_settings(
-                self.methods + list(self.external_methods), self.runs, self.base_seed,
-                self.modes(), self.transductive_ratio, self.inductive_ratio,
-            )
-            self.model_config()
+            check_method_names(self.methods + list(self.external_methods))
+            try:
+                deepwalk = DeepWalkParams(**self.deepwalk)
+            except ValueError as exc:
+                raise ValueError(f"deepwalk.{exc}") from None
+            modes = MODES if self.mode == "both" else (self.mode,)
+            settings = EvalConfig(modes=modes, deepwalk=deepwalk, **self.settings)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if self.data and _path_kind(Path(self.data)) is None:
@@ -114,17 +112,7 @@ class PipelineConfig:
         for name, path in self.external_methods.items():
             if _path_kind(Path(path)) is None:
                 raise InputError(f"external predictions for {name!r} missing: {path}")
-
-    def modes(self) -> tuple[str, ...]:
-        return MODES if self.mode == "both" else (self.mode,)
-
-    def model_config(self) -> EvalModelConfig:
-        """The model settings; a bad value raises ValueError naming its key."""
-        try:
-            deepwalk = DeepWalkParams(**self.deepwalk)
-        except ValueError as exc:
-            raise ValueError(f"deepwalk.{exc}") from None
-        return EvalModelConfig(self.dimension, deepwalk, self.atilp_positives, self.atilp_negatives)
+        return settings
 
 
 def _path_kind(path: Path) -> str | None:
@@ -210,8 +198,10 @@ def cmd_subgraph(args) -> int:
     out = _output_directory(args.out)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
-    if not 0.0 < args.damping < 1.0:
-        raise InputError(f"--damping must lie strictly between 0 and 1, got {args.damping}")
+    try:
+        check_damping(args.damping)
+    except ValueError as exc:
+        raise InputError(f"--{exc}") from exc
     dataset = _load_dataset(args.data)
     seed = _resolve_seed_article(dataset, args.seed_article)
     if args.k > dataset.network.node_count:
@@ -278,11 +268,10 @@ def cmd_eval(args) -> int:
         config.out = args.out
     if args.mode:
         config.mode = args.mode
-    if args.runs is not None:
-        config.runs = args.runs
-    if args.base_seed is not None:
-        config.base_seed = args.base_seed
-    config.validate()
+    for key in ("runs", "base_seed"):
+        if getattr(args, key) is not None:
+            config.settings[key] = getattr(args, key)
+    settings = config.validate()
     if not config.data:
         raise InputError("no dataset directory given (--data or config 'data')")
 
@@ -293,17 +282,7 @@ def cmd_eval(args) -> int:
             methods.append(ExternalFileMethod(name, path))
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read predictions for {name!r} from {path}: {exc}") from exc
-    report = run_eval(
-        dataset,
-        methods,
-        runs=config.runs,
-        base_seed=config.base_seed,
-        modes=config.modes(),
-        transductive_ratio=config.transductive_ratio,
-        inductive_ratio=config.inductive_ratio,
-        config=config.model_config(),
-        out_dir=config.out,
-    )
+    report = run_eval(dataset, methods, settings, out_dir=config.out)
     print(report.to_markdown())
     if report.failures:
         for failure in report.failures:
@@ -364,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="output directory for report + splits")
     p_eval.add_argument("--mode", choices=("transductive", "inductive", "both"),
                         help="evaluation mode (default both)")
-    p_eval.add_argument("--runs", type=int, help="number of repeated runs (default 5)")
+    p_eval.add_argument("--runs", type=int,
+                        help=f"number of repeated runs (default {EvalConfig.runs})")
     p_eval.add_argument("--base-seed", type=int, help="seed of run 0; run i uses base+i")
     p_eval.set_defaults(func=cmd_eval)
 

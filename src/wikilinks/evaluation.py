@@ -24,10 +24,10 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .dataset import write_links_tsv
-from .deepwalk import check_int
+from .deepwalk import DeepWalkParams, check_int
 from .graph import DocumentNetwork
 from .lsa import tokenize
-from .predictors import EvalModelConfig, Method, RunContext, make_method
+from .predictors import Method, RunContext, make_method
 
 TestPair = tuple[int, int, int]  # (source, target, label)
 MODES = ("inductive", "transductive")
@@ -90,7 +90,7 @@ class EvalSplit:
 def split_transductive(
     network: DocumentNetwork,
     candidates: Mapping[int, Collection[int]],
-    ratio: float = 0.10,
+    ratio: float,
     run_seed: int = 0,
 ) -> EvalSplit:
     """Hide round(ratio * n_E) edges chosen uniformly without replacement.
@@ -124,7 +124,7 @@ def split_transductive(
 def split_inductive(
     network: DocumentNetwork,
     candidates: Mapping[int, Collection[int]],
-    ratio: float = 0.10,
+    ratio: float,
     run_seed: int = 0,
 ) -> EvalSplit:
     """Hide round(ratio * n_V) documents chosen uniformly.
@@ -388,44 +388,55 @@ def _mean_std(per_run: list[tuple[float, float, float]]) -> tuple[list[float], l
     return columns.mean(axis=1).tolist(), stds.tolist()
 
 
-def check_run_settings(
-    method_names: Sequence[str],
-    runs: int,
-    base_seed: int,
-    modes: Sequence[str],
-    transductive_ratio: float,
-    inductive_ratio: float,
-) -> None:
-    """Raise ValueError naming the first bad :func:`run_eval` setting. A
-    ratio must be a number strictly between 0 and 1, which NaN is not; a
-    report pools each method's runs under its name, so none may repeat."""
-    check_int("runs", runs, 1)
-    check_int("base_seed", base_seed, 0)
-    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
-        raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
-    for name, ratio in (("transductive_ratio", transductive_ratio),
-                        ("inductive_ratio", inductive_ratio)):
-        if not (isinstance(ratio, numbers.Real) and 0.0 < ratio < 1.0):
-            raise ValueError(f"{name} must lie strictly between 0 and 1")
-    if not method_names:
+@dataclass(frozen=True)
+class EvalConfig:
+    """The settings of :func:`run_eval`: runs, seeds, modes, the fraction
+    of edges or documents each split hides, the LSA dimension, DeepWalk's
+    settings and ATILP's sample sizes. A bad value raises ValueError naming
+    its field; a ratio lies strictly between 0 and 1, which NaN does not."""
+
+    runs: int = 5
+    base_seed: int = 0
+    modes: tuple[str, ...] = MODES
+    transductive_ratio: float = 0.10
+    inductive_ratio: float = 0.10
+    dimension: int = 512
+    deepwalk: DeepWalkParams = field(default_factory=DeepWalkParams)
+    atilp_positives: int = 1000
+    atilp_negatives: int = 1000
+
+    def __post_init__(self) -> None:
+        check_int("runs", self.runs, 1)
+        check_int("base_seed", self.base_seed, 0)
+        modes = self.modes
+        if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
+            raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
+        for name in ("transductive_ratio", "inductive_ratio"):
+            ratio = getattr(self, name)
+            if not (isinstance(ratio, numbers.Real) and 0.0 < ratio < 1.0):
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
+        for name in ("dimension", "atilp_positives", "atilp_negatives"):
+            check_int(name, getattr(self, name), 1)
+
+
+def check_method_names(names: Sequence[str]) -> None:
+    """Raise ValueError unless ``names`` is a non-empty list of distinct
+    method names: a report pools each method's runs under its name."""
+    if not names:
         raise ValueError("no methods to evaluate")
-    for i, name in enumerate(method_names):
-        if name in method_names[:i]:
+    for i, name in enumerate(names):
+        if name in names[:i]:
             raise ValueError(f"method {name!r} is listed twice")
 
 
 def run_eval(
     dataset,
     methods: Sequence[str | Method],
-    runs: int = 5,
-    base_seed: int = 0,
-    modes: Sequence[str] = MODES,
-    transductive_ratio: float = 0.10,
-    inductive_ratio: float = 0.10,
-    config: EvalModelConfig | None = None,
+    config: EvalConfig | None = None,
     out_dir: str | Path | None = None,
 ) -> MetricsReport:
-    """Evaluate methods over repeated splits of one dataset.
+    """Evaluate methods over repeated splits of one dataset, with the
+    settings of ``config`` (``EvalConfig()`` when none is given).
 
     Run i uses seed ``base_seed + i`` for both split modes, and every
     method scores the identical test pairs of a split. Metrics aggregate
@@ -435,37 +446,36 @@ def run_eval(
     their content hashes always land in the report. A method
     that raises in a mode it supports is flagged as a failure and its
     aggregate for that mode is dropped; DeepWalk in inductive mode is
-    skipped by contract. An unknown method, or a setting that
-    :func:`check_run_settings` rejects, raises ValueError before
+    skipped by contract. An unknown method, or a method list that
+    :func:`check_method_names` rejects, raises ValueError before
     ``out_dir`` is touched.
     """
     resolved = [make_method(m) for m in methods]
-    check_run_settings([method.name for method in resolved], runs, base_seed, modes,
-                       transductive_ratio, inductive_ratio)
-    config = config or EvalModelConfig()
+    check_method_names([method.name for method in resolved])
+    config = EvalConfig() if config is None else config
 
     if out_dir is not None and (Path(out_dir) / "splits").is_dir():
         shutil.rmtree(Path(out_dir) / "splits")
 
     per_method: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
     failures: list[EvalFailure] = []
-    hashers = {mode: hashlib.sha256() for mode in modes}
+    hashers = {mode: hashlib.sha256() for mode in config.modes}
 
     candidates = dataset.anchor_candidates()
     title_candidates = dataset.title_candidates()
     # Tokenized once for every run and mode. Interned, the lists share one
     # string per distinct token instead of holding one string per token.
     tokens = [list(map(sys.intern, tokenize(article.abstract))) for article in dataset.articles]
-    for run in range(runs):
-        seed = base_seed + run
-        for mode in modes:
+    for run in range(config.runs):
+        seed = config.base_seed + run
+        for mode in config.modes:
             if mode == "transductive":
                 split = split_transductive(
-                    dataset.network, candidates, transductive_ratio, run_seed=seed
+                    dataset.network, candidates, config.transductive_ratio, run_seed=seed
                 )
             else:
                 split = split_inductive(
-                    dataset.network, candidates, inductive_ratio, run_seed=seed
+                    dataset.network, candidates, config.inductive_ratio, run_seed=seed
                 )
 
             pair_bytes = _serialize_test_pairs(split.test_pairs)
@@ -519,7 +529,7 @@ def run_eval(
     failed = {(failure.method, failure.mode) for failure in failures}
     entries: list[MethodMetrics] = []
     for method in resolved:
-        for mode in modes:
+        for mode in config.modes:
             key = (method.name, mode)
             if key in failed or key not in per_method:
                 continue
@@ -534,7 +544,7 @@ def run_eval(
     report = MetricsReport(
         dataset=dataset.name,
         entries=entries,
-        split_hashes={mode: hashers[mode].hexdigest() for mode in modes},
+        split_hashes={mode: hashers[mode].hexdigest() for mode in config.modes},
         failures=failures,
     )
     if out_dir is not None:

@@ -120,6 +120,12 @@ class PprScores:
             raise ValueError(f"PPR scores sum to {scores.sum()}, expected 1")
 
 
+def check_damping(damping: float) -> None:
+    """Raise ValueError unless ``damping`` lies strictly between 0 and 1."""
+    if not 0.0 < damping < 1.0:
+        raise ValueError(f"damping must lie strictly between 0 and 1, got {damping}")
+
+
 def personalized_pagerank(
     network: DocumentNetwork,
     seed: int,
@@ -137,8 +143,7 @@ def personalized_pagerank(
     n = network.node_count
     if not 0 <= seed < n:
         raise ValueError(f"seed {seed} outside 0..{n - 1}")
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly between 0 and 1")
+    check_damping(damping)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if max_iters < 1:

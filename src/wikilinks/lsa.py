@@ -186,7 +186,7 @@ def _gram_svd(matrix: CsrMatrix, d: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return recovered, s, vectors.T
 
 
-def fit_lsa(matrix: CsrMatrix, d: int = 512, vocabulary: Vocabulary | None = None) -> LsaModel:
+def fit_lsa(matrix: CsrMatrix, d: int, vocabulary: Vocabulary | None = None) -> LsaModel:
     """Rank-d truncated SVD of a document-term matrix in compressed sparse
     rows, as :func:`build_tfidf` returns it, exact through the Gram matrix
     of its smaller side.

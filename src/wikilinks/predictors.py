@@ -11,15 +11,18 @@ Candidates carry no label: a link is an edge of the training network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import read_predictions_tsv
-from .deepwalk import DeepWalkParams, check_int, fit_deepwalk, score_deepwalk
+from .deepwalk import fit_deepwalk, score_deepwalk
 from .graph import DocumentNetwork
 from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
+
+if TYPE_CHECKING:
+    from .evaluation import EvalConfig
 
 Scorer = Callable[[Sequence[tuple[int, int]]], np.ndarray]
 Candidates = Mapping[int, Mapping[int, Sequence[str]]]  # source -> target -> anchors
@@ -92,9 +95,9 @@ def fit_atilp(
     network: DocumentNetwork,
     lsa: LsaModel,
     candidates_by_source: Candidates,
+    n_positive: int,
+    n_negative: int,
     seed: int = 0,
-    n_positive: int = 1000,
-    n_negative: int = 1000,
     nodes: Collection[int] | None = None,
     doc_matrix: np.ndarray | None = None,
 ) -> AtilpModel:
@@ -158,22 +161,6 @@ def fit_atilp(
     )
 
 
-@dataclass(frozen=True)
-class EvalModelConfig:
-    """Model hyperparameters used by the evaluation harness: the LSA
-    dimension, the DeepWalk settings and ATILP's training sample sizes.
-    A bad count raises ValueError naming its field."""
-
-    dimension: int = 512
-    deepwalk: DeepWalkParams = field(default_factory=DeepWalkParams)
-    atilp_positives: int = 1000
-    atilp_negatives: int = 1000
-
-    def __post_init__(self) -> None:
-        for name in ("dimension", "atilp_positives", "atilp_negatives"):
-            check_int(name, getattr(self, name), 1)
-
-
 class RunContext:
     """Everything one evaluation run offers the predictors.
 
@@ -194,7 +181,7 @@ class RunContext:
         seed: int,
         candidates: Candidates,
         title_candidates: Mapping[int, frozenset[int]],
-        config: EvalModelConfig,
+        config: EvalConfig,
     ) -> None:
         self.tokens = tokens
         self.train_network = train_network
@@ -353,6 +340,7 @@ _BUILTIN_METHODS: dict[str, Callable[[], Method]] = {
     "deepwalk": DeepWalkMethod,
     "atilp": AtilpMethod,
 }
+METHOD_NAMES = tuple(_BUILTIN_METHODS)
 
 
 def make_method(spec: str | Method) -> Method:

@@ -10,7 +10,7 @@ from wikilinks.dataset import Dataset
 from wikilinks.deepwalk import DeepWalkParams
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import build_corpus, parse_dump
-from wikilinks.predictors import EvalModelConfig
+from wikilinks.evaluation import EvalConfig
 from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 # A small pages-articles export exercising redirects, piped/unpiped links,
@@ -126,7 +126,7 @@ BENCH_PARAMS = PlantedCorpusParams(
     seed=20,
 )
 
-BENCH_CONFIG = EvalModelConfig(
+BENCH_CONFIG = EvalConfig(
     dimension=64,
     deepwalk=DeepWalkParams(
         walks_per_node=10, walk_length=20, window=5, negatives=5, dimension=64

@@ -7,6 +7,8 @@ needs a complete dump); the README documents that procedure instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,7 +31,7 @@ from test_lsa import as_csr
 def test_c01_at_anchor_perfect_recall(fixture_dataset):
     assert len(fixture_dataset.articles) <= 50
     report = run_eval(
-        fixture_dataset, ["at_anchor"], runs=5, base_seed=0, config=BENCH_CONFIG
+        fixture_dataset, ["at_anchor"], config=replace(BENCH_CONFIG, runs=5, base_seed=0)
     )
     assert not report.failures
     for mode in ("inductive", "transductive"):
@@ -46,9 +48,7 @@ def test_c02_prevalence_thresholding_p_equals_r(fixture_dataset):
     report = run_eval(
         fixture_dataset,
         ["random", "lsa", "deepwalk", "atilp"],
-        runs=5,
-        base_seed=0,
-        config=BENCH_CONFIG,
+        config=replace(BENCH_CONFIG, runs=5, base_seed=0),
     )
     assert not report.failures
     checked = 0
@@ -209,9 +209,7 @@ def test_c10_end_to_end_benchmark(bench_dataset):
     report = run_eval(
         bench_dataset,
         ["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"],
-        runs=5,
-        base_seed=0,
-        config=BENCH_CONFIG,
+        config=replace(BENCH_CONFIG, runs=5, base_seed=0),
     )
     assert not report.failures
     for mode in ("inductive", "transductive"):

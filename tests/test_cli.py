@@ -11,13 +11,17 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wikilinks.cli import EXIT_OK, EXIT_USAGE, main
+from wikilinks.cli import EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from wikilinks.dataset import Dataset
+from wikilinks.deepwalk import DeepWalkParams
+from wikilinks.evaluation import EvalConfig, run_eval
 from wikilinks.graph import DocumentNetwork, personalized_pagerank, topk_subgraph
+from wikilinks.predictors import METHOD_NAMES, ExternalFileMethod
 from wikilinks.synthetic import PlantedCorpusParams, planted_dump_xml
 
 from conftest import TINY_DUMP, write_predictions
@@ -480,6 +484,8 @@ class TestReportCommand:
         ("eval", '{"base_seed": 1.5}', "base_seed must be an integer, got 1.5"),
         ("eval", '{"transductive_ratio": NaN}',
          "transductive_ratio must lie strictly between 0 and 1"),
+        ("eval", '{"modes": ["inductive"]}', "error: unknown config keys: modes"),
+        ("eval", '{"settings": {"runs": 2}}', "error: unknown config keys: settings"),
     ],
     ids=[
         "report-invalid-json", "report-list-of-numbers", "report-mode-not-a-string",
@@ -490,7 +496,7 @@ class TestReportCommand:
         "eval-deepwalk-learning-rate-zero", "eval-deepwalk-undirected-int",
         "eval-method-twice", "eval-external-method-shadows-builtin", "eval-no-methods",
         "eval-dimension-zero", "eval-atilp-negatives-bool", "eval-fractional-seed",
-        "eval-ratio-nan",
+        "eval-ratio-nan", "eval-modes-key", "eval-internal-settings-key",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content, needle):
@@ -579,6 +585,63 @@ def test_removed_config_fields_are_unknown_keys(tmp_path, capsys, key, value):
     path.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
     assert main(["eval", "--config", str(path)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+def test_readme_experiment_json_builds_the_defaults(tmp_path):
+    # README's experiment.json spells out every default; its one external
+    # method aside, it must build exactly EvalConfig() and the method list.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^`experiment\.json`:\n\n```json\n(.*?)^```$", readme, re.M | re.S)
+    raw = json.loads(block.group(1))
+    del raw["external_methods"]
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = PipelineConfig.from_file(path)
+    assert config.validate() == EvalConfig()
+    assert config.methods == list(METHOD_NAMES)
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, settings, external",
+    [
+        (dict(methods=list(METHOD_NAMES)), [], {}, False),
+        (dict(methods=["random", "lsa"], mode="transductive", runs=1),
+         ["--runs", "2", "--base-seed", "3"], dict(runs=2, base_seed=3, modes=("transductive",)),
+         False),
+        (dict(methods=["random", "atilp"], inductive_ratio=0.2), [], dict(inductive_ratio=0.2),
+         True),
+    ],
+    ids=["all-methods-both-modes", "transductive-with-flags", "ratio-and-external-method"],
+)
+def test_eval_writes_what_run_eval_writes(
+    tmp_path, planted_data_dir, overrides, flags, settings, external
+):
+    # The command line and the library build one EvalConfig: the same
+    # settings write the same report.json, report.md and split files.
+    predictions = {}
+    if external:
+        predictions["offline"] = str(tmp_path / "offline.tsv")
+        n = Dataset.load(planted_data_dir).network.node_count
+        write_predictions(predictions["offline"], ((s, t, ((s + t) % 10) / 10)
+                                                   for s in range(n) for t in range(n) if s != t))
+    config = _eval_config(tmp_path, planted_data_dir, external_methods=predictions, **overrides)
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    assert main(["eval", "--config", config, "--out", str(cli_out), *flags]) == EXIT_OK
+
+    methods = [*overrides["methods"], *(ExternalFileMethod(name, path)
+                                        for name, path in predictions.items())]
+    deepwalk = DeepWalkParams(walks_per_node=4, walk_length=8, window=3, negatives=3,
+                              dimension=16)
+    base = EvalConfig(runs=2, base_seed=0, dimension=16, deepwalk=deepwalk,
+                      atilp_positives=100, atilp_negatives=100)
+    run_eval(Dataset.load(planted_data_dir), methods, replace(base, **settings), out_dir=lib_out)
+
+    def written(out):
+        return {path.relative_to(out): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()}
+
+    assert {"report.json", "report.md"} <= {str(path) for path in written(cli_out)}
+    assert written(cli_out) == written(lib_out)
 
 
 class TestUnusableOutputPath:
@@ -803,7 +866,7 @@ class TestEvalPartialFailure:
         # the same error without building the TF-IDF matrix again.
         from wikilinks import lsa, predictors
         from wikilinks.evaluation import run_eval
-        from wikilinks.predictors import EvalModelConfig
+        from wikilinks.evaluation import EvalConfig
 
         monkeypatch.setattr(lsa, "_GRAM_SIDE_LIMIT", 3)
         calls = []
@@ -814,8 +877,8 @@ class TestEvalPartialFailure:
 
         monkeypatch.setattr(predictors, "build_tfidf", counted_build_tfidf)
         report = run_eval(
-            Dataset.load(planted_data_dir), ["random", "lsa", "atilp"], runs=2,
-            config=EvalModelConfig(dimension=16),
+            Dataset.load(planted_data_dir), ["random", "lsa", "atilp"],
+            config=EvalConfig(runs=2, dimension=16),
         )
         assert len(calls) == 4  # one per run and mode
         errors = {(f.method, f.mode, f.run): f.error for f in report.failures}

@@ -6,6 +6,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wikilinks.anchors import CandidatePair
 from wikilinks.dataset import Dataset
 from wikilinks.evaluation import (
     MODES,
+    EvalConfig,
     MetricsReport,
     UndefinedMetricError,
     _ranking_order,
@@ -320,6 +322,48 @@ class TestSplitInductive:
             assert source not in hidden and target not in hidden
 
 
+_MODES_MESSAGE = "modes must be distinct, each one of ('inductive', 'transductive'); got "
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("dimension", True, "dimension must be an integer, got True"),
+            ("atilp_positives", 0, "atilp_positives must be at least 1"),
+            ("atilp_negatives", 2.0, "atilp_negatives must be an integer, got 2.0"),
+            ("runs", 2.5, "runs must be an integer, got 2.5"),
+            ("base_seed", -1, "base_seed must be at least 0"),
+            ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+            ("transductive_ratio", 1.5, "transductive_ratio must lie strictly between 0 and 1"),
+            ("inductive_ratio", 0.0, "inductive_ratio must lie strictly between 0 and 1"),
+            ("transductive_ratio", float("nan"),
+             "transductive_ratio must lie strictly between 0 and 1"),
+            ("modes", (), _MODES_MESSAGE + "()"),
+            ("modes", ("transductive", "transductive"),
+             _MODES_MESSAGE + "('transductive', 'transductive')"),
+            ("modes", ("inductive", "bogus"), _MODES_MESSAGE + "('inductive', 'bogus')"),
+        ],
+        ids=["dimension-bool", "positives-zero", "negatives-float", "fractional-runs",
+             "negative-seed", "fractional-seed", "transductive-above-one", "inductive-zero",
+             "ratio-nan", "modes-empty", "modes-repeated", "modes-unknown"],
+    )
+    def test_bad_setting_raises_naming_the_field(self, name, value, message):
+        # atilp_positives=0 would fit ATILP on negatives only.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EvalConfig(**{name: value})
+
+    def test_replaced_value_is_checked_again(self):
+        with pytest.raises(ValueError, match="^runs must be at least 1$"):
+            replace(EvalConfig(), runs=0)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = EvalConfig(
+            dimension=np.int64(16), atilp_positives=np.int64(5), atilp_negatives=np.int64(7)
+        )
+        assert config == EvalConfig(dimension=16, atilp_positives=5, atilp_negatives=7)
+
+
 class FailingMethod(Method):
     name = "broken"
 
@@ -329,8 +373,8 @@ class FailingMethod(Method):
 
 class TestRunEval:
     def test_runs_one_reports_zero_std(self, fixture_dataset):
-        report = run_eval(fixture_dataset, ["random"], runs=1, base_seed=0,
-                          config=BENCH_CONFIG)
+        report = run_eval(fixture_dataset, ["random"],
+                          config=replace(BENCH_CONFIG, runs=1, base_seed=0))
         for entry in report.entries:
             assert entry.auc_std == 0.0
             assert entry.p_std == 0.0
@@ -347,7 +391,7 @@ class TestRunEval:
 
         for module in (evaluation, predictors, graph):
             monkeypatch.setattr(module, "tokenize", counting_tokenize)
-        report = run_eval(fixture_dataset, ["lsa"], runs=2, config=BENCH_CONFIG)
+        report = run_eval(fixture_dataset, ["lsa"], config=replace(BENCH_CONFIG, runs=2))
         assert [e.mode for e in report.entries] == list(MODES) and not report.failures
         assert tokenized == Counter(a.abstract for a in fixture_dataset.articles)
 
@@ -365,11 +409,11 @@ class TestRunEval:
         # Each method's runs pool under its name, so a repeated name would
         # write one row per listing over the runs of all of them.
         with pytest.raises(ValueError, match=message):
-            run_eval(fixture_dataset, methods, runs=1, config=BENCH_CONFIG)
+            run_eval(fixture_dataset, methods, config=replace(BENCH_CONFIG, runs=1))
 
     def test_deepwalk_skipped_inductively_and_dashed(self, fixture_dataset):
-        report = run_eval(fixture_dataset, ["random", "deepwalk"], runs=1, base_seed=0,
-                          config=BENCH_CONFIG)
+        report = run_eval(fixture_dataset, ["random", "deepwalk"],
+                          config=replace(BENCH_CONFIG, runs=1, base_seed=0))
         assert report.entry("deepwalk", "transductive") is not None
         assert report.entry("deepwalk", "inductive") is None
         header, _, _, dw_row = report.to_markdown().splitlines()
@@ -390,8 +434,8 @@ class TestRunEval:
         # The library's table, the report.md that run_eval writes and the
         # table of the report rebuilt from report.json (the report command)
         # are one table.
-        report = run_eval(fixture_dataset, methods, runs=2, modes=modes, config=BENCH_CONFIG,
-                          out_dir=tmp_path)
+        report = run_eval(fixture_dataset, methods,
+                          config=replace(BENCH_CONFIG, runs=2, modes=modes), out_dir=tmp_path)
         rebuilt = MetricsReport.from_records(json.loads(report.to_json()))
         table = report.to_markdown()
         assert table == (tmp_path / "report.md").read_text(encoding="utf-8")
@@ -400,8 +444,8 @@ class TestRunEval:
 
     def test_failing_method_flagged_others_survive(self, fixture_dataset):
         report = run_eval(
-            fixture_dataset, ["random", FailingMethod()], runs=2, base_seed=0,
-            config=BENCH_CONFIG,
+            fixture_dataset, ["random", FailingMethod()],
+            config=replace(BENCH_CONFIG, runs=2, base_seed=0),
         )
         assert report.entry("random", "transductive") is not None
         assert report.entry("broken", "transductive") is None
@@ -409,12 +453,12 @@ class TestRunEval:
 
     def test_identical_splits_across_methods_and_reruns(self, fixture_dataset, tmp_path):
         report1 = run_eval(
-            fixture_dataset, ["random"], runs=2, base_seed=9,
-            config=BENCH_CONFIG, out_dir=tmp_path / "a",
+            fixture_dataset, ["random"],
+            config=replace(BENCH_CONFIG, runs=2, base_seed=9), out_dir=tmp_path / "a",
         )
         report2 = run_eval(
-            fixture_dataset, ["at_anchor"], runs=2, base_seed=9,
-            config=BENCH_CONFIG, out_dir=tmp_path / "b",
+            fixture_dataset, ["at_anchor"],
+            config=replace(BENCH_CONFIG, runs=2, base_seed=9), out_dir=tmp_path / "b",
         )
         assert report1.split_hashes == report2.split_hashes
         for run in range(2):
@@ -424,15 +468,15 @@ class TestRunEval:
                 assert a == b
 
     def test_report_json_deterministic(self, fixture_dataset, tmp_path):
-        kwargs = dict(runs=2, base_seed=4, config=BENCH_CONFIG)
+        kwargs = dict(config=replace(BENCH_CONFIG, runs=2, base_seed=4))
         a = run_eval(fixture_dataset, ["random", "lsa"], **kwargs).to_json()
         b = run_eval(fixture_dataset, ["random", "lsa"], **kwargs).to_json()
         assert a == b
 
     def test_probabilistic_p_equals_r_every_run(self, fixture_dataset):
         report = run_eval(
-            fixture_dataset, ["random", "lsa", "atilp"], runs=3, base_seed=0,
-            config=BENCH_CONFIG,
+            fixture_dataset, ["random", "lsa", "atilp"],
+            config=replace(BENCH_CONFIG, runs=3, base_seed=0),
         )
         for entry in report.entries:
             assert not make_method(entry.method).binary
@@ -455,7 +499,7 @@ class TestRunEval:
 
     def test_invalid_mode_rejected(self, fixture_dataset):
         with pytest.raises(ValueError):
-            run_eval(fixture_dataset, ["random"], runs=1, modes=("sideways",))
+            run_eval(fixture_dataset, ["random"], config=EvalConfig(runs=1, modes=("sideways",)))
 
     @pytest.mark.parametrize(
         "modes",
@@ -465,12 +509,13 @@ class TestRunEval:
     def test_mode_list_rejected_before_output_is_touched(self, fixture_dataset, tmp_path, modes):
         # A repeated mode would pool both listings' runs under one name, and
         # every rejected list must leave the earlier splits and report alone.
-        run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG, out_dir=tmp_path)
+        run_eval(fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=1),
+                 out_dir=tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert any(p.parent.name == "inductive" for p in before)
         with pytest.raises(ValueError, match="mode"):
             run_eval(
-                fixture_dataset, ["random"], runs=2, modes=modes, config=BENCH_CONFIG,
+                fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=2, modes=modes),
                 out_dir=tmp_path,
             )
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
@@ -493,11 +538,12 @@ class TestRunEval:
         # Both ratios, the seed and the run count are checked before the
         # earlier splits are deleted, so the split files keep matching the
         # hashes in the earlier report.
-        run_eval(fixture_dataset, ["random"], runs=1, config=BENCH_CONFIG, out_dir=tmp_path)
+        run_eval(fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=1),
+                 out_dir=tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_eval(fixture_dataset, ["random"], config=BENCH_CONFIG, out_dir=tmp_path,
-                     **{"runs": 1, **bad})
+            run_eval(fixture_dataset, ["random"],
+                     config=replace(BENCH_CONFIG, **{"runs": 1, **bad}), out_dir=tmp_path)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_run_context_holds_no_label(self, fixture_dataset):
@@ -515,7 +561,7 @@ class TestRunEval:
 
                 return scorer
 
-        report = run_eval(fixture_dataset, [Recorder()], runs=2, config=BENCH_CONFIG)
+        report = run_eval(fixture_dataset, [Recorder()], config=replace(BENCH_CONFIG, runs=2))
         assert not report.failures and len(seen) == 4
         network = fixture_dataset.network
         modes = Counter()

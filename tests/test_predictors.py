@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import re
+from dataclasses import replace
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -11,12 +11,12 @@ import pytest
 import wikilinks.predictors as predictors
 from wikilinks.anchors import AnchorMap, build_eval_samples, title_targets
 from wikilinks.dataset import Dataset
+from wikilinks.evaluation import EvalConfig
 from wikilinks.graph import DocumentNetwork
 from wikilinks.ingest import Article
 from wikilinks.lsa import build_tfidf, embed_text, fit_lsa, row_cosines, tokenize
 from wikilinks.predictors import (
     AtilpModel,
-    EvalModelConfig,
     ExternalFileMethod,
     Method,
     RunContext,
@@ -58,7 +58,7 @@ def _context(texts: list[str], d: int = 3, train=None) -> RunContext:
         seed=0,
         candidates={},
         title_candidates={},
-        config=EvalModelConfig(dimension=d),
+        config=EvalConfig(dimension=d),
     )
 
 
@@ -107,7 +107,8 @@ class TestPrediction:
 
         methods = [Constant("high", 1.5), Constant("nan", float("nan")), Constant("one", 1.0)]
         report = run_eval(
-            fixture_dataset, methods, runs=1, modes=("transductive",), config=BENCH_CONFIG
+            fixture_dataset, methods,
+            config=replace(BENCH_CONFIG, runs=1, modes=("transductive",)),
         )
         assert sorted(f.method for f in report.failures) == ["high", "nan"]
         assert all("within [0, 1]" in f.error for f in report.failures)
@@ -324,7 +325,7 @@ def _candidate_fixture():
 class TestFitScoreAtilp:
     def test_fit_and_score_in_unit_interval(self):
         _, net, candidates, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, candidates, seed=0)
+        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
         pairs = _triples(candidates)
         scores = atilp.predict(model.doc_embeddings, pairs)
         assert len(scores) == len(pairs)
@@ -332,7 +333,7 @@ class TestFitScoreAtilp:
 
     def test_fit_matches_per_pair_design(self):
         _, net, candidates, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, candidates, seed=0)
+        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
         # Every candidate is sampled: positives first, then negatives.
         pairs = _triples(candidates)
         ordered = sorted(pairs, key=lambda p: not net.has_edge(p[0], p[1]))  # stable
@@ -346,7 +347,8 @@ class TestFitScoreAtilp:
         _, net, candidates, model = _candidate_fixture()
         # Restricted to documents 0, 1 and 4, the fit still folds in the
         # anchors of every candidate, so that it can score all of them.
-        atilp = fit_atilp(net, model, candidates, seed=0, nodes=[0, 1, 4])
+        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                          nodes=[0, 1, 4])
         anchors = {text for _, _, texts in _triples(candidates) for text in texts}
         assert set(atilp.anchor_vectors) == anchors
         for text, vector in atilp.anchor_vectors.items():
@@ -367,7 +369,7 @@ class TestFitScoreAtilp:
             for s, ts in candidates.items()
         }
         with pytest.raises(ValueError):
-            fit_atilp(net, model, positives_only, seed=0)
+            fit_atilp(net, model, positives_only, n_positive=1000, n_negative=1000, seed=0)
 
     def test_constant_feature_does_not_crash(self):
         rng = np.random.default_rng(19)
@@ -515,9 +517,7 @@ class TestExternalFileMethod:
         report = run_eval(
             fixture_dataset,
             [FormulaMethod(), external],
-            runs=2,
-            base_seed=0,
-            config=BENCH_CONFIG,
+            config=replace(BENCH_CONFIG, runs=2, base_seed=0),
         )
         for mode in ("inductive", "transductive"):
             internal = report.entry("formula", mode)
@@ -541,28 +541,6 @@ class TestMakeMethod:
             assert make_method(name).name == name
 
 
-class TestEvalModelConfig:
-    @pytest.mark.parametrize(
-        "name, value, message",
-        [
-            ("dimension", True, "dimension must be an integer, got True"),
-            ("atilp_positives", 0, "atilp_positives must be at least 1"),
-            ("atilp_negatives", 2.0, "atilp_negatives must be an integer, got 2.0"),
-        ],
-        ids=["dimension-bool", "positives-zero", "negatives-float"],
-    )
-    def test_bad_count_raises_naming_the_field(self, name, value, message):
-        # atilp_positives=0 would fit ATILP on negatives only.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            EvalModelConfig(**{name: value})
-
-    def test_numpy_integer_counts_accepted(self):
-        config = EvalModelConfig(
-            dimension=np.int64(16), atilp_positives=np.int64(5), atilp_negatives=np.int64(7)
-        )
-        assert config == EvalModelConfig(dimension=16, atilp_positives=5, atilp_negatives=7)
-
-
 class TestAtilpTrainingRestriction:
     def test_target_restriction_excludes_hidden_documents(self):
         # The only negative candidate targets doc 2; restricting targets to
@@ -575,9 +553,11 @@ class TestAtilpTrainingRestriction:
         # doc 0 contains "beta" but has no edge to 2: the sole negative.
         negatives = [(s, t) for s, t, _ in _triples(candidates) if not net.has_edge(s, t)]
         assert negatives == [(0, 2)]
-        fit_atilp(net, model, candidates, seed=0)  # unrestricted: fits fine
+        # unrestricted: fits fine
+        fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
         with pytest.raises(ValueError):
-            fit_atilp(net, model, candidates, seed=0, nodes=[0, 1])
+            fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                      nodes=[0, 1])
 
     def test_source_restriction_excludes_hidden_documents(self):
         # The only negative candidate leaves doc 0; restricting to docs
@@ -587,6 +567,8 @@ class TestAtilpTrainingRestriction:
         net = DocumentNetwork.from_links(3, [(0, 1, "alpha"), (1, 2, "beta")])
         candidates = Dataset("three", articles, net).anchor_candidates()
         model, _ = _lsa_over(texts, d=2)
-        assert fit_atilp(net, model, candidates, seed=0, nodes=[0, 1, 2]).n_negative == 1
+        assert fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                         nodes=[0, 1, 2]).n_negative == 1
         with pytest.raises(ValueError):
-            fit_atilp(net, model, candidates, seed=0, nodes=[1, 2])
+            fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                      nodes=[1, 2])
