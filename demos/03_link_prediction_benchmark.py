@@ -52,15 +52,15 @@ def main() -> None:
     from wikilinks.lsa import build_tfidf, fit_lsa, tokenize
     from wikilinks.predictors import fit_atilp
 
-    split = split_transductive(
-        dataset.network, dataset.anchor_candidates(), config.transductive_ratio, run_seed=0
-    )
+    candidates = dataset.anchor_candidates()
+    split = split_transductive(dataset.network, candidates, config.transductive_ratio, run_seed=0)
     corpus = [tokenize(a.abstract) for a in dataset.articles]
     matrix, vocab = build_tfidf(corpus)
     lsa_model = fit_lsa(matrix, d=config.dimension, vocabulary=vocab)
     model = fit_atilp(
-        split.train_network, lsa_model, dataset.anchor_candidates(),
+        split.train_network, lsa_model, candidates,
         n_positive=config.atilp_positives, n_negative=config.atilp_negatives, seed=0,
+        nodes=split.train_nodes, doc_matrix=lsa_model.doc_embeddings,
     )
     c = model.coefficients
     print("\nlearned weights on (anchor-source, anchor-target, source-target):")

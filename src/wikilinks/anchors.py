@@ -16,7 +16,7 @@ come in the order of the normalized text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import DocumentNetwork
@@ -146,7 +146,6 @@ class AnchorMap:
     mode: str  # "title" | "anchor"
     patterns: dict[str, frozenset[int]]
     article_count: int
-    _automaton: _Matcher | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("title", "anchor"):
@@ -159,10 +158,8 @@ class AnchorMap:
                     raise ValueError(f"pattern {pattern!r} targets unknown article {target}")
 
     def automaton(self) -> _Matcher:
-        """The matcher over this map's patterns, built on first use."""
-        if self._automaton is None:
-            self._automaton = _Matcher(self.patterns)
-        return self._automaton
+        """A matcher over this map's patterns, built on each call."""
+        return _Matcher(self.patterns)
 
 
 def _build_map(mode: str, pairs: Iterable[tuple[str, int]], article_count: int) -> AnchorMap:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .dataset import Dataset, write_remap_tsv, write_samples_tsv
+from .dataset import ARTICLES_FILE, LINKS_FILE, Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
 from .evaluation import MODES, EvalConfig, MetricsReport, check_method_names, run_eval
 from .graph import (DocumentNetwork, check_damping, network_stats, personalized_pagerank,
@@ -146,6 +146,13 @@ def _output_file(path) -> Path:
     return path
 
 
+def _not_an_input(option: str, output, *inputs) -> None:
+    """Raise :class:`InputError` when the output path resolves to one of
+    the paths read from ``--data``, which writing it would overwrite."""
+    if Path(output).resolve() in {Path(path).resolve() for path in inputs}:
+        raise InputError(f"{option} {output} would overwrite the dataset given by --data")
+
+
 def _open_dump(path: Path):
     kind = _path_kind(path)
     if kind is None:
@@ -196,6 +203,7 @@ def _resolve_seed_article(dataset: Dataset, title: str) -> int:
 
 def cmd_subgraph(args) -> int:
     out = _output_directory(args.out)
+    _not_an_input("--out", out, args.data)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     try:
@@ -240,6 +248,8 @@ def _load_dataset(path: str) -> Dataset:
 def cmd_dataset_stats(args) -> int:
     if args.samples_out:
         _output_file(args.samples_out)
+        data = Path(args.data)
+        _not_an_input("--samples-out", args.samples_out, data / ARTICLES_FILE, data / LINKS_FILE)
     dataset = _load_dataset(args.data)
     candidates = dataset.anchor_candidates()
     if args.samples_out:

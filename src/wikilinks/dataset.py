@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -176,8 +176,9 @@ def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
 
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
     """(source, target, score) per non-empty line; raises ValueError
-    naming the file and line of one that is not UTF-8 or not two
-    integers and a number, tab-separated."""
+    naming the file and line of one that is not UTF-8, not two integers
+    and a number, tab-separated, or a pair that an earlier line scored."""
+    seen: set[tuple[int, int]] = set()
     with _open_utf8(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -185,20 +186,22 @@ def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
                 continue
             try:
                 source, target, score = line.split("\t")
-                yield int(source), int(target), float(score)
+                row = int(source), int(target), float(score)
+                if row[:2] in seen:
+                    raise ValueError(f"pair ({row[0]}, {row[1]}) is scored on an earlier line")
+                seen.add(row[:2])
+                yield row
             except ValueError as exc:
                 raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
 
 
 @dataclass
 class Dataset:
-    """Articles plus their hyperlink network, with cached candidate scans."""
+    """Articles plus their hyperlink network; candidates are scanned on each call."""
 
     name: str
     articles: list[Article]
     network: DocumentNetwork
-    _anchors: dict[int, dict[int, tuple[str, ...]]] | None = field(default=None, repr=False)
-    _title_candidates: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.network.node_count != len(self.articles):
@@ -208,18 +211,13 @@ class Dataset:
         """Anchor-map candidates of every document: each target id,
         ascending, to its distinct matched anchor strings. No label is
         kept; a candidate is a link when the network has its edge."""
-        if self._anchors is None:
-            anchor_map = build_anchor_map(self.network)
-            samples = build_eval_samples(self.network, anchor_map, self.articles)
-            self._anchors = {s: {p.target: p.anchors for p in ps} for s, ps in samples.items()}
-        return self._anchors
+        anchor_map = build_anchor_map(self.network)
+        samples = build_eval_samples(self.network, anchor_map, self.articles)
+        return {s: {p.target: p.anchors for p in ps} for s, ps in samples.items()}
 
     def title_candidates(self) -> dict[int, frozenset[int]]:
         """Title-map candidate target ids per document."""
-        if self._title_candidates is None:
-            title_map = build_title_map(self.articles)
-            self._title_candidates = title_targets(title_map, self.articles)
-        return self._title_candidates
+        return title_targets(build_title_map(self.articles), self.articles)
 
     def resolve_title(self, title: str) -> int | None:
         """Find an article id by canonical title or redirect alias."""

@@ -237,9 +237,9 @@ def _block_windows(
 
 def fit_deepwalk(
     network: DocumentNetwork,
-    params: DeepWalkParams | None = None,
-    seed: int = 0,
-    nodes: Sequence[int] | None = None,
+    params: DeepWalkParams,
+    seed: int,
+    nodes: Sequence[int],
 ) -> DeepWalkModel:
     """Train DeepWalk embeddings on (a subset of the nodes of) a network.
 
@@ -249,11 +249,8 @@ def fit_deepwalk(
     negatives are precomputed one block of walks at a time; the result
     is bit-identical to updating position by position.
     """
-    params = params or DeepWalkParams()
     if network.node_count == 0:
         raise ValueError("cannot fit DeepWalk on an empty network")
-    if nodes is None:
-        nodes = range(network.node_count)
     nodes = sorted(nodes)
     if not nodes:
         raise ValueError("no nodes to train on")

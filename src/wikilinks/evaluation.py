@@ -87,6 +87,13 @@ class EvalSplit:
                     raise ValueError(f"test target {target} is not a retained document")
 
 
+def check_ratio(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number
+    strictly between 0 and 1, which NaN is not."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
+
+
 def split_transductive(
     network: DocumentNetwork,
     candidates: Mapping[int, Collection[int]],
@@ -99,8 +106,7 @@ def split_transductive(
     positives, its ``candidates`` targets that are non-edges of the full
     network as negatives. No connectivity repair is attempted.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
+    check_ratio("ratio", ratio)
     edges = list(network.edges())
     n_hidden = _round_half_up(ratio * len(edges))
     rng = np.random.default_rng(run_seed)
@@ -135,8 +141,7 @@ def split_inductive(
     ``network.edges()``, and its other ``candidates`` targets among them
     as negatives; only its text reaches the predictors.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
+    check_ratio("ratio", ratio)
     n = network.node_count
     n_hidden = _round_half_up(ratio * n)
     rng = np.random.default_rng(run_seed)
@@ -412,9 +417,7 @@ class EvalConfig:
         if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
             raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
         for name in ("transductive_ratio", "inductive_ratio"):
-            ratio = getattr(self, name)
-            if not (isinstance(ratio, numbers.Real) and 0.0 < ratio < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1")
+            check_ratio(name, getattr(self, name))
         for name in ("dimension", "atilp_positives", "atilp_negatives"):
             check_int(name, getattr(self, name), 1)
 

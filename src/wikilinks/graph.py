@@ -26,13 +26,13 @@ class DocumentNetwork:
     __slots__ = ("node_count", "_edges")
 
     def __init__(
-        self, node_count: int, edge_anchors: Mapping[tuple[int, int], Sequence[str]]
+        self, node_count: int, anchors_by_edge: Mapping[tuple[int, int], Sequence[str]]
     ) -> None:
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
         self.node_count = node_count
         edges: dict[tuple[int, int], tuple[str, ...]] = {}
-        for (source, target), anchors in edge_anchors.items():
+        for (source, target), anchors in anchors_by_edge.items():
             if source == target:
                 raise ValueError(f"self-loop at node {source}")
             if not (0 <= source < node_count and 0 <= target < node_count):
@@ -49,12 +49,12 @@ class DocumentNetwork:
     ) -> "DocumentNetwork":
         """Build from (source, target, anchor) triples, merging parallel
         links and silently dropping self-links."""
-        edge_anchors: dict[tuple[int, int], list[str]] = {}
+        anchors_by_edge: dict[tuple[int, int], list[str]] = {}
         for source, target, anchor in links:
             if source == target:
                 continue
-            edge_anchors.setdefault((source, target), []).append(anchor)
-        return cls(node_count, edge_anchors)
+            anchors_by_edge.setdefault((source, target), []).append(anchor)
+        return cls(node_count, anchors_by_edge)
 
     @property
     def edge_count(self) -> int:

@@ -80,8 +80,8 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _clean_redirect_target(target: str) -> str:
-    # Section suffixes ("United Kingdom#History") redirect to the page itself.
+def _cut_section(target: str) -> str:
+    """A link or redirect target, stripped, without its '#' section suffix."""
     return target.split("#", 1)[0].strip()
 
 
@@ -153,7 +153,7 @@ def _parse_page(elem: ET.Element, counters: Counter) -> RawPage | None:
         if match:
             redirect_target = match.group(1)
     if redirect_target is not None:
-        redirect_target = _clean_redirect_target(redirect_target)
+        redirect_target = _cut_section(redirect_target)
         if not redirect_target:
             counters["redirects_empty_target"] += 1
             redirect_target = None
@@ -189,55 +189,35 @@ _EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:\s+([^\]]*))?\]", re.I
 # from one "''" to the next.
 _BOLD_ITALIC_RE = re.compile(r"''+")
 _FILE_LINK_RE = re.compile(r"\[\[\s*(?:file|image)\s*:", re.IGNORECASE)
-_TEMPLATE_TOKEN_RE = re.compile(r"\{\{|\}\}")
-_LINK_TOKEN_RE = re.compile(r"\[\[|\]\]")
+_TEMPLATE_RE = re.compile(r"\{\{")
+# The opener (group 1) and closer tokens of each block kind.
+_TEMPLATE_TOKEN_RE = re.compile(r"(\{\{)|\}\}")
+_LINK_TOKEN_RE = re.compile(r"(\[\[)|\]\]")
 
 
-def _strip_templates(text: str, counters: Counter) -> str:
-    """Remove {{...}} blocks, tracking nesting.
+def _strip_nested(
+    text: str, opening: re.Pattern, tokens: re.Pattern, counter_key: str, counters: Counter
+) -> str:
+    """Remove every block that ``opening`` starts, with the blocks nested in it.
 
-    Walks the ``{{``/``}}`` tokens and copies the text between top-level
-    blocks in slices; a ``}}`` outside any block is plain text. An
-    unmatched open drops everything to the end of the input; the
-    recovery is flagged under ``unbalanced_template``.
-    """
-    out: list[str] = []
-    depth = 0
-    kept_from = 0
-    for token in _TEMPLATE_TOKEN_RE.finditer(text):
-        if token.group() == "{{":
-            if depth == 0:
-                out.append(text[kept_from : token.start()])
-            depth += 1
-        elif depth > 0:
-            depth -= 1
-            if depth == 0:
-                kept_from = token.end()
-    if depth > 0:
-        counters["unbalanced_template"] += 1
-    else:
-        out.append(text[kept_from:])
-    return "".join(out)
-
-
-def _strip_file_links(text: str, counters: Counter) -> str:
-    """Remove [[File:...]] / [[Image:...]] including nested [[...]] captions.
-
-    An unclosed file link drops everything to the end of the input and
-    is counted under ``unclosed_file_link``.
+    From the end of an opening, the opener and closer ``tokens`` are
+    counted down to depth 0, and the block ends after that closer. The
+    text between blocks is copied in slices; a closer outside any block
+    is plain text. An unclosed block drops everything to the end of the
+    input; the recovery is counted under ``counter_key``.
     """
     out: list[str] = []
     i = 0
-    while (match := _FILE_LINK_RE.search(text, i)) is not None:
+    while (match := opening.search(text, i)) is not None:
         out.append(text[i : match.start()])
         depth = 1
-        for token in _LINK_TOKEN_RE.finditer(text, match.end()):
-            depth += 1 if token.group() == "[[" else -1
+        for token in tokens.finditer(text, match.end()):
+            depth += 1 if token.group(1) else -1
             if depth == 0:
                 i = token.end()
                 break
         else:
-            counters["unclosed_file_link"] += 1
+            counters[counter_key] += 1
             return "".join(out)
     out.append(text[i:])
     return "".join(out)
@@ -255,9 +235,9 @@ def extract_abstract(wikitext: str, counters: Counter | None = None) -> str:
     """
     counters = counters if counters is not None else Counter()
     text = _COMMENT_RE.sub("", wikitext)
-    text = _strip_templates(text, counters)
+    text = _strip_nested(text, _TEMPLATE_RE, _TEMPLATE_TOKEN_RE, "unbalanced_template", counters)
     text = _REF_RE.sub("", text)
-    text = _strip_file_links(text, counters)
+    text = _strip_nested(text, _FILE_LINK_RE, _LINK_TOKEN_RE, "unclosed_file_link", counters)
     text = _EXT_LINK_RE.sub(lambda m: m.group(1) or "", text)
     cut = text.find("==")
     if cut != -1:
@@ -314,7 +294,7 @@ def render_abstract(
         anchor = anchor.strip() if piped else ""
         if not anchor:
             anchor = target
-        target = target.split("#", 1)[0].strip()
+        target = _cut_section(target)
         rendered = anchor + trail
         if not target or ":" in target:
             counters["links_dropped_namespace"] += 1

@@ -97,9 +97,9 @@ def fit_atilp(
     candidates_by_source: Candidates,
     n_positive: int,
     n_negative: int,
-    seed: int = 0,
-    nodes: Collection[int] | None = None,
-    doc_matrix: np.ndarray | None = None,
+    seed: int,
+    nodes: Collection[int],
+    doc_matrix: np.ndarray,
 ) -> AtilpModel:
     """Least squares fit of the anchor-informed link model.
 
@@ -112,9 +112,9 @@ def fit_atilp(
     distinct matched anchor string. ``nodes`` restricts the training
     pairs to those with both ends among the given documents (the harness
     passes the training documents, so hidden documents never reach the
-    fit); ``None`` keeps every candidate. ``doc_matrix`` defaults to the
-    model's training embeddings, indexed by document id. The model folds
-    in every distinct anchor string of the candidates, in one batch.
+    fit). ``doc_matrix`` holds the document vectors, indexed by document
+    id. The model folds in every distinct anchor string of the
+    candidates, in one batch.
     """
     candidates = [(source, target, anchors) for source in sorted(candidates_by_source)
                   for target, anchors in candidates_by_source[source].items()]
@@ -122,7 +122,7 @@ def fit_atilp(
     negatives: list[Candidate] = []
     for pair in candidates:
         source, target, _ = pair
-        if nodes is None or (source in nodes and target in nodes):
+        if source in nodes and target in nodes:
             if network.has_edge(source, target):
                 positives.append(pair)
             else:
@@ -145,11 +145,7 @@ def fit_atilp(
 
     texts = list(dict.fromkeys(text for _, _, anchors in candidates for text in anchors))
     anchor_vectors = dict(zip(texts, embed_text(lsa, [tokenize(text) for text in texts])))
-    features, counts = atilp_features(
-        lsa.doc_embeddings if doc_matrix is None else doc_matrix,
-        anchor_vectors,
-        sampled_pos + sampled_neg,
-    )
+    features, counts = atilp_features(doc_matrix, anchor_vectors, sampled_pos + sampled_neg)
     labels = np.repeat([1.0] * len(sampled_pos) + [0.0] * len(sampled_neg), counts)
     coefficients, intercept = ols_fit(features, labels)
     return AtilpModel(
@@ -332,13 +328,10 @@ class ExternalFileMethod(Method):
         return lambda pairs: np.array([self._scores.get(pair, 0.0) for pair in pairs])
 
 
-_BUILTIN_METHODS: dict[str, Callable[[], Method]] = {
-    "random": RandomMethod,
-    "at_title": AtTitleMethod,
-    "at_anchor": AtAnchorMethod,
-    "lsa": LsaMethod,
-    "deepwalk": DeepWalkMethod,
-    "atilp": AtilpMethod,
+_BUILTIN_METHODS: dict[str, type[Method]] = {
+    method.name: method
+    for method in (RandomMethod, AtTitleMethod, AtAnchorMethod, LsaMethod, DeepWalkMethod,
+                   AtilpMethod)
 }
 METHOD_NAMES = tuple(_BUILTIN_METHODS)
 

@@ -396,6 +396,20 @@ class TestEvalCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cannot read predictions for 'offline' from {scores_path}: bad.tsv line 1: " in err
 
+    def test_repeated_prediction_pair_exits_2_with_one_line(
+        self, tmp_path, planted_data_dir, capsys
+    ):
+        scores_path = tmp_path / "twice.tsv"
+        scores_path.write_text("0\t1\t0.9\n0\t1\t0.1\n", encoding="utf-8")
+        config = _eval_config(
+            tmp_path, planted_data_dir, external_methods={"offline": str(scores_path)}
+        )
+        assert main(["eval", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot read predictions for 'offline' from {scores_path}: "
+            f"twice.tsv line 2: pair (0, 1) is scored on an earlier line\n"
+        )
+
     def test_invalid_config_rejected(self, tmp_path, planted_data_dir, capsys):
         config = _eval_config(tmp_path, planted_data_dir, runs=0)
         assert main(["eval", "--config", config]) == EXIT_USAGE
@@ -679,6 +693,29 @@ class TestUnusableOutputPath:
         self._exits_2(argv, capsys, f"output directory not found: {samples.parent}")
         assert capsys.readouterr().out == ""
         assert not samples.parent.exists()
+
+    @staticmethod
+    def _files(directory: Path) -> dict[str, bytes]:
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @pytest.mark.parametrize("spelling", ["same", "through-parent"])
+    def test_subgraph_out_is_the_data_directory(self, tiny_data_dir, capsys, spelling):
+        before = self._files(tiny_data_dir)
+        out = tiny_data_dir if spelling == "same" else tiny_data_dir / ".." / tiny_data_dir.name
+        argv = ["subgraph", "--data", str(tiny_data_dir), "--seed-article", "Abraham Lincoln",
+                "--k", "3", "--out", str(out)]
+        self._exits_2(argv, capsys, f"--out {out} would overwrite the dataset given by --data")
+        assert self._files(tiny_data_dir) == before
+
+    @pytest.mark.parametrize("name", ["articles.jsonl", "links.tsv"])
+    def test_dataset_stats_samples_out_is_a_dataset_file(self, tiny_data_dir, capsys, name):
+        before = self._files(tiny_data_dir)
+        samples = tiny_data_dir / name
+        argv = ["dataset-stats", "--data", str(tiny_data_dir), "--samples-out", str(samples)]
+        self._exits_2(argv, capsys,
+                      f"--samples-out {samples} would overwrite the dataset given by --data")
+        assert capsys.readouterr().out == ""
+        assert self._files(tiny_data_dir) == before
 
     def test_eval_out_is_a_file(self, tmp_path, planted_data_dir, blocker, capsys):
         config = _eval_config(tmp_path, planted_data_dir)

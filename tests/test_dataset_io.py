@@ -277,6 +277,16 @@ class TestPredictionsTsv:
         ):
             list(read_predictions_tsv(path))
 
+    def test_repeated_pair_names_the_file_and_line(self, tmp_path):
+        # A later score for the same directed pair would silently replace
+        # the first one.
+        path = tmp_path / "predictions.tsv"
+        path.write_text("0\t1\t0.9\n1\t0\t0.5\n\n0\t1\t0.1\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=r"^predictions\.tsv line 4: pair \(0, 1\) is scored on an earlier line$"
+        ):
+            list(read_predictions_tsv(path))
+
     def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "predictions.tsv"
         path.write_bytes(b"0\t1\t0.5\n\n0\t2\t0.\xff\n")

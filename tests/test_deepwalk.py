@@ -266,6 +266,8 @@ class TestBlockedEpochMatchesReference:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bit_identical_to_per_position_loop(self, case, seed):
         network, params, nodes = ORACLE_CASES[case]
+        if nodes is None:
+            nodes = range(network.node_count)
         model = fit_deepwalk(network, params, seed=seed, nodes=nodes)
         node_vectors, context_vectors = reference_fit(network, params, seed, nodes)
         assert np.array_equal(model.node_vectors, node_vectors)
@@ -384,25 +386,25 @@ class TestParams:
 class TestFitDeepwalk:
     def test_empty_network_errors(self):
         with pytest.raises(ValueError):
-            fit_deepwalk(DocumentNetwork(0, {}))
+            fit_deepwalk(DocumentNetwork(0, {}), DeepWalkParams(), seed=0, nodes=range(0))
 
     def test_deterministic_given_seed(self):
         net = _two_cliques_with_bridge()
-        a = fit_deepwalk(net, SMALL, seed=3)
-        b = fit_deepwalk(net, SMALL, seed=3)
+        a = fit_deepwalk(net, SMALL, seed=3, nodes=range(net.node_count))
+        b = fit_deepwalk(net, SMALL, seed=3, nodes=range(net.node_count))
         assert np.array_equal(a.node_vectors, b.node_vectors)
         assert np.array_equal(a.context_vectors, b.context_vectors)
 
     def test_isolated_node_embedding_stays_at_initialization(self):
         net = DocumentNetwork.from_links(5, [(0, 1, "a"), (1, 2, "a"), (2, 0, "a")])
-        model = fit_deepwalk(net, SMALL, seed=1)
+        model = fit_deepwalk(net, SMALL, seed=1, nodes=range(net.node_count))
         isolated = model.node_vectors[4]
         init_scale = 0.5 / SMALL.dimension * np.sqrt(SMALL.dimension)
         assert np.linalg.norm(isolated) < 1.5 * init_scale
 
     def test_clique_separation(self):
         net = _two_cliques_with_bridge(size=4)
-        model = fit_deepwalk(net, SMALL, seed=2)
+        model = fit_deepwalk(net, SMALL, seed=2, nodes=range(net.node_count))
         pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         values = row_cosines(
             model.node_vectors[[i for i, _ in pairs]], model.node_vectors[[j for _, j in pairs]]
@@ -433,6 +435,6 @@ class TestFitDeepwalk:
 
     def test_clique_scores_intra_above_inter(self):
         net = _two_cliques_with_bridge(size=4)
-        model = fit_deepwalk(net, SMALL, seed=2)
+        model = fit_deepwalk(net, SMALL, seed=2, nodes=range(net.node_count))
         intra, inter = score_deepwalk(model, [(1, 2), (1, 6)])
         assert intra > inter

@@ -278,6 +278,16 @@ class TestSplitTransductive:
                 assert label == 1
 
 
+@pytest.mark.parametrize("split", [split_transductive, split_inductive])
+@pytest.mark.parametrize("ratio", ["0.1", None, True, float("nan")], ids=repr)
+def test_split_ratio_is_a_number_strictly_between_0_and_1(split, ratio):
+    # The check that EvalConfig applies to its ratios, so a string is a
+    # ValueError too, not a TypeError from the comparison.
+    net = _labeled_network(3, [(0, 1)])
+    with pytest.raises(ValueError, match=r"^ratio must lie strictly between 0 and 1$"):
+        split(net, {}, ratio=ratio)
+
+
 class TestSplitInductive:
     def test_hidden_document_counts(self):
         net = _labeled_network(20, [(i, (i + 1) % 20) for i in range(20)])

@@ -18,11 +18,13 @@ from wikilinks.ingest import (
     _COMMENT_RE,
     _EXT_LINK_RE,
     _FILE_LINK_RE,
+    _LINK_TOKEN_RE,
     _REF_RE,
+    _TEMPLATE_RE,
+    _TEMPLATE_TOKEN_RE,
     DumpParseError,
     RawPage,
-    _strip_file_links,
-    _strip_templates,
+    _strip_nested,
     build_corpus,
     extract_abstract,
     normalize_title,
@@ -111,8 +113,18 @@ class TestParseDump:
         assert sum(consumed) < total / 10
 
 
+def strip_templates(text: str, counters: Counter) -> str:
+    """``_strip_nested`` as ``extract_abstract`` calls it for templates."""
+    return _strip_nested(text, _TEMPLATE_RE, _TEMPLATE_TOKEN_RE, "unbalanced_template", counters)
+
+
+def strip_file_links(text: str, counters: Counter) -> str:
+    """``_strip_nested`` as ``extract_abstract`` calls it for file links."""
+    return _strip_nested(text, _FILE_LINK_RE, _LINK_TOKEN_RE, "unclosed_file_link", counters)
+
+
 def reference_strip_templates(text: str, counters: Counter) -> str:
-    """The per-character loop that ``_strip_templates`` replaced."""
+    """The per-character loop that the template stripper replaced."""
     out: list[str] = []
     depth = 0
     i = 0
@@ -135,7 +147,7 @@ def reference_strip_templates(text: str, counters: Counter) -> str:
 
 
 def reference_strip_file_links(text: str, counters: Counter) -> str:
-    """The per-character loop that ``_strip_file_links`` replaced: one
+    """The per-character loop that the file-link stripper replaced: one
     ``_FILE_LINK_RE.match`` per index."""
     out: list[str] = []
     i = 0
@@ -188,12 +200,13 @@ def reference_normalize_title(title: str) -> str:
 
 def reference_extract_abstract(wikitext: str, counters: Counter | None = None) -> str:
     """``extract_abstract`` before its whitespace collapse moved to
-    ``str.split`` and its quote pattern from ``'{2,}`` to ``''+``."""
+    ``str.split``, its quote pattern from ``'{2,}`` to ``''+`` and its
+    strippers from per-character loops to one token scan."""
     counters = counters if counters is not None else Counter()
     text = _COMMENT_RE.sub("", wikitext)
-    text = _strip_templates(text, counters)
+    text = reference_strip_templates(text, counters)
     text = _REF_RE.sub("", text)
-    text = _strip_file_links(text, counters)
+    text = reference_strip_file_links(text, counters)
     text = _EXT_LINK_RE.sub(lambda m: m.group(1) or "", text)
     cut = text.find("==")
     if cut != -1:
@@ -224,14 +237,14 @@ class TestStrippersMatchReference:
     @settings(max_examples=500, deadline=None)
     def test_strip_templates(self, text):
         got, expected = Counter(), Counter()
-        assert _strip_templates(text, got) == reference_strip_templates(text, expected)
+        assert strip_templates(text, got) == reference_strip_templates(text, expected)
         assert got == expected
 
     @given(markup_text)
     @settings(max_examples=500, deadline=None)
     def test_strip_file_links(self, text):
         got, expected = Counter(), Counter()
-        assert _strip_file_links(text, got) == reference_strip_file_links(text, expected)
+        assert strip_file_links(text, got) == reference_strip_file_links(text, expected)
         assert got == expected
 
     @given(abstract_text)
@@ -249,12 +262,14 @@ class TestStrippersMatchReference:
     @pytest.mark.parametrize(
         "text",
         ["}}{{a}}}b", "{{{x}}}y}}", "{{a{{b}}c", "[[File:a|[[b]] c]]]]d", "[[image :x[[y]] z",
-         "p[[ file:q]]r[[File:s]]", "[[File:a]][[Image:b|[[c]]]]"],
+         "p[[ file:q]]r[[File:s]]", "[[File:a]][[Image:b|[[c]]]]",
+         "{{a [[File:b|{{c}}]] d}} e", "[[File:a|{{b]]}} c", "{{a}} x [[File:b"],
     )
     def test_named_cases(self, text):
         for strip, reference in (
-            (_strip_templates, reference_strip_templates),
-            (_strip_file_links, reference_strip_file_links),
+            (strip_templates, reference_strip_templates),
+            (strip_file_links, reference_strip_file_links),
+            (extract_abstract, reference_extract_abstract),
         ):
             got, expected = Counter(), Counter()
             assert strip(text, got) == reference(text, expected)

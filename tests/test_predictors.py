@@ -325,7 +325,8 @@ def _candidate_fixture():
 class TestFitScoreAtilp:
     def test_fit_and_score_in_unit_interval(self):
         _, net, candidates, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
+        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                          nodes=range(net.node_count), doc_matrix=model.doc_embeddings)
         pairs = _triples(candidates)
         scores = atilp.predict(model.doc_embeddings, pairs)
         assert len(scores) == len(pairs)
@@ -333,7 +334,8 @@ class TestFitScoreAtilp:
 
     def test_fit_matches_per_pair_design(self):
         _, net, candidates, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
+        atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                          nodes=range(net.node_count), doc_matrix=model.doc_embeddings)
         # Every candidate is sampled: positives first, then negatives.
         pairs = _triples(candidates)
         ordered = sorted(pairs, key=lambda p: not net.has_edge(p[0], p[1]))  # stable
@@ -348,7 +350,7 @@ class TestFitScoreAtilp:
         # Restricted to documents 0, 1 and 4, the fit still folds in the
         # anchors of every candidate, so that it can score all of them.
         atilp = fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
-                          nodes=[0, 1, 4])
+                          nodes=[0, 1, 4], doc_matrix=model.doc_embeddings)
         anchors = {text for _, _, texts in _triples(candidates) for text in texts}
         assert set(atilp.anchor_vectors) == anchors
         for text, vector in atilp.anchor_vectors.items():
@@ -356,7 +358,8 @@ class TestFitScoreAtilp:
 
     def test_shortfall_recorded(self):
         _, net, candidates, model = _candidate_fixture()
-        atilp = fit_atilp(net, model, candidates, seed=0, n_positive=1000, n_negative=1000)
+        atilp = fit_atilp(net, model, candidates, seed=0, n_positive=1000, n_negative=1000,
+                          nodes=range(net.node_count), doc_matrix=model.doc_embeddings)
         total_pos = sum(1 for s, t, _ in _triples(candidates) if net.has_edge(s, t))
         total_neg = sum(1 for s, t, _ in _triples(candidates) if not net.has_edge(s, t))
         assert atilp.n_positive == total_pos < 1000
@@ -369,7 +372,8 @@ class TestFitScoreAtilp:
             for s, ts in candidates.items()
         }
         with pytest.raises(ValueError):
-            fit_atilp(net, model, positives_only, n_positive=1000, n_negative=1000, seed=0)
+            fit_atilp(net, model, positives_only, n_positive=1000, n_negative=1000, seed=0,
+                      nodes=range(net.node_count), doc_matrix=model.doc_embeddings)
 
     def test_constant_feature_does_not_crash(self):
         rng = np.random.default_rng(19)
@@ -554,10 +558,11 @@ class TestAtilpTrainingRestriction:
         negatives = [(s, t) for s, t, _ in _triples(candidates) if not net.has_edge(s, t)]
         assert negatives == [(0, 2)]
         # unrestricted: fits fine
-        fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0)
+        fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
+                  nodes=range(net.node_count), doc_matrix=model.doc_embeddings)
         with pytest.raises(ValueError):
             fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
-                      nodes=[0, 1])
+                      nodes=[0, 1], doc_matrix=model.doc_embeddings)
 
     def test_source_restriction_excludes_hidden_documents(self):
         # The only negative candidate leaves doc 0; restricting to docs
@@ -568,7 +573,7 @@ class TestAtilpTrainingRestriction:
         candidates = Dataset("three", articles, net).anchor_candidates()
         model, _ = _lsa_over(texts, d=2)
         assert fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
-                         nodes=[0, 1, 2]).n_negative == 1
+                         nodes=[0, 1, 2], doc_matrix=model.doc_embeddings).n_negative == 1
         with pytest.raises(ValueError):
             fit_atilp(net, model, candidates, n_positive=1000, n_negative=1000, seed=0,
-                      nodes=[1, 2])
+                      nodes=[1, 2], doc_matrix=model.doc_embeddings)
