@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import bz2
+import copy
 import difflib
 import gzip
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .dataset import ARTICLES_FILE, LINKS_FILE, Dataset, write_remap_tsv, write_samples_tsv
@@ -35,84 +36,77 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
-@dataclass
-class PipelineConfig:
-    """Declarative experiment configuration (JSON file). Every other
-    :class:`EvalConfig` field but ``modes``, which ``mode`` sets, is a key
-    of its own, held in ``settings``."""
+# The keys of experiment.json that eval reads itself, with their defaults. Every
+# other key is an EvalConfig field of the same name; "mode" sets its modes.
+_EVAL_KEYS = {"data": None, "out": None, "methods": list(METHOD_NAMES), "external_methods": {},
+              "mode": "both"}
 
-    data: str | None = None
-    out: str | None = None
-    deepwalk: dict = field(default_factory=dict)
-    mode: str = "both"
-    methods: list[str] = field(default_factory=lambda: list(METHOD_NAMES))
-    external_methods: dict = field(default_factory=dict)
-    settings: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
+def _read_config(path) -> dict:
+    """The JSON object at ``path``; a key that is neither in :data:`_EVAL_KEYS`
+    nor an :class:`EvalConfig` field but ``modes`` is an :class:`InputError`."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"config {path} must be a JSON object")
+    unknown = set(raw) - set(_EVAL_KEYS) - ({f.name for f in fields(EvalConfig)} - {"modes"})
+    if unknown:
+        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return raw
+
+
+def _eval_settings(config: dict) -> EvalConfig:
+    """Check the JSON shapes and paths of ``config`` here and every value
+    with the library's own checks; return the evaluation settings, or
+    raise :class:`InputError` naming the first bad key."""
+    for name in ("data", "out"):
+        if not isinstance(config[name], (str, type(None))):
+            raise InputError(f"{name} must be a string path")
+    methods, external = config["methods"], config["external_methods"]
+    if not isinstance(methods, list) or not all(isinstance(v, str) for v in methods):
+        raise InputError("methods must be a list of strings")
+    if not isinstance(external, dict) or not all(isinstance(p, str) for p in external.values()):
+        raise InputError("external_methods must map method names to file paths")
+    if config["mode"] not in ("transductive", "inductive", "both"):
+        raise InputError("mode must be transductive, inductive or both")
+    settings = {key: value for key, value in config.items() if key not in _EVAL_KEYS}
+    deepwalk = settings.setdefault("deepwalk", {})
+    if not isinstance(deepwalk, dict):
+        raise InputError("deepwalk must be a JSON object")
+    unknown = set(deepwalk) - {f.name for f in fields(DeepWalkParams)}
+    if unknown:
+        raise InputError(f"unknown deepwalk keys: {', '.join(sorted(unknown))}")
+    try:
+        for method in methods:
+            make_method(method)
+        check_method_names(methods + list(external))
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InputError(f"config {path} is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InputError(f"config {path} must be a JSON object")
-        own = {f.name for f in fields(cls)} - {"settings"}
-        unknown = set(raw) - own - ({f.name for f in fields(EvalConfig)} - {"modes"})
-        if unknown:
-            raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**{key: raw[key] for key in own & set(raw)},
-                   settings={key: value for key, value in raw.items() if key not in own})
-
-    def validate(self) -> EvalConfig:
-        """Check the JSON shapes and paths here and every value with the
-        library's own checks; return the evaluation settings, or raise
-        :class:`InputError` naming the first bad key."""
-        for name in ("data", "out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise InputError(f"{name} must be a string path")
-        if not isinstance(self.methods, list) or not all(isinstance(v, str) for v in self.methods):
-            raise InputError("methods must be a list of strings")
-        if not isinstance(self.external_methods, dict) or not all(
-            isinstance(path, str) for path in self.external_methods.values()
-        ):
-            raise InputError("external_methods must map method names to file paths")
-        if self.mode not in ("transductive", "inductive", "both"):
-            raise InputError("mode must be transductive, inductive or both")
-        if not isinstance(self.deepwalk, dict):
-            raise InputError("deepwalk must be a JSON object")
-        unknown = set(self.deepwalk) - {f.name for f in fields(DeepWalkParams)}
-        if unknown:
-            raise InputError(f"unknown deepwalk keys: {', '.join(sorted(unknown))}")
-        try:
-            for method in self.methods:
-                make_method(method)
-            check_method_names(self.methods + list(self.external_methods))
-            try:
-                deepwalk = DeepWalkParams(**self.deepwalk)
-            except ValueError as exc:
-                raise ValueError(f"deepwalk.{exc}") from None
-            modes = MODES if self.mode == "both" else (self.mode,)
-            settings = EvalConfig(modes=modes, deepwalk=deepwalk, **self.settings)
+            settings["deepwalk"] = DeepWalkParams(**deepwalk)
         except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if self.data and _path_kind(Path(self.data)) is None:
-            raise InputError(f"referenced path does not exist: {self.data}")
-        if self.out:
-            out = _output_directory(self.out)
-            # What eval writes there: the split files, then the reports.
-            _output_directory(out / "splits")
-            for name in ("report.json", "report.md"):
-                if _path_kind(out / name) == "dir":
-                    raise InputError(f"output file is a directory: {out / name}")
-        for name, path in self.external_methods.items():
-            if _path_kind(Path(path)) is None:
-                raise InputError(f"external predictions for {name!r} missing: {path}")
-        return settings
+            raise ValueError(f"deepwalk.{exc}") from None
+        modes = MODES if config["mode"] == "both" else (config["mode"],)
+        eval_config = EvalConfig(modes=modes, **settings)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if config["data"] and _path_kind(Path(config["data"])) is None:
+        raise InputError(f"referenced path does not exist: {config['data']}")
+    if config["out"]:
+        out = _output_directory(config["out"])
+        # What eval writes there: the split files, then the reports.
+        _output_directory(out / "splits")
+        for name in ("report.json", "report.md"):
+            if _path_kind(out / name) == "dir":
+                raise InputError(f"output file is a directory: {out / name}")
+    for name, path in external.items():
+        if _path_kind(Path(path)) is None:
+            raise InputError(f"external predictions for {name!r} missing: {path}")
+    return eval_config
 
 
 def _path_kind(path: Path) -> str | None:
@@ -271,28 +265,22 @@ def cmd_dataset_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.data:
-        config.data = args.data
-    if args.out:
-        config.out = args.out
-    if args.mode:
-        config.mode = args.mode
-    for key in ("runs", "base_seed"):
-        if getattr(args, key) is not None:
-            config.settings[key] = getattr(args, key)
-    settings = config.validate()
-    if not config.data:
+    config = copy.deepcopy(_EVAL_KEYS) | (_read_config(args.config) if args.config else {})
+    for key in ("data", "out", "mode", "runs", "base_seed"):
+        if getattr(args, key) not in (None, ""):
+            config[key] = getattr(args, key)
+    settings = _eval_settings(config)
+    if not config["data"]:
         raise InputError("no dataset directory given (--data or config 'data')")
 
-    dataset = _load_dataset(config.data)
-    methods: list = list(config.methods)
-    for name, path in sorted(config.external_methods.items()):
+    dataset = _load_dataset(config["data"])
+    methods: list = list(config["methods"])
+    for name, path in sorted(config["external_methods"].items()):
         try:
             methods.append(ExternalFileMethod(name, path))
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read predictions for {name!r} from {path}: {exc}") from exc
-    report = run_eval(dataset, methods, settings, out_dir=config.out)
+    report = run_eval(dataset, methods, settings, out_dir=config["out"])
     print(report.to_markdown())
     if report.failures:
         for failure in report.failures:

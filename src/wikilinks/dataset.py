@@ -12,6 +12,7 @@ since it joins anchors by '|'.
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -134,12 +135,13 @@ def write_links_tsv(path, network: DocumentNetwork) -> None:
 
 
 def read_links_tsv(path) -> Iterator[tuple[int, int, str]]:
-    """(source, target, anchor) per non-empty line; raises ValueError
-    naming the file and line of one that is not UTF-8 or not two
-    integers and an anchor, tab-separated."""
+    """(source, target, anchor) per non-empty line; a line ends at "\\n",
+    "\\r\\n" or a lone "\\r", which no anchor holds unescaped. Raises
+    ValueError naming the file and line of one that is not UTF-8 or not
+    two integers and an anchor, tab-separated."""
     with _open_utf8(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             try:
@@ -177,7 +179,8 @@ def write_samples_tsv(path, candidates, network: DocumentNetwork) -> None:
 def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
     """(source, target, score) per non-empty line; raises ValueError
     naming the file and line of one that is not UTF-8, not two integers
-    and a number, tab-separated, or a pair that an earlier line scored."""
+    and a finite number, tab-separated, or a pair that an earlier line
+    scored."""
     seen: set[tuple[int, int]] = set()
     with _open_utf8(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
@@ -187,6 +190,8 @@ def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
             try:
                 source, target, score = line.split("\t")
                 row = int(source), int(target), float(score)
+                if not math.isfinite(row[2]):
+                    raise ValueError(f"score {score} is not finite")
                 if row[:2] in seen:
                     raise ValueError(f"pair ({row[0]}, {row[1]}) is scored on an earlier line")
                 seen.add(row[:2])

@@ -17,7 +17,7 @@ import json
 import numbers
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
@@ -173,9 +173,12 @@ def _ranking_order(
 ) -> np.ndarray:
     """Indices by descending score; ties break by ascending (source,
     target) pair identity when available, by presentation index
-    otherwise. For finite scores this is the order of the sort key
-    ``(-score, pair)`` (or ``(-score, index)``); 0.0 and -0.0 tie."""
+    otherwise: the order of the sort key ``(-score, pair)`` (or
+    ``(-score, index)``); 0.0 and -0.0 tie. A score that is not finite
+    raises ValueError."""
     negated = -np.asarray(scores, dtype=float)
+    if not np.isfinite(negated).all():
+        raise ValueError("scores must be finite")
     if pairs is None:
         return np.argsort(negated, kind="stable")
     ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
@@ -257,6 +260,8 @@ class MethodMetrics:
 
 @dataclass
 class EvalFailure:
+    """A failed method run; its fields and ``dataset`` are its report.json record's keys."""
+
     method: str
     mode: str
     run: int
@@ -292,7 +297,7 @@ class MetricsReport:
                 if r["mode"] not in MODES:
                     raise ValueError(f"record {number} has unknown mode {r['mode']!r}")
                 if "error" in r:
-                    failures.append(EvalFailure(r["method"], r["mode"], r["run"], r["error"]))
+                    failures.append(EvalFailure(**{f.name: r[f.name] for f in fields(EvalFailure)}))
                     continue
                 entries.append(MethodMetrics(
                     method=r["method"], mode=r["mode"], **{key: r[key] for key in _AGGREGATE_KEYS}
@@ -315,23 +320,12 @@ class MetricsReport:
         return None
 
     def to_records(self) -> list[dict]:
-        records = [
+        return [
             {"dataset": self.dataset, "mode": item.mode, "method": item.method,
              "split_hash": self.split_hashes[item.mode],
              **{key: getattr(item, key) for key in _AGGREGATE_KEYS}}
             for item in self.entries
-        ]
-        for failure in self.failures:
-            records.append(
-                {
-                    "dataset": self.dataset,
-                    "mode": failure.mode,
-                    "method": failure.method,
-                    "run": failure.run,
-                    "error": failure.error,
-                }
-            )
-        return records
+        ] + [{"dataset": self.dataset, **asdict(failure)} for failure in self.failures]
 
     def to_json(self) -> str:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wikilinks.cli import EXIT_OK, EXIT_USAGE, PipelineConfig, main
+from wikilinks.cli import EXIT_OK, EXIT_USAGE, _EVAL_KEYS, _eval_settings, _read_config, main
 from wikilinks.dataset import Dataset
 from wikilinks.deepwalk import DeepWalkParams
 from wikilinks.evaluation import EvalConfig, run_eval
@@ -410,6 +410,22 @@ class TestEvalCommand:
             f"twice.tsv line 2: pair (0, 1) is scored on an earlier line\n"
         )
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_prediction_that_is_not_finite_exits_2_with_one_line(
+        self, tmp_path, planted_data_dir, capsys, score
+    ):
+        # Before any run, whether or not a test pair would meet the score.
+        scores_path = tmp_path / "odd.tsv"
+        scores_path.write_text(f"0\t1\t0.9\n1\t0\t{score}\n", encoding="utf-8")
+        config = _eval_config(
+            tmp_path, planted_data_dir, external_methods={"offline": str(scores_path)}
+        )
+        assert main(["eval", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot read predictions for 'offline' from {scores_path}: "
+            f"odd.tsv line 2: score {score} is not finite\n"
+        )
+
     def test_invalid_config_rejected(self, tmp_path, planted_data_dir, capsys):
         config = _eval_config(tmp_path, planted_data_dir, runs=0)
         assert main(["eval", "--config", config]) == EXIT_USAGE
@@ -590,6 +606,32 @@ def test_non_utf8_dataset_byte_exits_2_naming_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, flags, line",
+    [
+        ({"out": 5, "methods": "x"}, [], "out must be a string path"),
+        ({"mode": "none", "deepwalk": 5}, [], "mode must be transductive, inductive or both"),
+        ({"deepwalk": {"walkz": 1}, "methods": ["nosuch"]}, [], "unknown deepwalk keys: walkz"),
+        ({"deepwalk": {"window": 0}, "runs": 0}, [], "deepwalk.window must be at least 1"),
+        ({"runs": 0, "data": "missing"}, [], "runs must be at least 1"),
+        ({"bogus": 1, "runs": 0}, [], "unknown config keys: bogus"),
+        ({"runs": 2}, ["--runs", "0"], "runs must be at least 1"),
+    ],
+    ids=["path-shape-before-methods", "mode-before-deepwalk-shape",
+         "deepwalk-keys-before-method-names", "deepwalk-value-before-runs",
+         "value-before-path", "unknown-key-before-value", "flag-over-config"],
+)
+def test_first_config_fault_is_the_one_reported(tmp_path, capsys, config, flags, line):
+    # eval checks for unknown keys, then the JSON shapes, the values and
+    # the paths, and names only the first fault it meets.
+    if "data" in config:
+        config["data"] = str(tmp_path / config["data"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["eval", "--config", str(path), *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
     "key, value", [("dump", '"pages.xml"'), ("seed_articles", '["X"]'), ("k", "1000"),
                    ("damping", "0.85")],
 )
@@ -610,9 +652,9 @@ def test_readme_experiment_json_builds_the_defaults(tmp_path):
     del raw["external_methods"]
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    config = PipelineConfig.from_file(path)
-    assert config.validate() == EvalConfig()
-    assert config.methods == list(METHOD_NAMES)
+    config = {**_EVAL_KEYS, **_read_config(path)}
+    assert _eval_settings(config) == EvalConfig()
+    assert config["methods"] == list(METHOD_NAMES)
 
 
 @pytest.mark.parametrize(

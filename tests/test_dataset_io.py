@@ -287,6 +287,16 @@ class TestPredictionsTsv:
         ):
             list(read_predictions_tsv(path))
 
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_score_that_is_not_finite_names_the_file_and_line(self, tmp_path, score):
+        # float() reads these, but no ranking can place them.
+        path = tmp_path / "predictions.tsv"
+        path.write_text(f"0\t1\t0.5\n\n1\t0\t{score}\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=rf"^predictions\.tsv line 3: score {score} is not finite$"
+        ):
+            list(read_predictions_tsv(path))
+
     def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "predictions.tsv"
         path.write_bytes(b"0\t1\t0.5\n\n0\t2\t0.\xff\n")
@@ -313,6 +323,18 @@ class TestDataset:
         loaded = Dataset.load(tmp_path / "cr")
         assert dict(loaded.network.edge_items()) == {(0, 1): ("a\rb",)}
         assert loaded.articles == articles
+
+    def test_crlf_copy_loads_to_the_same_dataset(self, tmp_path, tiny_dataset):
+        # A copy whose lines end in "\r\n", as a Windows checkout or editor
+        # may leave it; no anchor may keep the "\r".
+        tiny_dataset.save(tmp_path / "lf")
+        (tmp_path / "crlf").mkdir()
+        for name in ("articles.jsonl", "links.tsv"):
+            data = (tmp_path / "lf" / name).read_bytes()
+            (tmp_path / "crlf" / name).write_bytes(data.replace(b"\n", b"\r\n"))
+        lf, crlf = Dataset.load(tmp_path / "lf"), Dataset.load(tmp_path / "crlf")
+        assert crlf.articles == lf.articles
+        assert dict(crlf.network.edge_items()) == dict(lf.network.edge_items())
 
     def test_idempotent_save(self, tmp_path, tiny_dataset):
         tiny_dataset.save(tmp_path / "a")

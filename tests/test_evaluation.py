@@ -104,6 +104,15 @@ class TestPrecisionRecallAtPrevalence:
             precision_recall_at_prevalence([0.1], [0])
 
 
+@pytest.mark.parametrize("metric", [pr_auc, precision_recall_at_prevalence])
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("pairs", [None, [(0, 1), (0, 2), (1, 0), (1, 2)]], ids=["index", "pair"])
+def test_score_that_is_not_finite_raises(metric, score, pairs):
+    # A NaN has no rank, and would be placed by the sort's own rule.
+    with pytest.raises(ValueError, match="^scores must be finite$"):
+        metric([0.5, score, 0.2, 0.9], [1, 0, 1, 0], pairs)
+
+
 class TestBinaryPrecisionRecall:
     def test_at_anchor_style_predictions(self):
         # Predicting 1 on every candidate: R = 100, P = prevalence.
