@@ -55,13 +55,17 @@ def _open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
     """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
     ValueError naming the file and its line: text mode decodes blocks
     ahead of the line read, so the file's bytes are decoded again line by
-    line, and no newline byte occurs inside a UTF-8 sequence."""
+    line, and no newline byte occurs inside a UTF-8 sequence. Lines end at
+    "\r\n", "\r" or "\n", as ``bytes.splitlines`` and the text readers
+    (``newline`` None or "") end them, so both number a line alike."""
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
-            for number, line in enumerate(fh, 1):
+            # Each chunk ends at "\n", so no "\r\n" spans two chunks.
+            lines = (line for chunk in fh for line in chunk.splitlines())
+            for number, line in enumerate(lines, 1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as exc:

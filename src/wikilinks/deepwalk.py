@@ -3,8 +3,11 @@
 Walks treat edges as undirected by default (directed walks strand at
 sink nodes); the SGNS pass makes a single epoch over the walks with a
 linearly decaying learning rate and negatives drawn from the
-unigram^0.75 node-frequency distribution, word2vec style. Everything is
-deterministic for a fixed seed.
+unigram^0.75 node-frequency distribution, word2vec style. Each center
+position takes one SGD step: its contexts and negatives are grouped into
+distinct rows, and a row that occurs several times takes the sum of its
+occurrences' gradients, all taken at the same parameters, in one update.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -106,36 +109,30 @@ def sgns_gradients(
     return grad_center, grad_context, grad_negatives
 
 
-def _center_gradients(
-    center: np.ndarray, rows: np.ndarray, n_contexts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Summed SGNS gradients for one center against its gathered rows:
-    ``n_contexts`` context rows, then the negatives of each context in
-    turn (k rows per context).
+def _sgd_step(center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """One position's SGD step, in place, on its center vector and its
+    distinct context-table ``rows``.
 
-    Returns the gradient w.r.t. ``center`` and one gradient row per row
-    of ``rows``. Equals the sum of :func:`sgns_gradients` over the
-    (context, negatives) triples evaluated at the same parameters. The
-    context and negative dot products stay separate: one fused product
-    rounds differently. Overflow in the sigmoid is the caller's to
-    silence.
+    A row that occurs m times among the position's contexts and
+    negatives, c of them as a context, takes ``a = lr * m`` and
+    ``b = lr * c``. Each occurrence's gradient is taken at the same
+    parameters, so the summed update of :func:`sgns_gradients` over the
+    position's (context, negatives) triples is, with x the row's dot
+    product with ``center``, ``coef = a * s(x) - b`` times ``center``
+    for the row and ``coef @ rows`` for the center. Overflow in the
+    sigmoid is the caller's to silence.
     """
-    contexts, negatives = rows[:n_contexts], rows[n_contexts:]
-    g = np.empty(len(rows))
-    g_contexts, g_negatives = g[:n_contexts], g[n_contexts:]
-    np.dot(contexts, center, out=g_contexts)
-    np.dot(negatives, center, out=g_negatives)
-    # The sigmoid 1 / (1 + e^-x) of :func:`expit`, one step at a time in
-    # place; the reciprocal is the same correctly rounded division.
-    np.negative(g, out=g)
-    np.exp(g, out=g)
-    g += 1.0
-    np.reciprocal(g, out=g)
-    g_contexts -= 1.0
-    grad_center = g_contexts @ contexts + g_negatives @ negatives
+    coef = np.dot(rows, center)
+    np.negative(coef, out=coef)
+    np.exp(coef, out=coef)
+    coef += 1.0
+    np.divide(a, coef, out=coef)
+    coef -= b
     # A k = 1 matrix product: the same single rounded product per cell as
-    # ``g[:, None] * center``, through BLAS.
-    return grad_center, np.dot(g[:, None], center[None, :])
+    # ``coef[:, None] * center``, through BLAS, taken before center moves.
+    grad_rows = np.dot(coef[:, None], center[None, :])
+    center -= np.dot(coef, rows)
+    rows -= grad_rows
 
 
 def generate_walks(
@@ -200,39 +197,46 @@ class _NegativeTable:
 def _block_windows(
     centers: np.ndarray,
     lengths: np.ndarray,
-    window: int,
-    negatives: int,
+    rates: np.ndarray,
+    node_count: int,
+    params: DeepWalkParams,
     table: _NegativeTable,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Context windows and negatives of every position in a block of
-    walks, given as the concatenated ``centers`` and the walk ``lengths``.
+    walks, given as the concatenated ``centers``, the walk ``lengths``
+    and each position's learning rate, grouped into distinct rows; every
+    id is below ``node_count``.
 
-    Returns the context count C of each position and one id array that
-    holds, position after position, the C contexts (left window, then
-    right window) followed by k negatives per context. Negatives come
-    from one ``rng.random`` call in position order, which draws the same
-    stream as one ``rng.random((C, k))`` call per position.
+    A position's contexts are its left and right window; it draws k
+    negatives per context. The negatives come from one ``rng.random``
+    call in position order, which draws the same stream as one
+    ``rng.random((C, k))`` call per position. Sorting (position, id) keys
+    groups them: returns the end of each position's rows, and for each
+    distinct row, position after position in ascending id order, its id
+    and the ``a`` and ``b`` coefficients of :func:`_sgd_step`.
     """
     ends = np.cumsum(lengths)
     walk_start = np.repeat(ends - lengths, lengths)
     walk_end = np.repeat(ends, lengths)
     position = np.arange(centers.size)
-    reach = min(window, int(lengths.max()) - 1)
+    reach = min(params.window, int(lengths.max()) - 1)
     offsets = np.concatenate((np.arange(-reach, 0), np.arange(1, reach + 1)))
     neighbor = position[:, None] + offsets
     inside = (neighbor >= walk_start[:, None]) & (neighbor < walk_end[:, None])
     contexts = centers[neighbor[inside]]
-    n_contexts = inside.sum(axis=1)
-    drawn = table.lookup(rng.random((contexts.size, negatives)))
+    drawn = table.lookup(rng.random((contexts.size, params.negatives)))
 
-    owner_first = np.repeat(np.cumsum(n_contexts) - n_contexts, n_contexts)
-    owner_count = np.repeat(n_contexts, n_contexts)
-    context = np.arange(contexts.size)
-    ids = np.empty(contexts.size * (1 + negatives), dtype=np.intp)
-    ids[context + negatives * owner_first] = contexts
-    ids[(owner_first + owner_count + negatives * context)[:, None] + np.arange(negatives)] = drawn
-    return n_contexts, ids
+    owner = np.repeat(position * node_count, inside.sum(axis=1))
+    keys = np.concatenate((owner + contexts, (owner[:, None] + drawn).ravel()))
+    distinct, occurrences = np.unique(keys, return_counts=True)
+    context_keys, context_counts = np.unique(keys[: contexts.size], return_counts=True)
+    as_context = np.zeros_like(occurrences)
+    as_context[np.searchsorted(distinct, context_keys)] = context_counts
+    row_position, row_ids = np.divmod(distinct, node_count)
+    lr = rates[row_position]
+    row_ends = np.cumsum(np.bincount(row_position, minlength=centers.size))
+    return row_ends, row_ids, lr * occurrences, lr * as_context
 
 
 def fit_deepwalk(
@@ -244,10 +248,15 @@ def fit_deepwalk(
     """Train DeepWalk embeddings on (a subset of the nodes of) a network.
 
     One SGD epoch over the generated walks, processing each center
-    position as one batched update. The learning rate decays linearly
-    over the epoch with the usual 1e-4 relative floor. Windows and
-    negatives are precomputed one block of walks at a time; the result
-    is bit-identical to updating position by position.
+    position as one update of its center vector and of each distinct
+    context-table row among its contexts and negatives
+    (:func:`_sgd_step`). The learning rate decays linearly over the epoch
+    with the usual 1e-4 relative floor. Windows, negatives and their
+    grouping into distinct rows are precomputed one block of walks at a
+    time; the result is bit-identical to grouping and updating position
+    by position. Against applying each (context, negatives) triple's
+    gradients one occurrence at a time, only the rounding within a
+    position differs.
     """
     if network.node_count == 0:
         raise ValueError("cannot fit DeepWalk on an empty network")
@@ -269,42 +278,28 @@ def fit_deepwalk(
     weights = np.bincount(centers, minlength=network.node_count).astype(float) ** 0.75
     table = _NegativeTable(np.cumsum(weights / weights.sum()))
 
-    k = params.negatives
-    flat_context = context_vectors.reshape(-1)
-    # Flat index of every context_vectors entry, gathered by row ids.
-    flat_index = np.arange(context_vectors.size).reshape(context_vectors.shape)
     walk_bounds = np.concatenate(([0], np.cumsum(lengths)))
-    with np.errstate(over="ignore"):  # for the sigmoid in _center_gradients
+    with np.errstate(over="ignore"):  # for the sigmoid in _sgd_step
         for first in range(0, len(lengths), _BLOCK_WALKS):
             last = min(first + _BLOCK_WALKS, len(lengths))
             start, stop = walk_bounds[first], walk_bounds[last]
             block = centers[start:stop]
-            n_contexts, ids = _block_windows(
-                block, lengths[first:last], params.window, k, table, rng
-            )
             rates = params.learning_rate * np.maximum(
                 1e-4, 1.0 - np.arange(start, stop) / centers.size
             )
-            segment_ends = np.cumsum(n_contexts) * (1 + k)
-            for center, n, end, lr in zip(
-                block.tolist(), n_contexts.tolist(), segment_ends.tolist(), rates.tolist()
-            ):
-                if not n:
+            row_ends, row_ids, a, b = _block_windows(
+                block, lengths[first:last], rates, network.node_count, params, table, rng
+            )
+            row_start = 0
+            for center, row_end in zip(block.tolist(), row_ends.tolist()):
+                if row_end == row_start:
                     continue
-                row_ids = ids[end - n * (1 + k) : end]
-                v = node_vectors[center]
-                # grad_rows is built from v before v's row is overwritten.
-                grad_center, grad_rows = _center_gradients(
-                    v, context_vectors.take(row_ids, axis=0), n
-                )
-                grad_center *= lr
-                v -= grad_center
-                grad_rows *= lr
-                # A 1-D ufunc.at over flat indices applies the row updates in
-                # the same order as a 2-D one, at a fraction of its cost.
-                np.subtract.at(
-                    flat_context, flat_index.take(row_ids, axis=0).ravel(), grad_rows.ravel()
-                )
+                ids = row_ids[row_start:row_end]
+                rows = context_vectors.take(ids, axis=0)
+                _sgd_step(node_vectors[center], rows, a[row_start:row_end], b[row_start:row_end])
+                # The ids are distinct, so a plain assignment writes each row once.
+                context_vectors[ids] = rows
+                row_start = row_end
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,

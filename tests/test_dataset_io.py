@@ -164,6 +164,22 @@ class TestArticlesJsonl:
         ):
             read_articles_jsonl(path)
 
+    def test_non_utf8_byte_after_a_lone_cr_names_the_text_readers_line(self, tmp_path):
+        # Text mode ends the first line at its "\r", so the bad byte is on
+        # line 3, not on the second "\n"-terminated line.
+        path = tmp_path / "articles.jsonl"
+        path.write_bytes(
+            b'{"id": 0, "title": "A", "abstract": "", "aliases": []}\r'
+            b'{"id": 1, "title": "B", "abstract": "", "aliases": []}\n'
+            b'{"id": 2, "title": "C", "abstract": "caf\xe9 au lait", "aliases": []}\n'
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^articles\.jsonl line 3: 'utf-8' codec can't decode byte 0xe9 in position 40: "
+                  r"invalid continuation byte$",
+        ):
+            read_articles_jsonl(path)
+
 
 class TestLinksTsv:
     def test_round_trip_preserves_anchor_multiset(self, tmp_path):
@@ -199,6 +215,23 @@ class TestLinksTsv:
             match=r"^links\.tsv line 97: 'utf-8' codec can't decode byte 0xff in position 6: "
                   r"invalid start byte$",
         ):
+            list(read_links_tsv(path))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"0\t1\ta\r0\t2\tb\n0\t1\tc\xff\n",
+          r"line 3: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+         (b"0\t1\ta\r\n\r0\t2\tb\r\n0\t1\tc\xff\r\n",
+          r"line 4: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+         (b"0\t1\ta\r0\t2\n", r"line 2: not enough values to unpack \(expected 3, got 2\)")],
+        ids=["non-utf8-after-lone-cr", "non-utf8-after-crlf-and-cr", "parse-error-after-lone-cr"],
+    )
+    def test_both_errors_number_lines_as_the_text_reader(self, tmp_path, content, message):
+        # "\r\n", a lone "\r" and "\n" each end one line, whether the
+        # error is a byte that is not UTF-8 or a line that does not parse.
+        path = tmp_path / "links.tsv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"^links\.tsv {message}$"):
             list(read_links_tsv(path))
 
 

@@ -1,6 +1,7 @@
 """The sigmoid vs scipy's, SGNS gradients vs finite differences, walks,
 clique separation, and the blocked SGD epoch against the per-position
-reference loop."""
+reference loop (bit for bit) and the per-occurrence loop it replaced
+(within rounding)."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from wikilinks.deepwalk import (
     _BLOCK_WALKS,
     DeepWalkParams,
     UnsupportedModeError,
-    _center_gradients,
     _NegativeTable,
+    _sgd_step,
     expit,
     fit_deepwalk,
     generate_walks,
@@ -106,38 +107,49 @@ class TestSgnsGradients:
 
     def test_batched_step_is_sum_of_triples(self):
         rng = np.random.default_rng(14)
-        d, contexts_n, k = 6, 3, 2
+        d, k, lr = 6, 2, 0.3
+        table = rng.standard_normal((5, d))
         center = rng.standard_normal(d)
-        contexts = rng.standard_normal((contexts_n, d))
-        negatives = rng.standard_normal((contexts_n, k, d))
-        rows = np.concatenate((contexts, negatives.reshape(-1, d)))
+        # Row 1 is a context of one triple and a negative of another; row 3
+        # is drawn twice as a negative of one context.
+        contexts = [1, 2, 2]
+        negatives = [[3, 3], [1, 4], [4, 2]]
+        expected_center, expected = center.copy(), table.copy()
+        for context, drawn in zip(contexts, negatives):
+            g_center, g_context, g_negatives = sgns_gradients(
+                center, table[context], table[drawn]
+            )
+            expected_center -= lr * g_center
+            expected[context] -= lr * g_context
+            np.subtract.at(expected, drawn, lr * g_negatives)
 
-        g_center, g_rows = _center_gradients(center, rows, contexts_n)
-        expected_center = np.zeros(d)
-        for c in range(contexts_n):
-            gc, gx, gn = sgns_gradients(center, contexts[c], negatives[c])
-            expected_center += gc
-            assert np.allclose(g_rows[c], gx)
-            first = contexts_n + c * k
-            assert np.allclose(g_rows[first : first + k], gn)
-        assert np.allclose(g_center, expected_center)
-
+        ids, occurrences = np.unique(contexts + sum(negatives, []), return_counts=True)
+        assert ids.tolist() == [1, 2, 3, 4]
+        assert occurrences.tolist() == [2, 3, 2, 2]
+        as_context = np.array([contexts.count(row) for row in ids.tolist()])
+        stepped, rows = center.copy(), table[ids]
+        _sgd_step(stepped, rows, lr * occurrences, lr * as_context)
+        np.testing.assert_allclose(stepped, expected_center, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rows, expected[ids], rtol=0, atol=1e-14)
 
     def test_gradient_rows_are_the_elementwise_outer_product(self):
-        # The reference loop below calls the same helper, so its rows are
+        # The reference loop below calls the same helper, so its updates are
         # checked here against the broadcast product, bit for bit.
         rng = np.random.default_rng(15)
         for _ in range(300):
             d = int(rng.integers(1, 80))
-            n = int(rng.integers(1, 12))
-            k = int(rng.integers(0, 7))
+            n = int(rng.integers(1, 40))
             center = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3)
-            rows = rng.standard_normal((n * (1 + k), d))
+            rows = rng.standard_normal((n, d))
+            occurrences = rng.integers(1, 8, n)
+            lr = rng.random()
+            a, b = lr * occurrences, lr * rng.integers(0, occurrences + 1)
+            stepped_center, stepped_rows = center.copy(), rows.copy()
             with np.errstate(over="ignore"):
-                _, g_rows = _center_gradients(center, rows, n)
-            g = expit(np.concatenate((rows[:n] @ center, rows[n:] @ center)))
-            g[:n] -= 1.0
-            assert np.array_equal(g_rows, g[:, None] * center)
+                _sgd_step(stepped_center, stepped_rows, a, b)
+                coef = a / (1.0 + np.exp(-np.dot(rows, center))) - b
+            assert np.array_equal(stepped_rows, rows - coef[:, None] * center)
+            assert np.array_equal(stepped_center, center - np.dot(coef, rows))
 
 
 class TestNegativeTable:
@@ -175,10 +187,25 @@ class TestNegativeTable:
             self._check(cumulative, draws[draws < 1.0])
 
 
-def reference_fit(network, params, seed, nodes=None):
-    """The per-position SGD loop that ``fit_deepwalk`` replaced: Python
-    windows, one ``rng.random`` call and one 2-D ``np.subtract.at`` per
-    position. Returns (node_vectors, context_vectors)."""
+def _center_gradients(
+    center: np.ndarray, rows: np.ndarray, n_contexts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summed SGNS gradients for one center against its gathered rows,
+    one row per occurrence: ``n_contexts`` context rows, then the
+    negatives of each context in turn (k rows per context). Returns the
+    gradient w.r.t. ``center`` and one gradient row per row of ``rows``,
+    the sum of :func:`sgns_gradients` over the triples at the same
+    parameters."""
+    contexts, negatives = rows[:n_contexts], rows[n_contexts:]
+    g = expit(np.concatenate((contexts @ center, negatives @ center)))
+    g[:n_contexts] -= 1.0
+    grad_center = g[:n_contexts] @ contexts + g[n_contexts:] @ negatives
+    return grad_center, np.dot(g[:, None], center[None, :])
+
+
+def _reference_setup(network, params, seed, nodes):
+    """Initial vectors, walks and the negative-sampling table of a fit,
+    drawn as ``fit_deepwalk`` draws them."""
     if nodes is None:
         nodes = range(network.node_count)
     nodes = sorted(nodes)
@@ -190,32 +217,62 @@ def reference_fit(network, params, seed, nodes=None):
     walks = generate_walks(network, nodes, params, rng)
 
     counts = np.zeros(network.node_count)
-    total_centers = 0
     for walk in walks:
-        total_centers += len(walk)
         for node in walk:
             counts[node] += 1.0
     weights = counts**0.75
     cumulative = np.cumsum(weights / weights.sum())
+    return rng, node_vectors, context_vectors, walks, cumulative
 
-    lr0 = params.learning_rate
-    window = params.window
-    k = params.negatives
+
+def _positions(walks, params, rng, cumulative):
+    """(center, learning rate, contexts, negatives) of every position
+    with a context, in epoch order: Python windows and one
+    ``rng.random((C, k))`` call per position."""
+    total_centers = sum(map(len, walks))
     step = 0
     for walk in walks:
         for i, center in enumerate(walk):
-            lr = lr0 * max(1e-4, 1.0 - step / total_centers)
+            lr = params.learning_rate * max(1e-4, 1.0 - step / total_centers)
             step += 1
-            contexts = walk[max(0, i - window) : i] + walk[i + 1 : i + 1 + window]
+            contexts = walk[max(0, i - params.window) : i] + walk[i + 1 : i + 1 + params.window]
             if not contexts:
                 continue
-            ctx_ids = np.asarray(contexts)
-            neg_ids = np.searchsorted(cumulative, rng.random((len(contexts), k)))
-            ids = np.concatenate((ctx_ids, neg_ids.ravel()))
-            v = node_vectors[center]
-            grad_center, grad_rows = _center_gradients(v, context_vectors[ids], len(contexts))
-            node_vectors[center] = v - lr * grad_center
-            np.subtract.at(context_vectors, ids, lr * grad_rows)
+            drawn = np.searchsorted(cumulative, rng.random((len(contexts), params.negatives)))
+            yield center, lr, contexts, drawn
+
+
+def reference_fit(network, params, seed, nodes=None):
+    """The epoch position by position: each position's contexts and
+    negatives grouped by ``np.unique`` into distinct rows, then the
+    ``_sgd_step`` that ``fit_deepwalk`` calls. Returns (node_vectors,
+    context_vectors)."""
+    rng, node_vectors, context_vectors, walks, cumulative = _reference_setup(
+        network, params, seed, nodes
+    )
+    with np.errstate(over="ignore"):
+        for center, lr, contexts, drawn in _positions(walks, params, rng, cumulative):
+            ids, occurrences = np.unique(contexts + drawn.ravel().tolist(), return_counts=True)
+            as_context = np.array([contexts.count(row) for row in ids.tolist()])
+            rows = context_vectors[ids]
+            _sgd_step(node_vectors[center], rows, lr * occurrences, lr * as_context)
+            context_vectors[ids] = rows
+    return node_vectors, context_vectors
+
+
+def per_occurrence_fit(network, params, seed, nodes=None):
+    """The per-occurrence SGD loop that the distinct-row step replaced:
+    one gradient row per context and negative occurrence, applied in turn
+    by a 2-D ``np.subtract.at``. Returns (node_vectors, context_vectors)."""
+    rng, node_vectors, context_vectors, walks, cumulative = _reference_setup(
+        network, params, seed, nodes
+    )
+    for center, lr, contexts, drawn in _positions(walks, params, rng, cumulative):
+        ids = np.concatenate((contexts, drawn.ravel()))
+        v = node_vectors[center]
+        grad_center, grad_rows = _center_gradients(v, context_vectors[ids], len(contexts))
+        node_vectors[center] = v - lr * grad_center
+        np.subtract.at(context_vectors, ids, lr * grad_rows)
     return node_vectors, context_vectors
 
 
@@ -258,7 +315,18 @@ ORACLE_CASES = {
         DeepWalkParams(walks_per_node=3, walk_length=12, window=4, negatives=5, dimension=64),
         None,
     ),
+    # No position has a context, so no block groups a row.
+    "walk-length-one": (
+        _two_cliques_with_bridge(),
+        DeepWalkParams(walks_per_node=3, walk_length=1, window=2, negatives=2, dimension=4),
+        None,
+    ),
 }
+# The largest |difference| allowed between the epoch and the per-occurrence
+# loop. They round each position's sum of gradients differently; the
+# vectors of these cases stay below 1 in magnitude, and the differences
+# below 1e-14.
+PER_OCCURRENCE_BOUND = 1e-12
 
 
 class TestBlockedEpochMatchesReference:
@@ -272,6 +340,22 @@ class TestBlockedEpochMatchesReference:
         node_vectors, context_vectors = reference_fit(network, params, seed, nodes)
         assert np.array_equal(model.node_vectors, node_vectors)
         assert np.array_equal(model.context_vectors, context_vectors)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_within_bound_of_per_occurrence_loop(self, case, seed):
+        network, params, nodes = ORACLE_CASES[case]
+        if nodes is None:
+            nodes = range(network.node_count)
+        model = fit_deepwalk(network, params, seed=seed, nodes=nodes)
+        node_vectors, context_vectors = per_occurrence_fit(network, params, seed, nodes)
+        assert np.abs(model.node_vectors - node_vectors).max() <= PER_OCCURRENCE_BOUND
+        assert np.abs(model.context_vectors - context_vectors).max() <= PER_OCCURRENCE_BOUND
+
+    def test_walk_length_one_case_trains_nothing(self):
+        network, params, _ = ORACLE_CASES["walk-length-one"]
+        model = fit_deepwalk(network, params, seed=0, nodes=range(network.node_count))
+        assert not model.context_vectors.any()
 
     def test_many_blocks_case_crosses_block_boundaries(self):
         network, params, _ = ORACLE_CASES["many-blocks"]
