@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence
 
 from .anchors import (
     build_anchor_map,
@@ -50,27 +49,26 @@ def unescape_field(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m.group()], text)
 
 
-@contextmanager
-def _open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
-    ValueError naming the file and its line: text mode decodes blocks
-    ahead of the line read, so the file's bytes are decoded again line by
-    line, and no newline byte occurs inside a UTF-8 sequence. Lines end at
-    "\r\n", "\r" or "\n", as ``bytes.splitlines`` and the text readers
-    (``newline`` None or "") end them, so both number a line alike."""
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            # Each chunk ends at "\n", so no "\r\n" spans two chunks.
-            lines = (line for chunk in fh for line in chunk.splitlines())
-            for number, line in enumerate(lines, 1):
+def _utf8_lines(path, newline: str | None = None) -> Iterator[tuple[int, str]]:
+    """(number, text) of each line of ``path``, read as UTF-8 text with
+    ``newline``. A line that is not UTF-8 raises ValueError naming the
+    file and the line when the reader reaches it, so the first fault in
+    file order is the one reported.
+
+    Text mode decodes a block ahead of the line read; with
+    "surrogateescape" that never raises, and each byte that does not
+    decode becomes a lone surrogate. Only a line that is not ASCII can
+    hold one, and encoding it back gives the line's own bytes before its
+    line end, whose strict decode names the byte and its position in the
+    line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
                 try:
-                    line.decode("utf-8")
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
-        raise
+            yield number, line
 
 
 def write_articles_jsonl(path, articles: Sequence[Article]) -> None:
@@ -95,37 +93,36 @@ def read_articles_jsonl(path) -> list[Article]:
     naming the file and the first line that breaks this or is not UTF-8."""
     name = Path(path).name
     articles: list[Article] = []
-    with _open_utf8(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{name} line {number}: {exc.msg}: column {exc.colno}") from exc
-            aliases = obj.get("aliases", []) if isinstance(obj, dict) else None
-            if not (
-                isinstance(aliases, list)
-                and all(isinstance(alias, str) for alias in aliases)
-                and type(obj.get("id")) is int
-                and isinstance(obj.get("title"), str)
-                and isinstance(obj.get("abstract"), str)
-            ):
-                raise ValueError(
-                    f"{name} line {number} is not an article record with an "
-                    f"integer id, string title and abstract and a list of string aliases"
-                )
-            if obj["id"] != len(articles):
-                raise ValueError(f"{name} line {number}: article id {obj['id']} where "
-                                 f"{len(articles)} was expected; ids run 0, 1, 2, ...")
-            articles.append(
-                Article(
-                    id=obj["id"],
-                    title=obj["title"],
-                    abstract=obj["abstract"],
-                    aliases=set(aliases),
-                )
+    for number, line in _utf8_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name} line {number}: {exc.msg}: column {exc.colno}") from exc
+        aliases = obj.get("aliases", []) if isinstance(obj, dict) else None
+        if not (
+            isinstance(aliases, list)
+            and all(isinstance(alias, str) for alias in aliases)
+            and type(obj.get("id")) is int
+            and isinstance(obj.get("title"), str)
+            and isinstance(obj.get("abstract"), str)
+        ):
+            raise ValueError(
+                f"{name} line {number} is not an article record with an "
+                f"integer id, string title and abstract and a list of string aliases"
             )
+        if obj["id"] != len(articles):
+            raise ValueError(f"{name} line {number}: article id {obj['id']} where "
+                             f"{len(articles)} was expected; ids run 0, 1, 2, ...")
+        articles.append(
+            Article(
+                id=obj["id"],
+                title=obj["title"],
+                abstract=obj["abstract"],
+                aliases=set(aliases),
+            )
+        )
     return articles
 
 
@@ -143,16 +140,16 @@ def read_links_tsv(path) -> Iterator[tuple[int, int, str]]:
     "\\r\\n" or a lone "\\r", which no anchor holds unescaped. Raises
     ValueError naming the file and line of one that is not UTF-8 or not
     two integers and an anchor, tab-separated."""
-    with _open_utf8(path, newline="") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                source, target, anchor = line.split("\t", 2)
-                yield int(source), int(target), unescape_field(anchor)
-            except ValueError as exc:
-                raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
+    for number, line in _utf8_lines(path, newline=""):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        try:
+            source, target, anchor = line.split("\t", 2)
+            row = int(source), int(target), unescape_field(anchor)
+        except ValueError as exc:
+            raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
+        yield row
 
 
 def write_remap_tsv(path, old_to_new: Mapping[int, int]) -> None:
@@ -186,22 +183,21 @@ def read_predictions_tsv(path) -> Iterator[tuple[int, int, float]]:
     and a finite number, tab-separated, or a pair that an earlier line
     scored."""
     seen: set[tuple[int, int]] = set()
-    with _open_utf8(path, newline="") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                source, target, score = line.split("\t")
-                row = int(source), int(target), float(score)
-                if not math.isfinite(row[2]):
-                    raise ValueError(f"score {score} is not finite")
-                if row[:2] in seen:
-                    raise ValueError(f"pair ({row[0]}, {row[1]}) is scored on an earlier line")
-                seen.add(row[:2])
-                yield row
-            except ValueError as exc:
-                raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
+    for number, line in _utf8_lines(path, newline=""):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            source, target, score = line.split("\t")
+            row = int(source), int(target), float(score)
+            if not math.isfinite(row[2]):
+                raise ValueError(f"score {score} is not finite")
+            if row[:2] in seen:
+                raise ValueError(f"pair ({row[0]}, {row[1]}) is scored on an earlier line")
+        except ValueError as exc:
+            raise ValueError(f"{Path(path).name} line {number}: {exc}") from exc
+        seen.add(row[:2])
+        yield row
 
 
 @dataclass

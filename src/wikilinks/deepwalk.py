@@ -1,13 +1,18 @@
 """Random-walk node embeddings trained with skip-gram negative sampling.
 
 Walks treat edges as undirected by default (directed walks strand at
-sink nodes); the SGNS pass makes a single epoch over the walks with a
-linearly decaying learning rate and negatives drawn from the
-unigram^0.75 node-frequency distribution, word2vec style. Each center
-position takes one SGD step: its contexts and negatives are grouped into
-distinct rows, and a row that occurs several times takes the sum of its
-occurrences' gradients, all taken at the same parameters, in one update.
-Everything is deterministic for a fixed seed.
+sink nodes); each pass over the start nodes reads its steps from one
+buffer of 32-bit draws, mapped to neighbors as ``rng.integers`` maps
+them, so the walks and the generator state are those of one
+``rng.integers`` call per step. The SGNS pass makes a single epoch over
+the walks with a linearly decaying learning rate and negatives drawn
+from the unigram^0.75 node-frequency distribution, word2vec style. Each
+center position takes one SGD step: its contexts and negatives are
+grouped into distinct rows, and a row that occurs several times takes
+the sum of its occurrences' gradients, all taken at the same parameters,
+in one update. The node vectors are held negated through the epoch,
+which saves one negation per step and rounds alike. Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -109,30 +114,33 @@ def sgns_gradients(
     return grad_center, grad_context, grad_negatives
 
 
-def _sgd_step(center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """One position's SGD step, in place, on its center vector and its
-    distinct context-table ``rows``.
+def _sgd_step(negated_center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """One position's SGD step, in place, on its negated center vector
+    and its distinct context-table ``rows``.
 
     A row that occurs m times among the position's contexts and
     negatives, c of them as a context, takes ``a = lr * m`` and
     ``b = lr * c``. Each occurrence's gradient is taken at the same
     parameters, so the summed update of :func:`sgns_gradients` over the
     position's (context, negatives) triples is, with x the row's dot
-    product with ``center``, ``coef = a * s(x) - b`` times ``center``
-    for the row and ``coef @ rows`` for the center. Overflow in the
-    sigmoid is the caller's to silence.
+    product with the center, ``coef = a * s(x) - b`` times the center
+    for the row and ``coef @ rows`` for the center. The center is held
+    negated: IEEE negation is exact and rounding is symmetric, so the
+    dot product with it is exactly -x, and adding ``coef`` times it or
+    ``coef @ rows`` to it gives bit for bit the step on the center
+    itself. Overflow in the sigmoid is the caller's to silence.
     """
-    coef = np.dot(rows, center)
-    np.negative(coef, out=coef)
+    coef = rows.dot(negated_center)
     np.exp(coef, out=coef)
-    coef += 1.0
+    np.add(coef, 1.0, coef)
     np.divide(a, coef, out=coef)
-    coef -= b
+    np.subtract(coef, b, coef)
     # A k = 1 matrix product: the same single rounded product per cell as
-    # ``coef[:, None] * center``, through BLAS, taken before center moves.
-    grad_rows = np.dot(coef[:, None], center[None, :])
-    center -= np.dot(coef, rows)
-    rows -= grad_rows
+    # ``coef[:, None] * negated_center``, through BLAS, taken before the
+    # center moves.
+    grad_rows = coef[:, None].dot(negated_center[None, :])
+    negated_center += coef.dot(rows)
+    rows += grad_rows
 
 
 def generate_walks(
@@ -145,26 +153,90 @@ def generate_walks(
     each up to ``walk_length`` steps, ending early at nodes without
     neighbors. Node order is reshuffled every pass. A node's neighbors,
     ascending, are its out-link targets, and its in-link sources too when
-    ``params.undirected``; a walk ends at a node outside ``nodes``."""
+    ``params.undirected``; a walk ends at a node outside ``nodes``.
+
+    The walks, and the state ``rng`` is left in, are those of one
+    ``rng.integers(len(neighbors))`` call per step (see
+    :func:`_random_walks`)."""
     neighbors: dict[int, set[int]] = {}
     for source, target in network.edges():
         neighbors.setdefault(source, set()).add(target)
         if params.undirected:
             neighbors.setdefault(target, set()).add(source)
     adjacency = {node: tuple(sorted(neighbors.get(node, ()))) for node in nodes}
+    return _random_walks(adjacency, nodes, params, rng)
+
+
+def _random_walks(
+    adjacency: Mapping[int, Sequence[int]],
+    nodes: Sequence[int],
+    params: DeepWalkParams,
+    rng: np.random.Generator,
+) -> list[list[int]]:
+    """The walks of :func:`generate_walks` over ``adjacency``, each
+    node's neighbors in the order a step picks from; a node that is not
+    a key has none.
+
+    A step from a node with k neighbors picks ``neighbors[j]`` with j
+    the value of ``rng.integers(k)``: Lemire's bounded method on the
+    generator's 32-bit stream, as numpy computes it. One neighbor takes
+    no draw. With k >= 2 a step reads draws u until ``(u * k) mod 2**32``
+    is at least ``(2**32 - k) % k`` and takes ``j = (u * k) >> 32``; for
+    k = 2**32 that is j = u, numpy's one unbounded draw. A degree above
+    2**32, which only a network of more than 2**32 nodes can have, makes
+    numpy draw 64 bits and raises ValueError here.
+
+    Each pass reads its draws from one ``rng.integers(0, 2**32, n,
+    dtype=np.uint32)`` buffer, with n the most draws the pass can take
+    without a redraw. Each redraw adds one to that budget, and a budget
+    past the buffer doubles it with the draws that follow in the stream.
+    After the pass the generator is set back and advanced by the draws
+    read, which leaves it where the per-step calls would.
+    """
+    # Per node with a neighbor: its neighbors, their count and the least
+    # accepted low word of Lemire's product.
+    choices = {}
+    for node, neighbors in adjacency.items():
+        k = len(neighbors)
+        if k > 2**32:
+            raise ValueError(f"node {node} has {k} neighbors; walks take at most 2**32")
+        if k:
+            choices[node] = neighbors, k, (2**32 - k) % k
+    steps = params.walk_length - 1
     walks: list[list[int]] = []
     nodes_arr = np.asarray(nodes)
     for _ in range(params.walks_per_node):
-        for start in rng.permutation(nodes_arr):
-            walk = [int(start)]
-            current = int(start)
-            for _ in range(params.walk_length - 1):
-                neighbors = adjacency.get(current, ())
-                if not neighbors:
+        starts = rng.permutation(nodes_arr).tolist()
+        state = rng.bit_generator.state
+        # The draws the pass may read: one per step, and one per redraw.
+        budget = len(starts) * steps
+        draws = memoryview(rng.integers(0, 2**32, budget, dtype=np.uint32))
+        used = 0
+        for current in starts:
+            walk = [current]
+            for _ in range(steps):
+                choice = choices.get(current)
+                if choice is None:
                     break
-                current = neighbors[rng.integers(len(neighbors))]
+                neighbors, k, threshold = choice
+                if k == 1:
+                    current = neighbors[0]
+                else:
+                    product = draws[used] * k
+                    used += 1
+                    while (product & 0xFFFFFFFF) < threshold:
+                        budget += 1
+                        if budget > len(draws):
+                            # The stream goes on after the buffer's draws.
+                            more = rng.integers(0, 2**32, len(draws), dtype=np.uint32)
+                            draws = memoryview(np.concatenate((draws, more)))
+                        product = draws[used] * k
+                        used += 1
+                    current = neighbors[product >> 32]
                 walk.append(current)
             walks.append(walk)
+        rng.bit_generator.state = state
+        rng.integers(0, 2**32, used, dtype=np.uint32)
     return walks
 
 
@@ -227,15 +299,18 @@ def _block_windows(
     contexts = centers[neighbor[inside]]
     drawn = table.lookup(rng.random((contexts.size, params.negatives)))
 
-    owner = np.repeat(position * node_count, inside.sum(axis=1))
+    owner_base = position * node_count
+    owner = np.repeat(owner_base, inside.sum(axis=1))
     keys = np.concatenate((owner + contexts, (owner[:, None] + drawn).ravel()))
     distinct, occurrences = np.unique(keys, return_counts=True)
     context_keys, context_counts = np.unique(keys[: contexts.size], return_counts=True)
     as_context = np.zeros_like(occurrences)
     as_context[np.searchsorted(distinct, context_keys)] = context_counts
-    row_position, row_ids = np.divmod(distinct, node_count)
-    lr = rates[row_position]
-    row_ends = np.cumsum(np.bincount(row_position, minlength=centers.size))
+    # Position p's keys lie in [p * node_count, (p + 1) * node_count).
+    row_ends = np.searchsorted(distinct, owner_base + node_count)
+    rows_per_position = np.diff(row_ends, prepend=0)
+    row_ids = distinct - np.repeat(owner_base, rows_per_position)
+    lr = np.repeat(rates, rows_per_position)
     return row_ends, row_ids, lr * occurrences, lr * as_context
 
 
@@ -254,9 +329,11 @@ def fit_deepwalk(
     with the usual 1e-4 relative floor. Windows, negatives and their
     grouping into distinct rows are precomputed one block of walks at a
     time; the result is bit-identical to grouping and updating position
-    by position. Against applying each (context, negatives) triple's
-    gradients one occurrence at a time, only the rounding within a
-    position differs.
+    by position. The node vectors are negated before the epoch and back
+    after it, both exact, and each step works on the negated center; the
+    embeddings are bit-identical to steps on the center itself. Against
+    applying each (context, negatives) triple's gradients one occurrence
+    at a time, only the rounding within a position differs.
     """
     if network.node_count == 0:
         raise ValueError("cannot fit DeepWalk on an empty network")
@@ -279,6 +356,7 @@ def fit_deepwalk(
     table = _NegativeTable(np.cumsum(weights / weights.sum()))
 
     walk_bounds = np.concatenate(([0], np.cumsum(lengths)))
+    np.negative(node_vectors, out=node_vectors)  # held negated through the epoch
     with np.errstate(over="ignore"):  # for the sigmoid in _sgd_step
         for first in range(0, len(lengths), _BLOCK_WALKS):
             last = min(first + _BLOCK_WALKS, len(lengths))
@@ -300,6 +378,7 @@ def fit_deepwalk(
                 # The ids are distinct, so a plain assignment writes each row once.
                 context_vectors[ids] = rows
                 row_start = row_end
+    np.negative(node_vectors, out=node_vectors)
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,

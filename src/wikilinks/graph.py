@@ -44,6 +44,19 @@ class DocumentNetwork:
         self._edges = dict(sorted(edges.items()))
 
     @classmethod
+    def _derived(
+        cls, node_count: int, edges: dict[tuple[int, int], tuple[str, ...]]
+    ) -> "DocumentNetwork":
+        """A network over ``edges`` as they are, without the checks and
+        sorts of ``__init__``: for maps taken from a valid network, whose
+        keys are already in ascending order and whose anchor tuples are
+        already sorted and non-empty."""
+        network = cls.__new__(cls)
+        network.node_count = node_count
+        network._edges = edges
+        return network
+
+    @classmethod
     def from_links(
         cls, node_count: int, links: Iterable[tuple[int, int, str]]
     ) -> "DocumentNetwork":
@@ -75,7 +88,7 @@ class DocumentNetwork:
         if missing:
             raise ValueError(f"cannot remove absent edges: {sorted(missing)[:5]}")
         kept = {edge: anchors for edge, anchors in self._edges.items() if edge not in removed}
-        return DocumentNetwork(self.node_count, kept)
+        return DocumentNetwork._derived(self.node_count, kept)
 
     def restricted_to(self, nodes: Iterable[int]) -> "DocumentNetwork":
         """Same id space, keeping only edges with both endpoints in ``nodes``."""
@@ -85,7 +98,7 @@ class DocumentNetwork:
             for (s, t), anchors in self._edges.items()
             if s in keep and t in keep
         }
-        return DocumentNetwork(self.node_count, kept)
+        return DocumentNetwork._derived(self.node_count, kept)
 
     def relabeled_subgraph(
         self, ordered_nodes: Sequence[int]
@@ -96,12 +109,12 @@ class DocumentNetwork:
         old_to_new = {old: new for new, old in enumerate(ordered_nodes)}
         if len(old_to_new) != len(ordered_nodes):
             raise ValueError("duplicate nodes in subgraph selection")
-        kept = {
-            (old_to_new[s], old_to_new[t]): anchors
+        kept = sorted(
+            ((old_to_new[s], old_to_new[t]), anchors)
             for (s, t), anchors in self._edges.items()
             if s in old_to_new and t in old_to_new
-        }
-        return DocumentNetwork(len(ordered_nodes), kept), old_to_new
+        )
+        return DocumentNetwork._derived(len(ordered_nodes), dict(kept)), old_to_new
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,17 @@ class TestArticlesJsonl:
         ):
             read_articles_jsonl(path)
 
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # Line 2's id comes before line 3's byte that is not UTF-8.
+        path = tmp_path / "articles.jsonl"
+        path.write_bytes(
+            b'{"id": 0, "title": "A", "abstract": "", "aliases": []}\n'
+            b'{"id": 5, "title": "B", "abstract": "", "aliases": []}\n'
+            b'{"id": 2, "title": "C", "abstract": "caf\xe9 au lait", "aliases": []}\n'
+        )
+        with pytest.raises(ValueError, match=r"^articles\.jsonl line 2: article id 5 where 1 was"):
+            read_articles_jsonl(path)
+
 
 class TestLinksTsv:
     def test_round_trip_preserves_anchor_multiset(self, tmp_path):
@@ -223,8 +234,12 @@ class TestLinksTsv:
           r"line 3: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
          (b"0\t1\ta\r\n\r0\t2\tb\r\n0\t1\tc\xff\r\n",
           r"line 4: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
-         (b"0\t1\ta\r0\t2\n", r"line 2: not enough values to unpack \(expected 3, got 2\)")],
-        ids=["non-utf8-after-lone-cr", "non-utf8-after-crlf-and-cr", "parse-error-after-lone-cr"],
+         (b"0\t1\ta\r0\t2\n", r"line 2: not enough values to unpack \(expected 3, got 2\)"),
+         # U+DCFF as three bytes: strict UTF-8 holds no surrogate.
+         (b"0\t1\ta\n0\t1\t\xed\xb3\xbf\n",
+          r"line 2: 'utf-8' codec can't decode byte 0xed in position 4: invalid continuation byte")],
+        ids=["non-utf8-after-lone-cr", "non-utf8-after-crlf-and-cr", "parse-error-after-lone-cr",
+             "encoded-surrogate"],
     )
     def test_both_errors_number_lines_as_the_text_reader(self, tmp_path, content, message):
         # "\r\n", a lone "\r" and "\n" each end one line, whether the
@@ -233,6 +248,25 @@ class TestLinksTsv:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=rf"^links\.tsv {message}$"):
             list(read_links_tsv(path))
+
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # Line 1 has two fields; line 7 holds a byte that is not UTF-8.
+        path = tmp_path / "links.tsv"
+        path.write_bytes(b"0\t1\n" + b"0\t1\tone\n" * 5 + b"0\t1\tc\xff\n")
+        with pytest.raises(
+            ValueError, match=r"^links\.tsv line 1: not enough values to unpack \(expected 3, got 2\)$"
+        ):
+            list(read_links_tsv(path))
+
+    def test_rows_before_a_non_utf8_byte_are_yielded_once(self, tmp_path):
+        path = tmp_path / "links.tsv"
+        path.write_bytes(b"0\t1\tone\r\n" * 5 + b"\r0\t1\tc\xff\n0\t1\tone\n")
+        rows = []
+        with pytest.raises(ValueError, match=r"^links\.tsv line 7: 'utf-8' codec can't decode"):
+            for row in read_links_tsv(path):
+                rows.append(row)
+        assert rows == [(0, 1, "one")] * 5
 
 
 class TestRemapTsv:

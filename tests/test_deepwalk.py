@@ -1,7 +1,8 @@
-"""The sigmoid vs scipy's, SGNS gradients vs finite differences, walks,
-clique separation, and the blocked SGD epoch against the per-position
-reference loop (bit for bit) and the per-occurrence loop it replaced
-(within rounding)."""
+"""The sigmoid vs scipy's, SGNS gradients vs finite differences, walks
+and their generator state vs one ``rng.integers`` call per step, clique
+separation, and the blocked SGD epoch against the per-position reference
+loop (bit for bit) and the per-occurrence loop it replaced (within
+rounding)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from wikilinks.deepwalk import (
     DeepWalkParams,
     UnsupportedModeError,
     _NegativeTable,
+    _random_walks,
     _sgd_step,
     expit,
     fit_deepwalk,
@@ -29,6 +31,7 @@ from wikilinks.deepwalk import (
 )
 from wikilinks.graph import DocumentNetwork
 from wikilinks.lsa import row_cosines
+from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 from test_lsa import cosine_oracle
 
@@ -127,14 +130,15 @@ class TestSgnsGradients:
         assert ids.tolist() == [1, 2, 3, 4]
         assert occurrences.tolist() == [2, 3, 2, 2]
         as_context = np.array([contexts.count(row) for row in ids.tolist()])
-        stepped, rows = center.copy(), table[ids]
-        _sgd_step(stepped, rows, lr * occurrences, lr * as_context)
-        np.testing.assert_allclose(stepped, expected_center, rtol=0, atol=1e-14)
+        negated, rows = -center, table[ids]
+        _sgd_step(negated, rows, lr * occurrences, lr * as_context)
+        np.testing.assert_allclose(-negated, expected_center, rtol=0, atol=1e-14)
         np.testing.assert_allclose(rows, expected[ids], rtol=0, atol=1e-14)
 
     def test_gradient_rows_are_the_elementwise_outer_product(self):
-        # The reference loop below calls the same helper, so its updates are
-        # checked here against the broadcast product, bit for bit.
+        # The reference loop below calls reference_sgd_step, so its updates
+        # are checked here against the broadcast product, bit for bit, and
+        # the step on the negated center against it.
         rng = np.random.default_rng(15)
         for _ in range(300):
             d = int(rng.integers(1, 80))
@@ -145,11 +149,15 @@ class TestSgnsGradients:
             lr = rng.random()
             a, b = lr * occurrences, lr * rng.integers(0, occurrences + 1)
             stepped_center, stepped_rows = center.copy(), rows.copy()
+            negated, negated_rows = -center, rows.copy()
             with np.errstate(over="ignore"):
-                _sgd_step(stepped_center, stepped_rows, a, b)
+                reference_sgd_step(stepped_center, stepped_rows, a, b)
+                _sgd_step(negated, negated_rows, a, b)
                 coef = a / (1.0 + np.exp(-np.dot(rows, center))) - b
             assert np.array_equal(stepped_rows, rows - coef[:, None] * center)
             assert np.array_equal(stepped_center, center - np.dot(coef, rows))
+            assert np.array_equal(negated_rows, stepped_rows)
+            assert np.array_equal(-negated, stepped_center)
 
 
 class TestNegativeTable:
@@ -203,9 +211,27 @@ def _center_gradients(
     return grad_center, np.dot(g[:, None], center[None, :])
 
 
+def reference_sgd_step(center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """The distinct-row SGD step on the center itself, in place: with x
+    each row's dot product with ``center``, ``coef = a * s(x) - b``;
+    each row moves by ``-coef`` times the center and the center by
+    ``-coef @ rows``, both taken before either moves. ``fit_deepwalk``
+    holds the center negated instead."""
+    coef = np.dot(rows, center)
+    np.negative(coef, out=coef)
+    np.exp(coef, out=coef)
+    coef += 1.0
+    np.divide(a, coef, out=coef)
+    coef -= b
+    grad_rows = np.dot(coef[:, None], center[None, :])
+    center -= np.dot(coef, rows)
+    rows -= grad_rows
+
+
 def _reference_setup(network, params, seed, nodes):
     """Initial vectors, walks and the negative-sampling table of a fit,
-    drawn as ``fit_deepwalk`` draws them."""
+    drawn as ``fit_deepwalk`` draws them, the walks by one
+    ``rng.integers`` call per step (:func:`has_edge_walks`)."""
     if nodes is None:
         nodes = range(network.node_count)
     nodes = sorted(nodes)
@@ -214,7 +240,7 @@ def _reference_setup(network, params, seed, nodes):
     node_vectors = (rng.random((network.node_count, d)) - 0.5) / d
     context_vectors = np.zeros((network.node_count, d))
 
-    walks = generate_walks(network, nodes, params, rng)
+    walks = has_edge_walks(network, nodes, params, rng)
 
     counts = np.zeros(network.node_count)
     for walk in walks:
@@ -244,8 +270,8 @@ def _positions(walks, params, rng, cumulative):
 
 def reference_fit(network, params, seed, nodes=None):
     """The epoch position by position: each position's contexts and
-    negatives grouped by ``np.unique`` into distinct rows, then the
-    ``_sgd_step`` that ``fit_deepwalk`` calls. Returns (node_vectors,
+    negatives grouped by ``np.unique`` into distinct rows, then
+    :func:`reference_sgd_step` on the center. Returns (node_vectors,
     context_vectors)."""
     rng, node_vectors, context_vectors, walks, cumulative = _reference_setup(
         network, params, seed, nodes
@@ -255,7 +281,7 @@ def reference_fit(network, params, seed, nodes=None):
             ids, occurrences = np.unique(contexts + drawn.ravel().tolist(), return_counts=True)
             as_context = np.array([contexts.count(row) for row in ids.tolist()])
             rows = context_vectors[ids]
-            _sgd_step(node_vectors[center], rows, lr * occurrences, lr * as_context)
+            reference_sgd_step(node_vectors[center], rows, lr * occurrences, lr * as_context)
             context_vectors[ids] = rows
     return node_vectors, context_vectors
 
@@ -362,19 +388,10 @@ class TestBlockedEpochMatchesReference:
         assert network.node_count * params.walks_per_node > 2 * _BLOCK_WALKS
 
 
-def has_edge_walks(network, nodes, params, seed):
-    """Walks drawn from ``default_rng(seed)`` as ``generate_walks`` draws
-    them, over neighbor lists found by asking ``has_edge`` of every
-    ordered pair: a node outside ``nodes`` has no neighbors."""
-    adjacency = {
-        u: [
-            v
-            for v in range(network.node_count)
-            if network.has_edge(u, v) or (params.undirected and network.has_edge(v, u))
-        ]
-        for u in nodes
-    }
-    rng = np.random.default_rng(seed)
+def per_step_walks(adjacency, nodes, params, rng):
+    """Walks over ``adjacency`` with one ``rng.integers(len(neighbors))``
+    call per step from a node with neighbors; a node that is not a key
+    has none."""
     walks = []
     for _ in range(params.walks_per_node):
         for start in rng.permutation(np.asarray(nodes)):
@@ -384,6 +401,21 @@ def has_edge_walks(network, nodes, params, seed):
                 walk.append(neighbors[rng.integers(len(neighbors))])
             walks.append(walk)
     return walks
+
+
+def has_edge_walks(network, nodes, params, rng):
+    """:func:`per_step_walks` over neighbor lists found by asking
+    ``has_edge`` of every ordered pair: a node outside ``nodes`` has no
+    neighbors."""
+    adjacency = {
+        u: [
+            v
+            for v in range(network.node_count)
+            if network.has_edge(u, v) or (params.undirected and network.has_edge(v, u))
+        ]
+        for u in nodes
+    }
+    return per_step_walks(adjacency, nodes, params, rng)
 
 
 @st.composite
@@ -418,8 +450,52 @@ class TestWalks:
         params = DeepWalkParams(
             walks_per_node=per_node, walk_length=length, undirected=undirected
         )
-        walks = generate_walks(network, nodes, params, np.random.default_rng(seed))
-        assert walks == has_edge_walks(network, nodes, params, seed)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generate_walks(network, nodes, params, rng) == has_edge_walks(
+            network, nodes, params, oracle
+        )
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    # k = 2**31 + 1 rejects (u * k) mod 2**32 below 2**31 - 1, about half of
+    # all draws, so the redraw loop runs on every seed; 2**32 - 1 and 2**32
+    # are the largest degrees of one 32-bit draw. No graph of such degree is
+    # built: a range is the neighbor list.
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_draw_mapping_matches_integers(self, k):
+        adjacency = {0: range(k)}
+        # A walk steps on only from node 0, and a pass's buffer holds three
+        # draws: with 2**31 + 1, three redraws in a row overrun it.
+        params = DeepWalkParams(walks_per_node=4, walk_length=4)
+        for seed in range(100):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _random_walks(adjacency, [0], params, rng) == per_step_walks(
+                adjacency, [0], params, oracle
+            )
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_degree_above_2_32_raises(self):
+        # rng.integers(k) draws 64 bits for such k; no network of at most
+        # 2**32 nodes has such a degree.
+        params = DeepWalkParams(walks_per_node=1, walk_length=2)
+        message = r"^node 5 has 4294967297 neighbors; walks take at most 2\*\*32$"
+        with pytest.raises(ValueError, match=message):
+            _random_walks({5: range(2**32 + 1)}, [5], params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_eval_text_sized_graph_matches_oracle(self, undirected):
+        # The eval-text workload's corpus and walks: 500 documents, 2 walks
+        # of 20 from each.
+        network = planted_dataset(PlantedCorpusParams(
+            topics=25, docs_per_topic=20, topic_vocab=10, filler_vocab=20, body_tokens=30,
+            links_per_doc=3, mentions_per_doc=12, diffuse_fraction=0.9, aliases=25, seed=0,
+        )).network
+        assert network.node_count == 500
+        params = DeepWalkParams(walks_per_node=2, walk_length=20, undirected=undirected)
+        nodes = range(network.node_count)
+        rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+        walks = generate_walks(network, nodes, params, rng)
+        assert walks == has_edge_walks(network, nodes, params, oracle)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_walk_counts_and_lengths(self):
         net = _two_cliques_with_bridge()

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wikilinks.deepwalk import DeepWalkParams, generate_walks
 from wikilinks.graph import (
@@ -150,6 +152,36 @@ class TestDocumentNetwork:
         net = _net(3, [(0, 1)])
         with pytest.raises(ValueError):
             net.remove_edges([(1, 2)])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_derived_networks_equal_the_validated_construction(self, data):
+        # remove_edges, restricted_to and relabeled_subgraph skip the checks
+        # and sorts of __init__; each must give the network that __init__
+        # builds from the same edges.
+        n = data.draw(st.integers(1, 8))
+        node = st.integers(0, n - 1)
+        links = data.draw(st.lists(st.tuples(node, node, st.sampled_from("cba")), max_size=30))
+        net = DocumentNetwork.from_links(n, links)
+        edges = list(net.edges())
+        removed = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
+        keep = data.draw(st.sets(node))
+        order = data.draw(st.lists(st.integers(0, n + 1), unique=True))
+        new_id = {old: new for new, old in enumerate(order)}
+        items = list(net.edge_items())
+        derived = [
+            (net.remove_edges(removed), DocumentNetwork(
+                n, {e: a for e, a in items if e not in removed})),
+            (net.restricted_to(keep), DocumentNetwork(
+                n, {(s, t): a for (s, t), a in items if s in keep and t in keep})),
+            (net.relabeled_subgraph(order)[0], DocumentNetwork(
+                len(order),
+                {(new_id[s], new_id[t]): a for (s, t), a in items if s in new_id and t in new_id},
+            )),
+        ]
+        for got, validated in derived:
+            assert got.node_count == validated.node_count
+            assert list(got.edge_items()) == list(validated.edge_items())
 
 
 class TestPersonalizedPagerank:
