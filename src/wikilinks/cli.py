@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dataset import ARTICLES_FILE, LINKS_FILE, Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
-from .evaluation import MODES, EvalConfig, MetricsReport, check_method_names, run_eval
+from .evaluation import EvalConfig, MetricsReport, check_method_names, run_eval
 from .graph import (DocumentNetwork, check_damping, network_stats, personalized_pagerank,
                     topk_subgraph)
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
@@ -37,14 +37,13 @@ class InputError(Exception):
 
 
 # The keys of experiment.json that eval reads itself, with their defaults. Every
-# other key is an EvalConfig field of the same name; "mode" sets its modes.
-_EVAL_KEYS = {"data": None, "out": None, "methods": list(METHOD_NAMES), "external_methods": {},
-              "mode": "both"}
+# other key is an EvalConfig field of the same name and JSON type.
+_EVAL_KEYS = {"data": None, "out": None, "methods": list(METHOD_NAMES), "external_methods": {}}
 
 
 def _read_config(path) -> dict:
     """The JSON object at ``path``; a key that is neither in :data:`_EVAL_KEYS`
-    nor an :class:`EvalConfig` field but ``modes`` is an :class:`InputError`."""
+    nor an :class:`EvalConfig` field is an :class:`InputError`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -55,7 +54,7 @@ def _read_config(path) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config {path} must be a JSON object")
-    unknown = set(raw) - set(_EVAL_KEYS) - ({f.name for f in fields(EvalConfig)} - {"modes"})
+    unknown = set(raw) - set(_EVAL_KEYS) - {f.name for f in fields(EvalConfig)}
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return raw
@@ -73,8 +72,6 @@ def _eval_settings(config: dict) -> EvalConfig:
         raise InputError("methods must be a list of strings")
     if not isinstance(external, dict) or not all(isinstance(p, str) for p in external.values()):
         raise InputError("external_methods must map method names to file paths")
-    if config["mode"] not in ("transductive", "inductive", "both"):
-        raise InputError("mode must be transductive, inductive or both")
     settings = {key: value for key, value in config.items() if key not in _EVAL_KEYS}
     deepwalk = settings.setdefault("deepwalk", {})
     if not isinstance(deepwalk, dict):
@@ -90,8 +87,7 @@ def _eval_settings(config: dict) -> EvalConfig:
             settings["deepwalk"] = DeepWalkParams(**deepwalk)
         except ValueError as exc:
             raise ValueError(f"deepwalk.{exc}") from None
-        modes = MODES if config["mode"] == "both" else (config["mode"],)
-        eval_config = EvalConfig(modes=modes, **settings)
+        eval_config = EvalConfig(**settings)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if config["data"] and _path_kind(Path(config["data"])) is None:

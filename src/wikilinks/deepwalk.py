@@ -1,12 +1,12 @@
 """Random-walk node embeddings trained with skip-gram negative sampling.
 
-Walks treat edges as undirected by default (directed walks strand at
-sink nodes); each pass over the start nodes reads its steps from one
-buffer of 32-bit draws, mapped to neighbors as ``rng.integers`` maps
-them, so the walks and the generator state are those of one
-``rng.integers`` call per step. The SGNS pass makes a single epoch over
-the walks with a linearly decaying learning rate and negatives drawn
-from the unigram^0.75 node-frequency distribution, word2vec style. Each
+Walks treat edges as undirected (directed walks would strand at sink
+nodes); each pass over the start nodes reads its steps from one buffer
+of 32-bit draws, mapped to neighbors as ``rng.integers`` maps them, so
+the walks and the generator state are those of one ``rng.integers``
+call per step. The SGNS pass makes a single epoch over the walks with a
+learning rate that decays linearly from 0.025 and negatives drawn from
+the unigram^0.75 node-frequency distribution, word2vec style. Each
 center position takes one SGD step: its contexts and negatives are
 grouped into distinct rows, and a row that occurs several times takes
 the sum of its occurrences' gradients, all taken at the same parameters,
@@ -17,7 +17,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -29,6 +28,8 @@ from .graph import DocumentNetwork
 from .lsa import pair_scores
 
 _LOG_FLOOR = 1e-12
+# word2vec's starting learning rate for skip-gram.
+_LEARNING_RATE = 0.025
 # Walks whose windows and negatives are precomputed together. The index
 # arrays of a whole epoch cost too much memory; one walk at a time costs
 # too many small numpy calls.
@@ -60,19 +61,10 @@ class DeepWalkParams:
     window: int = 10
     negatives: int = 10
     dimension: int = 512
-    learning_rate: float = 0.025
-    undirected: bool = True
 
     def __post_init__(self) -> None:
         for name in ("walks_per_node", "walk_length", "window", "negatives", "dimension"):
             check_int(name, getattr(self, name), 1)
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not (
-            isinstance(rate, numbers.Real) and math.isfinite(rate) and rate > 0
-        ):
-            raise ValueError("learning_rate must be a finite number above 0")
-        if not isinstance(self.undirected, bool):
-            raise ValueError("undirected must be true or false")
 
 
 @dataclass
@@ -152,8 +144,8 @@ def generate_walks(
     """Uniform random walks: ``walks_per_node`` starts from every node,
     each up to ``walk_length`` steps, ending early at nodes without
     neighbors. Node order is reshuffled every pass. A node's neighbors,
-    ascending, are its out-link targets, and its in-link sources too when
-    ``params.undirected``; a walk ends at a node outside ``nodes``.
+    ascending, are its out-link targets and its in-link sources; a walk
+    ends at a node outside ``nodes``.
 
     The walks, and the state ``rng`` is left in, are those of one
     ``rng.integers(len(neighbors))`` call per step (see
@@ -161,8 +153,7 @@ def generate_walks(
     neighbors: dict[int, set[int]] = {}
     for source, target in network.edges():
         neighbors.setdefault(source, set()).add(target)
-        if params.undirected:
-            neighbors.setdefault(target, set()).add(source)
+        neighbors.setdefault(target, set()).add(source)
     adjacency = {node: tuple(sorted(neighbors.get(node, ()))) for node in nodes}
     return _random_walks(adjacency, nodes, params, rng)
 
@@ -362,9 +353,7 @@ def fit_deepwalk(
             last = min(first + _BLOCK_WALKS, len(lengths))
             start, stop = walk_bounds[first], walk_bounds[last]
             block = centers[start:stop]
-            rates = params.learning_rate * np.maximum(
-                1e-4, 1.0 - np.arange(start, stop) / centers.size
-            )
+            rates = _LEARNING_RATE * np.maximum(1e-4, 1.0 - np.arange(start, stop) / centers.size)
             row_ends, row_ids, a, b = _block_windows(
                 block, lengths[first:last], rates, network.node_count, params, table, rng
             )

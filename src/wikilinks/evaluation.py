@@ -389,14 +389,16 @@ def _mean_std(per_run: list[tuple[float, float, float]]) -> tuple[list[float], l
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """The settings of :func:`run_eval`: runs, seeds, modes, the fraction
-    of edges or documents each split hides, the LSA dimension, DeepWalk's
-    settings and ATILP's sample sizes. A bad value raises ValueError naming
-    its field; a ratio lies strictly between 0 and 1, which NaN does not."""
+    """The settings of :func:`run_eval`, each a key of ``experiment.json``
+    of the same name and JSON type: runs, seeds, the mode (``"both"``,
+    ``"inductive"`` or ``"transductive"``), the fraction of edges or
+    documents each split hides, the LSA dimension, DeepWalk's settings and
+    ATILP's sample sizes. A bad value raises ValueError naming its field; a
+    ratio lies strictly between 0 and 1, which NaN does not."""
 
     runs: int = 5
     base_seed: int = 0
-    modes: tuple[str, ...] = MODES
+    mode: str = "both"
     transductive_ratio: float = 0.10
     inductive_ratio: float = 0.10
     dimension: int = 512
@@ -407,9 +409,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         check_int("runs", self.runs, 1)
         check_int("base_seed", self.base_seed, 0)
-        modes = self.modes
-        if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
-            raise ValueError(f"modes must be distinct, each one of {MODES}; got {tuple(modes)}")
+        if self.mode not in ("transductive", "inductive", "both"):
+            raise ValueError("mode must be transductive, inductive or both")
         for name in ("transductive_ratio", "inductive_ratio"):
             check_ratio(name, getattr(self, name))
         for name in ("dimension", "atilp_positives", "atilp_negatives"):
@@ -456,7 +457,8 @@ def run_eval(
 
     per_method: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
     failures: list[EvalFailure] = []
-    hashers = {mode: hashlib.sha256() for mode in config.modes}
+    modes = MODES if config.mode == "both" else (config.mode,)
+    hashers = {mode: hashlib.sha256() for mode in modes}
 
     candidates = dataset.anchor_candidates()
     title_candidates = dataset.title_candidates()
@@ -465,7 +467,7 @@ def run_eval(
     tokens = [list(map(sys.intern, tokenize(article.abstract))) for article in dataset.articles]
     for run in range(config.runs):
         seed = config.base_seed + run
-        for mode in config.modes:
+        for mode in modes:
             if mode == "transductive":
                 split = split_transductive(
                     dataset.network, candidates, config.transductive_ratio, run_seed=seed
@@ -526,7 +528,7 @@ def run_eval(
     failed = {(failure.method, failure.mode) for failure in failures}
     entries: list[MethodMetrics] = []
     for method in resolved:
-        for mode in config.modes:
+        for mode in modes:
             key = (method.name, mode)
             if key in failed or key not in per_method:
                 continue
@@ -541,7 +543,7 @@ def run_eval(
     report = MetricsReport(
         dataset=dataset.name,
         entries=entries,
-        split_hashes={mode: hashers[mode].hexdigest() for mode in config.modes},
+        split_hashes={mode: hashers[mode].hexdigest() for mode in modes},
         failures=failures,
     )
     if out_dir is not None:

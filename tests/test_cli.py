@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -503,8 +503,15 @@ class TestReportCommand:
         ("eval", '{"deepwalk": {"negatives": -1}}', "deepwalk.negatives"),
         ("eval", '{"deepwalk": {"walk_length": "20"}}', "deepwalk.walk_length"),
         ("eval", '{"deepwalk": {"window": 0}}', "deepwalk.window"),
-        ("eval", '{"deepwalk": {"learning_rate": 0}}', "deepwalk.learning_rate"),
-        ("eval", '{"deepwalk": {"undirected": 1}}', "deepwalk.undirected"),
+        # Settings of earlier versions, fixed since: the rate at 0.025, the
+        # walks undirected. A value once valid is an unknown key as well.
+        ("eval", '{"deepwalk": {"learning_rate": 0}}',
+         "error: unknown deepwalk keys: learning_rate\n"),
+        ("eval", '{"deepwalk": {"undirected": 1}}', "error: unknown deepwalk keys: undirected\n"),
+        ("eval", '{"deepwalk": {"learning_rate": 0.025}}',
+         "error: unknown deepwalk keys: learning_rate\n"),
+        ("eval", '{"deepwalk": {"undirected": false}}',
+         "error: unknown deepwalk keys: undirected\n"),
         ("eval", '{"methods": ["lsa", "lsa"]}', "method 'lsa' is listed twice"),
         ("eval", '{"methods": ["random"], "external_methods": {"random": "p.tsv"}}',
          "method 'random' is listed twice"),
@@ -524,6 +531,7 @@ class TestReportCommand:
         "eval-deepwalk-unknown-key", "eval-deepwalk-negatives-negative",
         "eval-deepwalk-walk-length-string", "eval-deepwalk-window-zero",
         "eval-deepwalk-learning-rate-zero", "eval-deepwalk-undirected-int",
+        "eval-deepwalk-learning-rate-key", "eval-deepwalk-undirected-key",
         "eval-method-twice", "eval-external-method-shadows-builtin", "eval-no-methods",
         "eval-dimension-zero", "eval-atilp-negatives-bool", "eval-fractional-seed",
         "eval-ratio-nan", "eval-modes-key", "eval-internal-settings-key",
@@ -609,20 +617,22 @@ def test_non_utf8_dataset_byte_exits_2_naming_file_and_line(tmp_path, capsys):
     "config, flags, line",
     [
         ({"out": 5, "methods": "x"}, [], "out must be a string path"),
-        ({"mode": "none", "deepwalk": 5}, [], "mode must be transductive, inductive or both"),
+        ({"mode": "none", "deepwalk": 5}, [], "deepwalk must be a JSON object"),
+        ({"mode": "none", "transductive_ratio": 2}, [],
+         "mode must be transductive, inductive or both"),
         ({"deepwalk": {"walkz": 1}, "methods": ["nosuch"]}, [], "unknown deepwalk keys: walkz"),
         ({"deepwalk": {"window": 0}, "runs": 0}, [], "deepwalk.window must be at least 1"),
         ({"runs": 0, "data": "missing"}, [], "runs must be at least 1"),
         ({"bogus": 1, "runs": 0}, [], "unknown config keys: bogus"),
         ({"runs": 2}, ["--runs", "0"], "runs must be at least 1"),
     ],
-    ids=["path-shape-before-methods", "mode-before-deepwalk-shape",
+    ids=["path-shape-before-methods", "deepwalk-shape-before-mode", "mode-before-ratio",
          "deepwalk-keys-before-method-names", "deepwalk-value-before-runs",
          "value-before-path", "unknown-key-before-value", "flag-over-config"],
 )
 def test_first_config_fault_is_the_one_reported(tmp_path, capsys, config, flags, line):
-    # eval checks for unknown keys, then the JSON shapes, the values and
-    # the paths, and names only the first fault it meets.
+    # eval checks for unknown keys, then the JSON shapes, the values (mode
+    # among them) and the paths, and names only the first fault it meets.
     if "data" in config:
         config["data"] = str(tmp_path / config["data"])
     path = tmp_path / "config.json"
@@ -644,11 +654,17 @@ def test_removed_config_fields_are_unknown_keys(tmp_path, capsys, key, value):
 
 
 def test_readme_experiment_json_builds_the_defaults(tmp_path):
-    # README's experiment.json spells out every default; its one external
+    # README's experiment.json spells out every default and is the whole
+    # schema: its keys but the method lists are EvalConfig's fields, in
+    # order, and those under deepwalk DeepWalkParams'. Its one external
     # method aside, it must build exactly EvalConfig() and the method list.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^`experiment\.json`:\n\n```json\n(.*?)^```$", readme, re.M | re.S)
     raw = json.loads(block.group(1))
+    assert [key for key in raw if key not in ("methods", "external_methods")] == [
+        f.name for f in fields(EvalConfig)
+    ]
+    assert list(raw["deepwalk"]) == [f.name for f in fields(DeepWalkParams)]
     del raw["external_methods"]
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -656,13 +672,25 @@ def test_readme_experiment_json_builds_the_defaults(tmp_path):
     assert _eval_settings(config) == EvalConfig()
     assert config["methods"] == list(METHOD_NAMES)
 
+    # Any EvalConfig, its fields written as JSON, is a config that builds it.
+    custom = EvalConfig(
+        runs=3, base_seed=7, mode="inductive", transductive_ratio=0.25, inductive_ratio=0.3,
+        dimension=32, deepwalk=DeepWalkParams(walks_per_node=2, walk_length=9, window=4,
+                                              negatives=3, dimension=16),
+        atilp_positives=50, atilp_negatives=60,
+    )
+    assert all(getattr(custom, f.name) != getattr(EvalConfig(), f.name)
+               for f in fields(EvalConfig))
+    path.write_text(json.dumps(asdict(custom)), encoding="utf-8")
+    assert _eval_settings({**_EVAL_KEYS, **_read_config(path)}) == custom
+
 
 @pytest.mark.parametrize(
     "overrides, flags, settings, external",
     [
         (dict(methods=list(METHOD_NAMES)), [], {}, False),
         (dict(methods=["random", "lsa"], mode="transductive", runs=1),
-         ["--runs", "2", "--base-seed", "3"], dict(runs=2, base_seed=3, modes=("transductive",)),
+         ["--runs", "2", "--base-seed", "3"], dict(runs=2, base_seed=3, mode="transductive"),
          False),
         (dict(methods=["random", "atilp"], inductive_ratio=0.2), [], dict(inductive_ratio=0.2),
          True),

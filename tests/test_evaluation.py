@@ -341,9 +341,6 @@ class TestSplitInductive:
             assert source not in hidden and target not in hidden
 
 
-_MODES_MESSAGE = "modes must be distinct, each one of ('inductive', 'transductive'); got "
-
-
 class TestEvalConfig:
     @pytest.mark.parametrize(
         "name, value, message",
@@ -358,14 +355,16 @@ class TestEvalConfig:
             ("inductive_ratio", 0.0, "inductive_ratio must lie strictly between 0 and 1"),
             ("transductive_ratio", float("nan"),
              "transductive_ratio must lie strictly between 0 and 1"),
-            ("modes", (), _MODES_MESSAGE + "()"),
-            ("modes", ("transductive", "transductive"),
-             _MODES_MESSAGE + "('transductive', 'transductive')"),
-            ("modes", ("inductive", "bogus"), _MODES_MESSAGE + "('inductive', 'bogus')"),
+            ("mode", "sideways", "mode must be transductive, inductive or both"),
+            # The tuples that the field modes took before mode replaced it.
+            ("mode", (), "mode must be transductive, inductive or both"),
+            ("mode", ("transductive", "transductive"),
+             "mode must be transductive, inductive or both"),
+            ("mode", ("inductive", "bogus"), "mode must be transductive, inductive or both"),
         ],
         ids=["dimension-bool", "positives-zero", "negatives-float", "fractional-runs",
              "negative-seed", "fractional-seed", "transductive-above-one", "inductive-zero",
-             "ratio-nan", "modes-empty", "modes-repeated", "modes-unknown"],
+             "ratio-nan", "mode-unknown", "modes-empty", "modes-repeated", "modes-unknown"],
     )
     def test_bad_setting_raises_naming_the_field(self, name, value, message):
         # atilp_positives=0 would fit ATILP on negatives only.
@@ -441,20 +440,20 @@ class TestRunEval:
         assert not report.failures
 
     @pytest.mark.parametrize(
-        "methods, modes",
+        "methods, mode",
         [
-            (["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"], MODES),
-            (["deepwalk"], MODES),
-            (["random", FailingMethod()], ("transductive",)),
+            (["random", "at_title", "at_anchor", "lsa", "deepwalk", "atilp"], "both"),
+            (["deepwalk"], "both"),
+            (["random", FailingMethod()], "transductive"),
         ],
         ids=["all-methods-both-modes", "deepwalk-alone", "transductive-with-failure"],
     )
-    def test_one_table_for_every_caller(self, fixture_dataset, tmp_path, methods, modes):
+    def test_one_table_for_every_caller(self, fixture_dataset, tmp_path, methods, mode):
         # The library's table, the report.md that run_eval writes and the
         # table of the report rebuilt from report.json (the report command)
         # are one table.
         report = run_eval(fixture_dataset, methods,
-                          config=replace(BENCH_CONFIG, runs=2, modes=modes), out_dir=tmp_path)
+                          config=replace(BENCH_CONFIG, runs=2, mode=mode), out_dir=tmp_path)
         rebuilt = MetricsReport.from_records(json.loads(report.to_json()))
         table = report.to_markdown()
         assert table == (tmp_path / "report.md").read_text(encoding="utf-8")
@@ -518,7 +517,7 @@ class TestRunEval:
 
     def test_invalid_mode_rejected(self, fixture_dataset):
         with pytest.raises(ValueError):
-            run_eval(fixture_dataset, ["random"], config=EvalConfig(runs=1, modes=("sideways",)))
+            run_eval(fixture_dataset, ["random"], config=EvalConfig(runs=1, mode="sideways"))
 
     @pytest.mark.parametrize(
         "modes",
@@ -526,15 +525,16 @@ class TestRunEval:
         ids=["empty", "repeated", "unknown"],
     )
     def test_mode_list_rejected_before_output_is_touched(self, fixture_dataset, tmp_path, modes):
-        # A repeated mode would pool both listings' runs under one name, and
-        # every rejected list must leave the earlier splits and report alone.
+        # mode names one mode or both; a list of modes, as the field modes
+        # took before, is rejected and leaves the earlier splits and report
+        # alone.
         run_eval(fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=1),
                  out_dir=tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert any(p.parent.name == "inductive" for p in before)
         with pytest.raises(ValueError, match="mode"):
             run_eval(
-                fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=2, modes=modes),
+                fixture_dataset, ["random"], config=replace(BENCH_CONFIG, runs=2, mode=modes),
                 out_dir=tmp_path,
             )
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

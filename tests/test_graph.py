@@ -116,18 +116,18 @@ class TestDocumentNetwork:
             DocumentNetwork(2, {(0, 1): ()})
 
     def test_neighbors(self):
-        # A walk's first steps from each start; 3 links only into 0, so
-        # only undirected walks step from 0 to 3.
+        # A walk's first steps from each start; 3 links only into 0, and
+        # walks step along links both ways.
         net = _net(4, [(0, 1), (0, 2), (3, 0)])
 
-        def first_steps(undirected: bool, start: int) -> set[int]:
-            params = DeepWalkParams(walks_per_node=50, walk_length=2, undirected=undirected)
+        def first_steps(start: int) -> set[int]:
+            params = DeepWalkParams(walks_per_node=50, walk_length=2)
             walks = generate_walks(net, range(4), params, np.random.default_rng(0))
             return {walk[1] for walk in walks if walk[0] == start and len(walk) == 2}
 
-        assert first_steps(False, 0) == {1, 2}
-        assert first_steps(True, 0) == {1, 2, 3}
-        assert first_steps(True, 3) == {0}
+        assert first_steps(0) == {1, 2, 3}
+        assert first_steps(1) == {0}  # a sink steps back along its in-link
+        assert first_steps(3) == {0}
 
     def test_network_retains_few_bytes_per_edge(self):
         # The build benchmark's corpus at seed 0: 1,000 documents, 4,000

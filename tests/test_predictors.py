@@ -108,7 +108,7 @@ class TestPrediction:
         methods = [Constant("high", 1.5), Constant("nan", float("nan")), Constant("one", 1.0)]
         report = run_eval(
             fixture_dataset, methods,
-            config=replace(BENCH_CONFIG, runs=1, modes=("transductive",)),
+            config=replace(BENCH_CONFIG, runs=1, mode="transductive"),
         )
         assert sorted(f.method for f in report.failures) == ["high", "nan"]
         assert all("within [0, 1]" in f.error for f in report.failures)
