@@ -17,9 +17,7 @@ from .dataset import Dataset
 from .deepwalk import (
     DeepWalkModel,
     DeepWalkParams,
-    UnsupportedModeError,
     fit_deepwalk,
-    score_deepwalk,
 )
 from .evaluation import (
     EvalConfig,

@@ -22,7 +22,7 @@ from pathlib import Path
 from .dataset import ARTICLES_FILE, LINKS_FILE, Dataset, write_remap_tsv, write_samples_tsv
 from .deepwalk import DeepWalkParams
 from .evaluation import EvalConfig, MetricsReport, check_method_names, run_eval
-from .graph import (DocumentNetwork, check_damping, network_stats, personalized_pagerank,
+from .graph import (DocumentNetwork, check_ratio, network_stats, personalized_pagerank,
                     topk_subgraph)
 from .ingest import Article, DumpParseError, build_corpus, parse_dump
 from .predictors import METHOD_NAMES, ExternalFileMethod, make_method
@@ -163,8 +163,7 @@ def cmd_ingest(args) -> int:
         try:
             articles, links = build_corpus(parse_dump(stream, counters), counters)
         except DumpParseError as exc:
-            offset = f" near byte {exc.byte_offset}" if exc.byte_offset is not None else ""
-            raise InputError(f"{exc}{offset}") from exc
+            raise InputError(str(exc)) from exc
         except (OSError, EOFError) as exc:  # a corrupt or truncated .gz or .bz2
             raise InputError(f"cannot read dump {args.dump}: {exc}") from exc
     network = DocumentNetwork.from_links(len(articles), links)
@@ -197,7 +196,7 @@ def cmd_subgraph(args) -> int:
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     try:
-        check_damping(args.damping)
+        check_ratio("damping", args.damping)
     except ValueError as exc:
         raise InputError(f"--{exc}") from exc
     dataset = _load_dataset(args.data)
@@ -263,8 +262,10 @@ def cmd_dataset_stats(args) -> int:
 def cmd_eval(args) -> int:
     config = copy.deepcopy(_EVAL_KEYS) | (_read_config(args.config) if args.config else {})
     for key in ("data", "out", "mode", "runs", "base_seed"):
-        if getattr(args, key) not in (None, ""):
-            config[key] = getattr(args, key)
+        value = getattr(args, key)
+        # An empty --data or --out leaves the config's path in place.
+        if value is not None and (value != "" or key == "mode"):
+            config[key] = value
     settings = _eval_settings(config)
     if not config["data"]:
         raise InputError("no dataset directory given (--data or config 'data')")
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", help="dataset directory (overrides config)")
     p_eval.add_argument("--config", help="JSON experiment configuration")
     p_eval.add_argument("--out", help="output directory for report + splits")
-    p_eval.add_argument("--mode", choices=("transductive", "inductive", "both"),
-                        help="evaluation mode (default both)")
+    p_eval.add_argument("--mode",
+                        help="evaluation mode: transductive, inductive or both (default both)")
     p_eval.add_argument("--runs", type=int,
                         help=f"number of repeated runs (default {EvalConfig.runs})")
     p_eval.add_argument("--base-seed", type=int, help="seed of run 0; run i uses base+i")

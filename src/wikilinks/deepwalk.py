@@ -1,10 +1,11 @@
 """Random-walk node embeddings trained with skip-gram negative sampling.
 
-Walks treat edges as undirected (directed walks would strand at sink
-nodes); each pass over the start nodes reads its steps from one buffer
-of 32-bit draws, mapped to neighbors as ``rng.integers`` maps them, so
-the walks and the generator state are those of one ``rng.integers``
-call per step. The SGNS pass makes a single epoch over the walks with a
+Walks start from every node of the network they are given and treat
+edges as undirected (directed walks would strand at sink nodes); each
+pass over the start nodes reads its steps from one buffer of 32-bit
+draws, mapped to neighbors as ``rng.integers`` maps them, so the walks
+and the generator state are those of one ``rng.integers`` call per
+step. The SGNS pass makes a single epoch over the walks with a
 learning rate that decays linearly from 0.025 and negatives drawn from
 the unigram^0.75 node-frequency distribution, word2vec style. Each
 center position takes one SGD step: its contexts and negatives are
@@ -12,20 +13,21 @@ grouped into distinct rows, and a row that occurs several times takes
 the sum of its occurrences' gradients, all taken at the same parameters,
 in one update. The node vectors are held negated through the epoch,
 which saves one negation per step and rounds alike. Everything is
-deterministic for a fixed seed.
+deterministic for a fixed seed. A document outside the training network
+has no embedding, so DeepWalk has no inductive mode; the evaluation
+harness, not the model, keeps it out of that task.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph import DocumentNetwork
-from .lsa import pair_scores
 
 _LOG_FLOOR = 1e-12
 # word2vec's starting learning rate for skip-gram.
@@ -37,10 +39,6 @@ _BLOCK_WALKS = 64
 # Negative-sampling grid buckets per table entry, before rounding up to a
 # power of two: few draws land in a bucket that needs a binary search.
 _BUCKETS_PER_ENTRY = 16
-
-
-class UnsupportedModeError(RuntimeError):
-    """A predictor was asked to score outside its supported mode."""
 
 
 def check_int(name: str, value, minimum: int) -> None:
@@ -73,7 +71,6 @@ class DeepWalkModel:
 
     node_vectors: np.ndarray
     context_vectors: np.ndarray
-    trained_nodes: frozenset[int] = field(default_factory=frozenset)
 
 
 def expit(x):
@@ -137,15 +134,14 @@ def _sgd_step(negated_center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np
 
 def generate_walks(
     network: DocumentNetwork,
-    nodes: Sequence[int],
     params: DeepWalkParams,
     rng: np.random.Generator,
 ) -> list[list[int]]:
-    """Uniform random walks: ``walks_per_node`` starts from every node,
-    each up to ``walk_length`` steps, ending early at nodes without
-    neighbors. Node order is reshuffled every pass. A node's neighbors,
-    ascending, are its out-link targets and its in-link sources; a walk
-    ends at a node outside ``nodes``.
+    """Uniform random walks: ``walks_per_node`` starts from every node of
+    ``network``, each up to ``walk_length`` steps, ending early at nodes
+    without neighbors. Node order is reshuffled every pass. A node's
+    neighbors, ascending, are its out-link targets and its in-link
+    sources.
 
     The walks, and the state ``rng`` is left in, are those of one
     ``rng.integers(len(neighbors))`` call per step (see
@@ -154,19 +150,19 @@ def generate_walks(
     for source, target in network.edges():
         neighbors.setdefault(source, set()).add(target)
         neighbors.setdefault(target, set()).add(source)
-    adjacency = {node: tuple(sorted(neighbors.get(node, ()))) for node in nodes}
-    return _random_walks(adjacency, nodes, params, rng)
+    adjacency = {node: tuple(sorted(adjacent)) for node, adjacent in neighbors.items()}
+    return _random_walks(adjacency, network.node_count, params, rng)
 
 
 def _random_walks(
     adjacency: Mapping[int, Sequence[int]],
-    nodes: Sequence[int],
+    node_count: int,
     params: DeepWalkParams,
     rng: np.random.Generator,
 ) -> list[list[int]]:
-    """The walks of :func:`generate_walks` over ``adjacency``, each
-    node's neighbors in the order a step picks from; a node that is not
-    a key has none.
+    """The walks of :func:`generate_walks` from nodes ``0 ..
+    node_count - 1`` over ``adjacency``, each node's neighbors in the
+    order a step picks from; a node that is not a key has none.
 
     A step from a node with k neighbors picks ``neighbors[j]`` with j
     the value of ``rng.integers(k)``: Lemire's bounded method on the
@@ -195,9 +191,8 @@ def _random_walks(
             choices[node] = neighbors, k, (2**32 - k) % k
     steps = params.walk_length - 1
     walks: list[list[int]] = []
-    nodes_arr = np.asarray(nodes)
     for _ in range(params.walks_per_node):
-        starts = rng.permutation(nodes_arr).tolist()
+        starts = rng.permutation(node_count).tolist()
         state = rng.bit_generator.state
         # The draws the pass may read: one per step, and one per redraw.
         budget = len(starts) * steps
@@ -309,9 +304,8 @@ def fit_deepwalk(
     network: DocumentNetwork,
     params: DeepWalkParams,
     seed: int,
-    nodes: Sequence[int],
 ) -> DeepWalkModel:
-    """Train DeepWalk embeddings on (a subset of the nodes of) a network.
+    """Train DeepWalk embeddings on every node of a network.
 
     One SGD epoch over the generated walks, processing each center
     position as one update of its center vector and of each distinct
@@ -328,16 +322,13 @@ def fit_deepwalk(
     """
     if network.node_count == 0:
         raise ValueError("cannot fit DeepWalk on an empty network")
-    nodes = sorted(nodes)
-    if not nodes:
-        raise ValueError("no nodes to train on")
 
     rng = np.random.default_rng(seed)
     d = params.dimension
     node_vectors = (rng.random((network.node_count, d)) - 0.5) / d
     context_vectors = np.zeros((network.node_count, d))
 
-    walks = generate_walks(network, nodes, params, rng)
+    walks = generate_walks(network, params, rng)
     lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
     centers = np.fromiter(chain.from_iterable(walks), dtype=np.intp, count=int(lengths.sum()))
     del walks
@@ -371,22 +362,4 @@ def fit_deepwalk(
     return DeepWalkModel(
         node_vectors=node_vectors,
         context_vectors=context_vectors,
-        trained_nodes=frozenset(nodes),
     )
-
-
-def score_deepwalk(model: DeepWalkModel, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Link scores (1 + cos)/2 between the trained node embeddings of
-    each (source, target) pair.
-
-    Ids outside the trained node set raise :class:`UnsupportedModeError`:
-    DeepWalk has no inductive mode.
-    """
-    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    for node in np.unique(ids).tolist():
-        if node not in model.trained_nodes:
-            raise UnsupportedModeError(
-                f"node {node} was not in the training network; "
-                "DeepWalk cannot score unseen documents"
-            )
-    return pair_scores(model.node_vectors, ids)

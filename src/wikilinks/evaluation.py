@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -25,7 +24,7 @@ import numpy as np
 
 from .dataset import write_links_tsv
 from .deepwalk import DeepWalkParams, check_int
-from .graph import DocumentNetwork
+from .graph import DocumentNetwork, check_ratio
 from .lsa import tokenize
 from .predictors import Method, RunContext, make_method
 
@@ -85,13 +84,6 @@ class EvalSplit:
                     raise ValueError(f"test source {source} is not a hidden document")
                 if target not in train_nodes:
                     raise ValueError(f"test target {target} is not a retained document")
-
-
-def check_ratio(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a real number
-    strictly between 0 and 1, which NaN is not."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
 def split_transductive(

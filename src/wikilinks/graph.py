@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -133,10 +134,11 @@ class PprScores:
             raise ValueError(f"PPR scores sum to {scores.sum()}, expected 1")
 
 
-def check_damping(damping: float) -> None:
-    """Raise ValueError unless ``damping`` lies strictly between 0 and 1."""
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must lie strictly between 0 and 1, got {damping}")
+def check_ratio(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number
+    strictly between 0 and 1, which NaN is not."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
 def personalized_pagerank(
@@ -156,7 +158,7 @@ def personalized_pagerank(
     n = network.node_count
     if not 0 <= seed < n:
         raise ValueError(f"seed {seed} outside 0..{n - 1}")
-    check_damping(damping)
+    check_ratio("damping", damping)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if max_iters < 1:

@@ -26,11 +26,8 @@ REDIRECT_CHAIN_CAP = 10
 
 
 class DumpParseError(Exception):
-    """Malformed XML in a dump stream; carries the approximate byte offset."""
-
-    def __init__(self, message: str, byte_offset: int | None = None) -> None:
-        super().__init__(message)
-        self.byte_offset = byte_offset
+    """Malformed XML in a dump stream; the message names the line and
+    column of the fault, as expat reports them."""
 
 
 @dataclass(frozen=True)
@@ -56,23 +53,6 @@ class Article:
     aliases: set[str] = field(default_factory=set)
 
 
-class _CountingReader:
-    """Wraps a binary stream and tracks how many bytes were handed out.
-
-    Used to attach an (approximate, buffer-granular) byte offset to XML
-    parse errors.
-    """
-
-    def __init__(self, stream: IO[bytes]) -> None:
-        self._stream = stream
-        self.bytes_read = 0
-
-    def read(self, size: int = -1) -> bytes:
-        data = self._stream.read(size)
-        self.bytes_read += len(data)
-        return data
-
-
 _REDIRECT_TEXT_RE = re.compile(r"^\s*#REDIRECT\s*:?\s*\[\[([^\]|]+)", re.IGNORECASE)
 
 
@@ -94,9 +74,8 @@ def parse_dump(stream: IO[bytes], counters: Counter | None = None) -> Iterator[R
     ``pages_skipped``. Malformed XML raises :class:`DumpParseError`.
     """
     counters = counters if counters is not None else Counter()
-    reader = _CountingReader(stream)
     try:
-        context = ET.iterparse(reader, events=("start", "end"))
+        context = ET.iterparse(stream, events=("start", "end"))
         root = None
         for event, elem in context:
             if event == "start":
@@ -115,9 +94,7 @@ def parse_dump(stream: IO[bytes], counters: Counter | None = None) -> Iterator[R
             if page is not None:
                 yield page
     except ET.ParseError as exc:
-        raise DumpParseError(
-            f"malformed dump XML: {exc}", byte_offset=reader.bytes_read
-        ) from exc
+        raise DumpParseError(f"malformed dump XML: {exc}") from exc
 
 
 def _parse_page(elem: ET.Element, counters: Counter) -> RawPage | None:

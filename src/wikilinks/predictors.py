@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .dataset import read_predictions_tsv
-from .deepwalk import fit_deepwalk, score_deepwalk
+from .deepwalk import fit_deepwalk
 from .graph import DocumentNetwork
 from .lsa import LsaModel, build_tfidf, embed_text, fit_lsa, pair_scores, row_cosines, tokenize
 
@@ -282,9 +282,8 @@ class DeepWalkMethod(Method):
             ctx.train_network,
             ctx.config.deepwalk,
             seed=ctx.seed,
-            nodes=sorted(ctx.train_nodes),
         )
-        return lambda pairs: score_deepwalk(model, pairs)
+        return lambda pairs: pair_scores(model.node_vectors, pairs)
 
 
 class AtilpMethod(Method):

@@ -116,7 +116,9 @@ class TestIngestCommand:
         dump.write_text("<mediawiki><page><title>X</title>")
         code = main(["ingest", "--dump", str(dump), "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        assert "byte" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: malformed dump XML: no element found: line 1, column 33\n"
+        )
 
     @pytest.mark.parametrize(
         ("name", "content"),
@@ -523,6 +525,9 @@ class TestReportCommand:
          "transductive_ratio must lie strictly between 0 and 1"),
         ("eval", '{"modes": ["inductive"]}', "error: unknown config keys: modes"),
         ("eval", '{"settings": {"runs": 2}}', "error: unknown config keys: settings"),
+        # A flag's value meets the config value's check and message.
+        ("eval --mode sideways", "{}", "error: mode must be transductive, inductive or both\n"),
+        ("eval --mode ", "{}", "error: mode must be transductive, inductive or both\n"),
     ],
     ids=[
         "report-invalid-json", "report-list-of-numbers", "report-mode-not-a-string",
@@ -535,13 +540,15 @@ class TestReportCommand:
         "eval-method-twice", "eval-external-method-shadows-builtin", "eval-no-methods",
         "eval-dimension-zero", "eval-atilp-negatives-bool", "eval-fractional-seed",
         "eval-ratio-nan", "eval-modes-key", "eval-internal-settings-key",
+        "eval-mode-flag-unknown", "eval-mode-flag-empty",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content, encoding="utf-8")
     flag = "--report" if command == "report" else "--config"
-    assert main([command, flag, str(path)]) == EXIT_USAGE
+    # Flags follow the command, one space apart: "eval --mode " gives --mode "".
+    assert main([*command.split(" "), flag, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err

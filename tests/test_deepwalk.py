@@ -18,19 +18,17 @@ from hypothesis import strategies as st
 from wikilinks.deepwalk import (
     _BLOCK_WALKS,
     DeepWalkParams,
-    UnsupportedModeError,
     _NegativeTable,
     _random_walks,
     _sgd_step,
     expit,
     fit_deepwalk,
     generate_walks,
-    score_deepwalk,
     sgns_gradients,
     sgns_loss,
 )
 from wikilinks.graph import DocumentNetwork
-from wikilinks.lsa import row_cosines
+from wikilinks.lsa import pair_scores, row_cosines
 from wikilinks.synthetic import PlantedCorpusParams, planted_dataset
 
 from test_lsa import cosine_oracle
@@ -228,19 +226,16 @@ def reference_sgd_step(center: np.ndarray, rows: np.ndarray, a: np.ndarray, b: n
     rows -= grad_rows
 
 
-def _reference_setup(network, params, seed, nodes):
+def _reference_setup(network, params, seed):
     """Initial vectors, walks and the negative-sampling table of a fit,
     drawn as ``fit_deepwalk`` draws them, the walks by one
     ``rng.integers`` call per step (:func:`has_edge_walks`)."""
-    if nodes is None:
-        nodes = range(network.node_count)
-    nodes = sorted(nodes)
     rng = np.random.default_rng(seed)
     d = params.dimension
     node_vectors = (rng.random((network.node_count, d)) - 0.5) / d
     context_vectors = np.zeros((network.node_count, d))
 
-    walks = has_edge_walks(network, nodes, params, rng)
+    walks = has_edge_walks(network, params, rng)
 
     counts = np.zeros(network.node_count)
     for walk in walks:
@@ -268,13 +263,13 @@ def _positions(walks, params, rng, cumulative):
             yield center, lr, contexts, drawn
 
 
-def reference_fit(network, params, seed, nodes=None):
+def reference_fit(network, params, seed):
     """The epoch position by position: each position's contexts and
     negatives grouped by ``np.unique`` into distinct rows, then
     :func:`reference_sgd_step` on the center. Returns (node_vectors,
     context_vectors)."""
     rng, node_vectors, context_vectors, walks, cumulative = _reference_setup(
-        network, params, seed, nodes
+        network, params, seed
     )
     with np.errstate(over="ignore"):
         for center, lr, contexts, drawn in _positions(walks, params, rng, cumulative):
@@ -286,12 +281,12 @@ def reference_fit(network, params, seed, nodes=None):
     return node_vectors, context_vectors
 
 
-def per_occurrence_fit(network, params, seed, nodes=None):
+def per_occurrence_fit(network, params, seed):
     """The per-occurrence SGD loop that the distinct-row step replaced:
     one gradient row per context and negative occurrence, applied in turn
     by a 2-D ``np.subtract.at``. Returns (node_vectors, context_vectors)."""
     rng, node_vectors, context_vectors, walks, cumulative = _reference_setup(
-        network, params, seed, nodes
+        network, params, seed
     )
     for center, lr, contexts, drawn in _positions(walks, params, rng, cumulative):
         ids = np.concatenate((contexts, drawn.ravel()))
@@ -316,35 +311,29 @@ def _random_network(n: int, m: int, seed: int) -> DocumentNetwork:
     return DocumentNetwork.from_links(n, [(int(a), int(b), "a") for a, b in pairs if a != b])
 
 
-# (network, params, nodes) cases for the blocked epoch against the reference.
+# (network, params) cases for the blocked epoch against the reference.
 ORACLE_CASES = {
-    "two-cliques": (_two_cliques_with_bridge(), SMALL, None),
+    "two-cliques": (_two_cliques_with_bridge(), SMALL),
     "directed-sinks": (
         _directed_with_sinks(),
         DeepWalkParams(walks_per_node=5, walk_length=6, window=2, negatives=3, dimension=8),
-        None,
     ),
     "window-past-walk": (
         _two_cliques_with_bridge(),
         DeepWalkParams(walks_per_node=4, walk_length=5, window=9, negatives=2, dimension=7),
-        None,
     ),
     "one-negative": (
         _two_cliques_with_bridge(),
         DeepWalkParams(walks_per_node=6, walk_length=8, window=3, negatives=1, dimension=5),
-        None,
     ),
-    "node-subset": (_random_network(40, 120, 1), SMALL, range(0, 40, 3)),
     "many-blocks": (
         _random_network(60, 200, 2),
         DeepWalkParams(walks_per_node=3, walk_length=12, window=4, negatives=5, dimension=64),
-        None,
     ),
     # No position has a context, so no block groups a row.
     "walk-length-one": (
         _two_cliques_with_bridge(),
         DeepWalkParams(walks_per_node=3, walk_length=1, window=2, negatives=2, dimension=4),
-        None,
     ),
 }
 # The largest |difference| allowed between the epoch and the per-occurrence
@@ -358,42 +347,39 @@ class TestBlockedEpochMatchesReference:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bit_identical_to_per_position_loop(self, case, seed):
-        network, params, nodes = ORACLE_CASES[case]
-        if nodes is None:
-            nodes = range(network.node_count)
-        model = fit_deepwalk(network, params, seed=seed, nodes=nodes)
-        node_vectors, context_vectors = reference_fit(network, params, seed, nodes)
+        network, params = ORACLE_CASES[case]
+        model = fit_deepwalk(network, params, seed=seed)
+        node_vectors, context_vectors = reference_fit(network, params, seed)
         assert np.array_equal(model.node_vectors, node_vectors)
         assert np.array_equal(model.context_vectors, context_vectors)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_within_bound_of_per_occurrence_loop(self, case, seed):
-        network, params, nodes = ORACLE_CASES[case]
-        if nodes is None:
-            nodes = range(network.node_count)
-        model = fit_deepwalk(network, params, seed=seed, nodes=nodes)
-        node_vectors, context_vectors = per_occurrence_fit(network, params, seed, nodes)
+        network, params = ORACLE_CASES[case]
+        model = fit_deepwalk(network, params, seed=seed)
+        node_vectors, context_vectors = per_occurrence_fit(network, params, seed)
         assert np.abs(model.node_vectors - node_vectors).max() <= PER_OCCURRENCE_BOUND
         assert np.abs(model.context_vectors - context_vectors).max() <= PER_OCCURRENCE_BOUND
 
     def test_walk_length_one_case_trains_nothing(self):
-        network, params, _ = ORACLE_CASES["walk-length-one"]
-        model = fit_deepwalk(network, params, seed=0, nodes=range(network.node_count))
+        network, params = ORACLE_CASES["walk-length-one"]
+        model = fit_deepwalk(network, params, seed=0)
         assert not model.context_vectors.any()
 
     def test_many_blocks_case_crosses_block_boundaries(self):
-        network, params, _ = ORACLE_CASES["many-blocks"]
+        network, params = ORACLE_CASES["many-blocks"]
         assert network.node_count * params.walks_per_node > 2 * _BLOCK_WALKS
 
 
-def per_step_walks(adjacency, nodes, params, rng):
-    """Walks over ``adjacency`` with one ``rng.integers(len(neighbors))``
-    call per step from a node with neighbors; a node that is not a key
-    has none."""
+def per_step_walks(adjacency, node_count, params, rng):
+    """Walks from nodes ``0 .. node_count - 1`` over ``adjacency`` with
+    one ``rng.integers(len(neighbors))`` call per step from a node with
+    neighbors; a node that is not a key has none. Each pass permutes the
+    node list, which draws as ``rng.permutation(node_count)`` does."""
     walks = []
     for _ in range(params.walks_per_node):
-        for start in rng.permutation(np.asarray(nodes)):
+        for start in rng.permutation(np.asarray(list(range(node_count)))):
             walk = [int(start)]
             while len(walk) < params.walk_length and adjacency.get(walk[-1]):
                 neighbors = adjacency[walk[-1]]
@@ -402,30 +388,28 @@ def per_step_walks(adjacency, nodes, params, rng):
     return walks
 
 
-def has_edge_walks(network, nodes, params, rng):
+def has_edge_walks(network, params, rng):
     """:func:`per_step_walks` over neighbor lists found by asking
-    ``has_edge`` of every pair, both ways: a node outside ``nodes`` has no
-    neighbors."""
+    ``has_edge`` of every pair, both ways."""
     adjacency = {
         u: [
             v
             for v in range(network.node_count)
             if network.has_edge(u, v) or network.has_edge(v, u)
         ]
-        for u in nodes
+        for u in range(network.node_count)
     }
-    return per_step_walks(adjacency, nodes, params, rng)
+    return per_step_walks(adjacency, network.node_count, params, rng)
 
 
 @st.composite
 def _walk_graphs(draw):
-    """(node_count, edges, nodes): up to 7 nodes, so isolated nodes, sinks
-    and 2-cycles are common; ``nodes`` is an ordered subset."""
+    """(node_count, edges): up to 7 nodes, so isolated nodes, sinks and
+    2-cycles are common."""
     n = draw(st.integers(1, 7))
     node = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=16))
-    nodes = draw(st.one_of(st.just(list(range(n))), st.lists(node, unique=True)))
-    return n, sorted(edges), nodes
+    return n, sorted(edges)
 
 
 class TestWalks:
@@ -435,19 +419,17 @@ class TestWalks:
         st.integers(1, 6),
         st.integers(0, 2**32 - 1),
     )
-    # A 2-cycle and a node outside ``nodes`` (3, reached from 2), where walks end.
-    @example((4, [(0, 1), (1, 0), (1, 2), (2, 3)], [2, 0, 1]), 3, 5, 0)
+    # A 2-cycle and a path out of it (1 -> 2 -> 3).
+    @example((4, [(0, 1), (1, 0), (1, 2), (2, 3)]), 3, 5, 0)
     # An isolated node (3) and in-links only (2 has no out-links).
-    @example((4, [(0, 2), (1, 2)], [0, 1, 2, 3]), 2, 4, 7)
+    @example((4, [(0, 2), (1, 2)]), 2, 4, 7)
     @settings(max_examples=200, deadline=None)
     def test_walks_match_has_edge_oracle(self, graph, per_node, length, seed):
-        n, edges, nodes = graph
+        n, edges = graph
         network = DocumentNetwork.from_links(n, [(u, v, "a") for u, v in edges])
         params = DeepWalkParams(walks_per_node=per_node, walk_length=length)
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert generate_walks(network, nodes, params, rng) == has_edge_walks(
-            network, nodes, params, oracle
-        )
+        assert generate_walks(network, params, rng) == has_edge_walks(network, params, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
     # k = 2**31 + 1 rejects (u * k) mod 2**32 below 2**31 - 1, about half of
@@ -462,8 +444,8 @@ class TestWalks:
         params = DeepWalkParams(walks_per_node=4, walk_length=4)
         for seed in range(100):
             rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _random_walks(adjacency, [0], params, rng) == per_step_walks(
-                adjacency, [0], params, oracle
+            assert _random_walks(adjacency, 1, params, rng) == per_step_walks(
+                adjacency, 1, params, oracle
             )
             assert rng.bit_generator.state == oracle.bit_generator.state
 
@@ -473,7 +455,7 @@ class TestWalks:
         params = DeepWalkParams(walks_per_node=1, walk_length=2)
         message = r"^node 5 has 4294967297 neighbors; walks take at most 2\*\*32$"
         with pytest.raises(ValueError, match=message):
-            _random_walks({5: range(2**32 + 1)}, [5], params, np.random.default_rng(0))
+            _random_walks({5: range(2**32 + 1)}, 6, params, np.random.default_rng(0))
 
     def test_eval_text_sized_graph_matches_oracle(self):
         # The eval-text workload's corpus and walks: 500 documents, 2 walks
@@ -484,24 +466,23 @@ class TestWalks:
         )).network
         assert network.node_count == 500
         params = DeepWalkParams(walks_per_node=2, walk_length=20)
-        nodes = range(network.node_count)
         rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
-        walks = generate_walks(network, nodes, params, rng)
-        assert walks == has_edge_walks(network, nodes, params, oracle)
+        walks = generate_walks(network, params, rng)
+        assert walks == has_edge_walks(network, params, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_walk_counts_and_lengths(self):
         net = _two_cliques_with_bridge()
         rng = np.random.default_rng(0)
-        walks = generate_walks(net, range(8), SMALL, rng)
+        walks = generate_walks(net, SMALL, rng)
         assert len(walks) == 8 * SMALL.walks_per_node
         assert all(1 <= len(w) <= SMALL.walk_length for w in walks)
 
     def test_isolated_node_walks_have_length_one(self):
         net = DocumentNetwork.from_links(3, [(0, 1, "a")])
         rng = np.random.default_rng(0)
-        walks = generate_walks(net, [2], SMALL, rng)
-        assert all(w == [2] for w in walks)
+        walks = [w for w in generate_walks(net, SMALL, rng) if w[0] == 2]
+        assert walks == [[2]] * SMALL.walks_per_node
 
 
 class TestParams:
@@ -529,25 +510,25 @@ class TestParams:
 class TestFitDeepwalk:
     def test_empty_network_errors(self):
         with pytest.raises(ValueError):
-            fit_deepwalk(DocumentNetwork(0, {}), DeepWalkParams(), seed=0, nodes=range(0))
+            fit_deepwalk(DocumentNetwork(0, {}), DeepWalkParams(), seed=0)
 
     def test_deterministic_given_seed(self):
         net = _two_cliques_with_bridge()
-        a = fit_deepwalk(net, SMALL, seed=3, nodes=range(net.node_count))
-        b = fit_deepwalk(net, SMALL, seed=3, nodes=range(net.node_count))
+        a = fit_deepwalk(net, SMALL, seed=3)
+        b = fit_deepwalk(net, SMALL, seed=3)
         assert np.array_equal(a.node_vectors, b.node_vectors)
         assert np.array_equal(a.context_vectors, b.context_vectors)
 
     def test_isolated_node_embedding_stays_at_initialization(self):
         net = DocumentNetwork.from_links(5, [(0, 1, "a"), (1, 2, "a"), (2, 0, "a")])
-        model = fit_deepwalk(net, SMALL, seed=1, nodes=range(net.node_count))
+        model = fit_deepwalk(net, SMALL, seed=1)
         isolated = model.node_vectors[4]
         init_scale = 0.5 / SMALL.dimension * np.sqrt(SMALL.dimension)
         assert np.linalg.norm(isolated) < 1.5 * init_scale
 
     def test_clique_separation(self):
         net = _two_cliques_with_bridge(size=4)
-        model = fit_deepwalk(net, SMALL, seed=2, nodes=range(net.node_count))
+        model = fit_deepwalk(net, SMALL, seed=2)
         pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         values = row_cosines(
             model.node_vectors[[i for i, _ in pairs]], model.node_vectors[[j for _, j in pairs]]
@@ -558,8 +539,8 @@ class TestFitDeepwalk:
 
     def test_score_contract(self):
         net = _two_cliques_with_bridge()
-        model = fit_deepwalk(net, SMALL, seed=0, nodes=range(8))
-        same, cross = score_deepwalk(model, [(3, 3), (0, 5)])
+        model = fit_deepwalk(net, SMALL, seed=0)
+        same, cross = pair_scores(model.node_vectors, [(3, 3), (0, 5)])
         assert same == pytest.approx(1.0)
         assert 0.0 <= cross <= 1.0
         pairs = [(i, j) for i in range(8) for j in range(8)]
@@ -567,17 +548,12 @@ class TestFitDeepwalk:
             (1 + cosine_oracle(model.node_vectors[i], model.node_vectors[j])) / 2
             for i, j in pairs
         ]
-        np.testing.assert_allclose(score_deepwalk(model, pairs), expected, rtol=0, atol=1e-12)
-        assert score_deepwalk(model, []).shape == (0,)
-
-    def test_untrained_node_raises_unsupported_mode(self):
-        net = _two_cliques_with_bridge()
-        model = fit_deepwalk(net, SMALL, seed=0, nodes=range(4))
-        with pytest.raises(UnsupportedModeError):
-            score_deepwalk(model, [(0, 1), (0, 6)])
+        scores = pair_scores(model.node_vectors, pairs)
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+        assert pair_scores(model.node_vectors, []).shape == (0,)
 
     def test_clique_scores_intra_above_inter(self):
         net = _two_cliques_with_bridge(size=4)
-        model = fit_deepwalk(net, SMALL, seed=2, nodes=range(net.node_count))
-        intra, inter = score_deepwalk(model, [(1, 2), (1, 6)])
+        model = fit_deepwalk(net, SMALL, seed=2)
+        intra, inter = pair_scores(model.node_vectors, [(1, 2), (1, 6)])
         assert intra > inter

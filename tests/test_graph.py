@@ -122,7 +122,7 @@ class TestDocumentNetwork:
 
         def first_steps(start: int) -> set[int]:
             params = DeepWalkParams(walks_per_node=50, walk_length=2)
-            walks = generate_walks(net, range(4), params, np.random.default_rng(0))
+            walks = generate_walks(net, params, np.random.default_rng(0))
             return {walk[1] for walk in walks if walk[0] == start and len(walk) == 2}
 
         assert first_steps(0) == {1, 2, 3}
@@ -262,6 +262,11 @@ class TestPersonalizedPagerank:
             personalized_pagerank(net, seed=0, damping=1.0)
         with pytest.raises(ValueError):
             personalized_pagerank(net, seed=0, tolerance=0.0)
+
+    @pytest.mark.parametrize("damping", [1.5, float("nan"), "0.5"], ids=["above-1", "nan", "string"])
+    def test_damping_outside_open_unit_interval_names_damping(self, damping):
+        with pytest.raises(ValueError, match="^damping must lie strictly between 0 and 1$"):
+            personalized_pagerank(_net(2, [(0, 1)]), 0, damping=damping)
 
     def test_unconverged_flag(self):
         net = _net(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
